@@ -22,14 +22,9 @@ from .dp import (
     LikelihoodAtoms,
     SolveReport,
     ValueFunction,
-    bellman_control_m,
-    bellman_control_q,
     bellman_maps,
-    bellman_open_loop,
     binomial_weights,
     build_expectation_operator,
-    expected_future_cost,
-    gauss_legendre_atoms,
     monte_carlo_atoms,
     operator_from_atoms,
     solve_finite_horizon,
@@ -47,12 +42,8 @@ from .model import (
 from .oracle import DiscreteInstance, brute_force_value, likelihood_atoms
 from .policy import (
     Policy,
-    awake_count_by_differential,
-    differential_cost,
     extract_policy,
     extract_threshold,
-    optimal_awake_count,
-    optimal_wake_prob,
 )
 from .sim import (
     CalibrationResult,
@@ -89,22 +80,15 @@ __all__ = [
     "SweepResult",
     "TERMINAL",
     "ValueFunction",
-    "awake_count_by_differential",
-    "bellman_control_m",
-    "bellman_control_q",
     "bellman_maps",
-    "bellman_open_loop",
     "binomial_weights",
     "brute_force_value",
     "build_expectation_operator",
     "calibrate_lambda_f",
     "default_horizon_cap",
-    "differential_cost",
     "estimate_metrics",
-    "expected_future_cost",
     "extract_policy",
     "extract_threshold",
-    "gauss_legendre_atoms",
     "likelihood_atoms",
     "log_likelihood_ratio",
     "logit",
@@ -112,8 +96,6 @@ __all__ = [
     "monte_carlo_atoms",
     "one_step_predict",
     "operator_from_atoms",
-    "optimal_awake_count",
-    "optimal_wake_prob",
     "pdf",
     "posterior_update",
     "prior_mass",
@@ -123,5 +105,6 @@ __all__ = [
     "sigmoid",
     "solve_finite_horizon",
     "sufficient_statistic_update",
+    "sweep_open_loop_q",
     "value_iteration",
 ]

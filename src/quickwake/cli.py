@@ -59,7 +59,6 @@ STRATEGY_NAMES = {
 
 METHOD_NAMES = {
     "exact": "exact",
-    "quadrature": "quadrature",
     "monte-carlo": "monte_carlo",
 }
 

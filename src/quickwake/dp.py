@@ -14,21 +14,19 @@ Three continuation rules are covered:
 
 Everything expensive lives in the map ``J -> E[J(next belief)]`` for each
 awake count ``m``.  On a fixed grid with piecewise-linear interpolation
-that map is linear in the grid values, so it is assembled once as a
-matrix per ``m`` and value iteration is a handful of mat-vecs per sweep.
+that map is linear in the grid values, so it is assembled once as one
+stacked matrix over all ``m`` and a sweep is one mat-vec.  The four
+strategies differ only in their action set: a sensing cost per action
+and a mixture over awake counts (the identity for control_m, binomial
+rows for control_q, a single row for open_loop and fixed_m).
 
 For equal-variance Gaussian observations the ``m`` awake samples enter
 the posterior only through their sum ``s``, whose marginal is the
 two-component mixture ``t * N(m*mu1, m*sigma^2) + (1-t) * N(m*mu0,
-m*sigma^2)`` with ``t`` the predicted belief.  Two constructions of the
-expectation map are provided:
-
-* ``exact``      - closed form: a piecewise-linear value function
-                   integrates against each mixture component as Gaussian
-                   CDF differences, segment by segment, with no
-                   quadrature parameter at all;
-* ``quadrature`` - 129-node Gauss-Legendre per mixture component over
-                   mean +/- 8 standard deviations.
+m*sigma^2)`` with ``t`` the predicted belief.  The ``exact`` map is its
+closed form: a piecewise-linear value function integrates against each
+mixture component as Gaussian CDF differences, segment by segment, with
+no integration parameter at all.
 
 ``monte_carlo`` covers density pairs with no scalar sufficient statistic
 (seeded, 10^5 draws, compressed to a histogram of the joint likelihood
@@ -41,10 +39,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import sparse
 from scipy.special import expit, ndtr
 
@@ -52,8 +48,6 @@ from .belief import EPS
 from .model import Problem, SensorModel
 
 DEFAULT_GRID_SIZE = 1001
-DEFAULT_QUAD_NODES = 129
-QUAD_SPAN_SIGMAS = 8.0
 DEFAULT_Q_GRID_SIZE = 101
 Q_REFINE_POINTS = 21
 DEFAULT_MAX_ITERS = 10_000
@@ -104,10 +98,6 @@ class BeliefGrid:
     @property
     def size(self) -> int:
         return self.points.size
-
-    def interpolate(self, values: np.ndarray, pi) -> np.ndarray:
-        """Piecewise-linear interpolation of grid values at ``pi``."""
-        return np.interp(pi, self.points, values)
 
     def nearest_index(self, pi: float) -> int:
         idx = int(np.searchsorted(self.points, pi))
@@ -222,40 +212,6 @@ def _binomial_table(n: int, q: np.ndarray) -> np.ndarray:
     return table
 
 
-def gauss_legendre_atoms(
-    model: SensorModel,
-    n: int,
-    num_nodes: int = DEFAULT_QUAD_NODES,
-    span: float = QUAD_SPAN_SIGMAS,
-) -> LikelihoodAtoms:
-    """Gauss-Legendre nodes for the sufficient-statistic mixture.
-
-    Requires equal variances: the m-sensor slot then acts through the
-    sample sum ``s`` with per-regime law ``N(m * mu, m * sigma^2)``, and
-    each regime's expectation is integrated on ``m*mu +/- span*sqrt(m)*sigma``.
-    """
-    if not model.equal_variance:
-        raise ValueError("no scalar sufficient statistic: sigma0 != sigma1")
-    x, w = leggauss(num_nodes)
-    sigma = model.sigma0
-    llr0, w0, llr1, w1 = [np.empty(0)], [np.empty(0)], [np.empty(0)], [np.empty(0)]
-    for m in range(1, n + 1):
-        a, b = _llr_coefficients(model, m)
-        sd = math.sqrt(m) * sigma
-        for mu, llrs, wts in (
-            (model.mu0, llr0, w0),
-            (model.mu1, llr1, w1),
-        ):
-            center = m * mu
-            half = span * sd
-            s = center + half * x
-            z = (s - center) / sd
-            dens = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-            llrs.append(a * s + b)
-            wts.append(w * half * dens)
-    return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
-
-
 def monte_carlo_atoms(
     model,
     n: int,
@@ -283,17 +239,24 @@ def monte_carlo_atoms(
     return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
 
 
-def _interp_matrix(grid: BeliefGrid, query: np.ndarray) -> sparse.csr_matrix:
-    """Sparse matrix Q with (Q @ values) == interp(values, query)."""
+def _interp_matrix(
+    grid: BeliefGrid, query: np.ndarray, weights: np.ndarray | None = None
+) -> sparse.csr_matrix:
+    """Sparse Q with ``(Q @ values)[i] = sum_k weights[i, k] * interp(values, query[i, k])``.
+
+    A 1-D ``query`` is one point per row with unit weight.
+    """
     pts = grid.points
     g = grid.size
+    query = query.reshape(query.shape[0], -1)
+    if weights is None:
+        weights = np.ones_like(query)
     idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, g - 2)
-    step = pts[idx + 1] - pts[idx]
-    frac = np.clip((query - pts[idx]) / step, 0.0, 1.0)
-    rows = np.repeat(np.arange(query.size), 2)
-    cols = np.stack([idx, idx + 1], axis=1).ravel()
-    data = np.stack([1.0 - frac, frac], axis=1).ravel()
-    return sparse.csr_matrix((data, (rows, cols)), shape=(query.size, g))
+    frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
+    rows = np.repeat(np.arange(query.shape[0]), 2 * query.shape[1])
+    cols = np.stack([idx, idx + 1], axis=-1).ravel()
+    data = np.stack([weights * (1.0 - frac), weights * frac], axis=-1).ravel()
+    return sparse.csr_matrix((data, (rows, cols)), shape=(query.shape[0], g))
 
 
 def _exact_row(
@@ -338,121 +301,42 @@ def _exact_row(
 
 
 class ExpectationOperator:
-    """Linear maps ``values -> E[J(next belief)]``, one per awake count.
+    """Linear map ``values -> E[J(next belief)]`` for every awake count.
 
-    Rows are indexed by the current-belief grid; the one-step change
-    hazard is folded in, so applying matrix ``m`` to grid values gives
-    the whole slot: predict, observe ``m`` sensors, interpolate.
+    ``stack`` has shape ``((n + 1) * g, g)``: block ``m`` (rows ``m*g`` to
+    ``(m+1)*g``) maps grid values to the expected cost-to-go when ``m``
+    sensors observe the next slot, with the one-step change hazard folded
+    in; block 0 is prediction plus interpolation.  The closed form stores
+    it dense, atom-built maps as CSR.
     """
 
-    def __init__(
-        self,
-        grid: BeliefGrid,
-        p: float,
-        n: int,
-        method: str,
-        matrices: list,
-        model=None,
-        atoms: LikelihoodAtoms | None = None,
-    ):
+    def __init__(self, grid: BeliefGrid, p: float, n: int, method: str, stack):
         self.grid = grid
         self.p = p
         self.n = n
         self.method = method
-        self._matrices = matrices
-        self._model = model
-        self._atoms = atoms
+        self.stack = stack
         self.predicted = grid.points + (1.0 - grid.points) * p
-        self._interp0 = _interp_matrix(grid, self.predicted)
-
-    def apply(self, m: int, values: np.ndarray) -> np.ndarray:
-        """E[J(next belief) | current grid beliefs, m sensors awake]."""
-        if not 0 <= m <= self.n:
-            raise ValueError(f"awake count m={m} outside 0..{self.n}")
-        if m == 0:
-            return np.interp(self.predicted, self.grid.points, values)
-        return self._matrices[m] @ values
 
     def apply_all(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty((self.n + 1, self.grid.size))
-        out[0] = np.interp(self.predicted, self.grid.points, values)
-        for m in range(1, self.n + 1):
-            out[m] = self._matrices[m] @ values
-        return out
-
-    def combined(self, weights: np.ndarray) -> np.ndarray:
-        """Dense matrix for a fixed mixture over awake counts."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.n + 1,):
-            raise ValueError(f"need {self.n + 1} weights, got shape {weights.shape}")
-        g = self.grid.size
-        acc = np.zeros((g, g))
-        if weights[0] != 0.0:
-            acc += weights[0] * self._interp0.toarray()
-        for m in range(1, self.n + 1):
-            if abs(weights[m]) < 1e-16:
-                continue
-            mat = self._matrices[m]
-            acc += weights[m] * (mat.toarray() if sparse.issparse(mat) else mat)
-        return acc
-
-    def point(self, values: np.ndarray, pi: float, m: int) -> float:
-        """Single-belief evaluation, consistent with the grid rows."""
-        if not 0.0 <= pi <= 1.0:
-            raise ValueError(f"belief must lie in [0, 1], got {pi!r}")
-        if not 0 <= m <= self.n:
-            raise ValueError(f"awake count m={m} outside 0..{self.n}")
-        t = pi + (1.0 - pi) * self.p
-        if m == 0:
-            return float(np.interp(t, self.grid.points, values))
-        if self.method == "exact":
-            interior = _logit_array(self.grid.points[1:-1])
-            row = _exact_row(self._model, self.grid.points, interior, t, m)
-            return float(row @ values)
-        if t >= 1.0 - EPS:
-            return float(values[-1])
-        l0 = math.log(t) - math.log1p(-t)
-        total = 0.0
-        for weight, llrs, wts in (
-            (t, self._atoms.llr1[m], self._atoms.w1[m]),
-            (1.0 - t, self._atoms.llr0[m], self._atoms.w0[m]),
-        ):
-            post = expit(l0 + llrs)
-            total += weight * float(
-                np.dot(wts, np.interp(post, self.grid.points, values))
-            )
-        return total
+        """E[J(next belief)] per awake count (rows) and grid belief (columns)."""
+        return (self.stack @ values).reshape(self.n + 1, self.grid.size)
 
 
 def _operator_from_atoms(
-    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, method: str, model=None
+    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, method: str
 ) -> ExpectationOperator:
-    pts = grid.points
-    g = grid.size
-    t = pts + (1.0 - pts) * p
+    t = grid.points + (1.0 - grid.points) * p
     l0 = _logit_array(t)
-    matrices: list = [None]
+    blocks = [_interp_matrix(grid, t)]
     for m in range(1, atoms.n + 1):
-        mats = []
-        for factor, llrs, wts in (
-            (t, atoms.llr1[m], atoms.w1[m]),
-            (1.0 - t, atoms.llr0[m], atoms.w0[m]),
-        ):
-            post = expit(l0[:, None] + llrs[None, :])
-            idx = np.clip(np.searchsorted(pts, post, side="right") - 1, 0, g - 2)
-            step = pts[idx + 1] - pts[idx]
-            frac = np.clip((post - pts[idx]) / step, 0.0, 1.0)
-            w = factor[:, None] * wts[None, :]
-            rows = np.repeat(np.arange(g), llrs.size)
-            data = np.concatenate([(w * (1.0 - frac)).ravel(), (w * frac).ravel()])
-            cols = np.concatenate([idx.ravel(), idx.ravel() + 1])
-            mats.append(
-                sparse.csr_matrix(
-                    (data, (np.concatenate([rows, rows]), cols)), shape=(g, g)
-                )
+        blocks.append(
+            _interp_matrix(grid, expit(l0[:, None] + atoms.llr1[m]), t[:, None] * atoms.w1[m])
+            + _interp_matrix(
+                grid, expit(l0[:, None] + atoms.llr0[m]), (1.0 - t)[:, None] * atoms.w0[m]
             )
-        matrices.append((mats[0] + mats[1]).tocsr())
-    return ExpectationOperator(grid, p, atoms.n, method, matrices, model=model, atoms=atoms)
+        )
+    return ExpectationOperator(grid, p, atoms.n, method, sparse.vstack(blocks, format="csr"))
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:
@@ -460,48 +344,34 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
     g = grid.size
     t = pts + (1.0 - pts) * p
     interior = _logit_array(pts[1:-1])
-    matrices: list = [None]
+    stack = np.empty(((n + 1) * g, g))
+    stack[:g] = _interp_matrix(grid, t).toarray()
     for m in range(1, n + 1):
-        mat = np.empty((g, g))
         for i in range(g):
-            mat[i] = _exact_row(model, pts, interior, t[i], m)
-        matrices.append(mat)
-    return ExpectationOperator(grid, p, n, "exact", matrices, model=model)
+            stack[m * g + i] = _exact_row(model, pts, interior, t[i], m)
+    return ExpectationOperator(grid, p, n, "exact", stack)
 
 
 def build_expectation_operator(
-    problem: Problem,
-    grid: BeliefGrid,
-    method: str | None = None,
-    *,
-    quad_nodes: int = DEFAULT_QUAD_NODES,
-    span: float = QUAD_SPAN_SIGMAS,
-    mc_draws: int = MC_DRAWS,
-    mc_bins: int = MC_BINS,
-    mc_seed: int = 0,
+    problem: Problem, grid: BeliefGrid, method: str | None = None
 ) -> ExpectationOperator:
-    """Assemble the per-awake-count expectation maps for ``problem``.
+    """Assemble the stacked expectation map for ``problem``.
 
-    ``method`` is ``exact``, ``quadrature``, or ``monte_carlo``; by
-    default the closed form is used when the model is an equal-variance
-    Gaussian pair and the Monte Carlo fallback otherwise.
+    ``method`` is ``exact`` or ``monte_carlo``; by default the closed
+    form is used when the model is an equal-variance Gaussian pair and
+    the Monte Carlo fallback otherwise.
     """
     model = problem.model
     reducible = isinstance(model, SensorModel) and model.equal_variance
     if method is None:
         method = "exact" if reducible else "monte_carlo"
-    if method in ("exact", "quadrature") and not reducible:
-        raise ValueError(
-            "no scalar sufficient statistic: use the monte_carlo method"
-        )
     if method == "exact":
+        if not reducible:
+            raise ValueError("no scalar sufficient statistic: use the monte_carlo method")
         return _exact_operator(model, problem.n, grid, problem.prior.p)
-    if method == "quadrature":
-        atoms = gauss_legendre_atoms(model, problem.n, quad_nodes, span)
-        return _operator_from_atoms(atoms, grid, problem.prior.p, "quadrature", model=model)
     if method == "monte_carlo":
-        atoms = monte_carlo_atoms(model, problem.n, mc_draws, mc_bins, mc_seed)
-        return _operator_from_atoms(atoms, grid, problem.prior.p, "monte_carlo", model=model)
+        atoms = monte_carlo_atoms(model, problem.n)
+        return _operator_from_atoms(atoms, grid, problem.prior.p, "monte_carlo")
     raise ValueError(f"unknown expectation method {method!r}")
 
 
@@ -510,87 +380,6 @@ def operator_from_atoms(
 ) -> ExpectationOperator:
     """Expectation maps from externally supplied likelihood-ratio atoms."""
     return _operator_from_atoms(atoms, grid, p, "atoms")
-
-
-# ---------------------------------------------------------------------------
-# Bellman operators
-
-
-class ControlDecision(NamedTuple):
-    value: float
-    best: float
-    stop: bool
-
-
-def _check_value_function(J: ValueFunction, problem: Problem) -> None:
-    if not isinstance(J, ValueFunction):
-        raise TypeError("J must be a ValueFunction")
-
-
-def _require_operator(
-    J: ValueFunction, problem: Problem, operator: ExpectationOperator | None
-) -> ExpectationOperator:
-    if operator is None:
-        return build_expectation_operator(problem, J.grid)
-    if operator.grid.size != J.grid.size or operator.n != problem.n:
-        raise ValueError("operator does not match the value function grid or n")
-    return operator
-
-
-def expected_future_cost(
-    J: ValueFunction,
-    pi: float,
-    m: int,
-    problem: Problem,
-    *,
-    operator: ExpectationOperator | None = None,
-) -> float:
-    """E[J(next belief)] when ``m`` of ``n`` sensors observe the next slot.
-
-    Args:
-        J: Cost-to-go on a belief grid.
-        pi: Current belief.
-        m: Awake count for the coming slot, 0 <= m <= n.
-        problem: Instance supplying the hazard and densities.
-        operator: Prebuilt expectation maps to reuse, optional.
-
-    Raises:
-        ValueError: If ``m`` exceeds the sensor count.
-    """
-    _check_value_function(J, problem)
-    if not (isinstance(m, (int, np.integer)) and 0 <= m <= problem.n):
-        raise ValueError(f"awake count m={m!r} outside 0..{problem.n}")
-    operator = _require_operator(J, problem, operator)
-    return operator.point(J.values, float(pi), int(m))
-
-
-def bellman_control_m(
-    J: ValueFunction,
-    pi: float,
-    problem: Problem,
-    *,
-    operator: ExpectationOperator | None = None,
-) -> ControlDecision:
-    """One Bellman step at ``pi`` choosing the awake count directly.
-
-    Returns the backed-up value, the minimizing count (0 when stopping),
-    and whether stopping is optimal.  Ties between counts resolve toward
-    fewer sensors; ties between stopping and continuing resolve to stop.
-    """
-    _check_value_function(J, problem)
-    operator = _require_operator(J, problem, operator)
-    pi = float(pi)
-    lam_s = problem.costs.lambda_s
-    best_m, best_cont = 0, math.inf
-    for m in range(problem.n + 1):
-        cont = lam_s * m + operator.point(J.values, pi, m)
-        if cont < best_cont - TIE_BREAK:
-            best_m, best_cont = m, cont
-    stop_cost = problem.costs.lambda_f * (1.0 - pi)
-    continue_cost = pi + best_cont
-    if stop_cost <= continue_cost + TIE_BREAK:
-        return ControlDecision(stop_cost, 0, True)
-    return ControlDecision(continue_cost, best_m, False)
 
 
 def _refine_q(
@@ -606,131 +395,65 @@ def _refine_q(
     return qs[pick, cols], cont[pick, cols]
 
 
-def bellman_control_q(
-    J: ValueFunction,
-    pi: float,
-    problem: Problem,
-    q_grid: Sequence[float],
-    *,
-    operator: ExpectationOperator | None = None,
-) -> ControlDecision:
-    """One Bellman step at ``pi`` choosing a wake probability from ``q_grid``.
-
-    The grid minimum is refined once by a dense pass over the bracketing
-    interval.  Ties resolve toward smaller ``q``; the stop/continue tie
-    resolves to stop.
-
-    Raises:
-        ValueError: On an empty ``q_grid`` or values outside [0, 1].
-    """
-    _check_value_function(J, problem)
-    q_grid = np.asarray(q_grid, dtype=float)
-    if q_grid.size == 0:
-        raise ValueError("q_grid must not be empty")
-    if np.any((q_grid < 0.0) | (q_grid > 1.0)):
-        raise ValueError("q_grid values must lie in [0, 1]")
-    operator = _require_operator(J, problem, operator)
-    pi = float(pi)
-    n, lam_s = problem.n, problem.costs.lambda_s
-    B = np.array([operator.point(J.values, pi, m) for m in range(n + 1)])
-    coarse = lam_s * n * q_grid + _binomial_table(n, q_grid) @ B
-    j = int(np.argmin(coarse))
-    lo = q_grid[max(j - 1, 0)]
-    hi = q_grid[min(j + 1, q_grid.size - 1)]
-    q_ref, cont_ref = _refine_q(
-        np.asarray([lo]), np.asarray([hi]), n, lam_s, B[:, None]
-    )
-    best_q, best_cont = float(q_ref[0]), float(cont_ref[0])
-    if coarse[j] < best_cont - TIE_BREAK:
-        best_q, best_cont = float(q_grid[j]), float(coarse[j])
-    stop_cost = problem.costs.lambda_f * (1.0 - pi)
-    continue_cost = pi + best_cont
-    if stop_cost <= continue_cost + TIE_BREAK:
-        return ControlDecision(stop_cost, 0.0, True)
-    return ControlDecision(continue_cost, best_q, False)
-
-
-def bellman_open_loop(
-    J: ValueFunction,
-    pi: float,
-    problem: Problem,
-    q: float,
-    *,
-    operator: ExpectationOperator | None = None,
-) -> float:
-    """One Bellman step at ``pi`` under a fixed wake probability ``q``."""
-    _check_value_function(J, problem)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    operator = _require_operator(J, problem, operator)
-    pi = float(pi)
-    n, lam_s = problem.n, problem.costs.lambda_s
-    weights = binomial_weights(n, q)
-    cont = lam_s * n * q + sum(
-        weights[m] * operator.point(J.values, pi, m)
-        for m in range(n + 1)
-        if weights[m] >= 1e-16
-    )
-    stop_cost = problem.costs.lambda_f * (1.0 - pi)
-    return min(stop_cost, pi + cont)
-
-
 # ---------------------------------------------------------------------------
 # Value iteration
 
 
 @dataclass(frozen=True)
 class BellmanMaps:
-    """One synchronous sweep: backed-up values plus per-point decisions."""
+    """One synchronous sweep: backed-up values plus per-point decisions.
+
+    ``best_action`` holds the minimizing awake count or wake probability
+    per grid node; value iteration's own sweeps leave it ``None``.
+    """
 
     new_values: np.ndarray
     continue_values: np.ndarray
     best_action: np.ndarray | None
 
 
+@dataclass(frozen=True)
+class _ActionSet:
+    """A strategy as one sweep sees it.
+
+    Row ``a`` of ``cost[:, None] + weights @ (stack @ J).reshape(-1, g)``
+    is the continuation cost of action ``actions[a]``.  ``refine`` marks
+    control_q, whose grid minimum is refined between its neighbours.
+    """
+
+    stack: object
+    weights: np.ndarray
+    cost: np.ndarray
+    actions: np.ndarray
+    refine: bool = False
+
+
 def _sweep(
-    values: np.ndarray,
-    problem: Problem,
-    operator: ExpectationOperator,
-    strategy: str,
-    *,
-    q_grid: np.ndarray | None = None,
-    combined: np.ndarray | None = None,
-    fixed_cost: float = 0.0,
-    coarse_table: np.ndarray | None = None,
+    values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionSet, decide: bool = False
 ) -> BellmanMaps:
-    pts = operator.grid.points
-    lam_s = problem.costs.lambda_s
-    n = problem.n
-    stop_cost = problem.costs.lambda_f * (1.0 - pts)
-    if strategy in ("open_loop", "fixed_m"):
-        cont = fixed_cost + combined @ values
-        best: np.ndarray | None = None
-    elif strategy == "control_m":
-        B = operator.apply_all(values)
-        table = B + lam_s * np.arange(n + 1)[:, None]
-        cont = table.min(axis=0)
-        best = table.argmin(axis=0)
-    elif strategy == "control_q":
-        B = operator.apply_all(values)
-        coarse = lam_s * n * q_grid[:, None] + coarse_table @ B
-        j = np.argmin(coarse, axis=0)
+    """One Bellman sweep; the argmin action is only formed when ``decide``
+    is set or control_q needs it to bracket its refinement."""
+    B = (acts.stack @ values).reshape(-1, pts.size)
+    table = acts.cost[:, None] + acts.weights @ B
+    cont = table.min(axis=0)
+    best = None
+    if decide or acts.refine:
+        j = np.argmin(table, axis=0)
+        best = acts.actions[j]
+    if acts.refine:
+        q_grid = acts.actions
         lo = q_grid[np.maximum(j - 1, 0)]
         hi = q_grid[np.minimum(j + 1, q_grid.size - 1)]
-        q_ref, cont_ref = _refine_q(lo, hi, n, lam_s, B)
-        cols = np.arange(pts.size)
-        coarse_best = coarse[j, cols]
-        take_coarse = coarse_best < cont_ref - TIE_BREAK
-        cont = np.where(take_coarse, coarse_best, cont_ref)
-        best = np.where(take_coarse, q_grid[j], q_ref)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        q_ref, cont_ref = _refine_q(lo, hi, problem.n, problem.costs.lambda_s, B)
+        take_coarse = cont < cont_ref - TIE_BREAK
+        cont = np.where(take_coarse, cont, cont_ref)
+        best = np.where(take_coarse, best, q_ref)
     continue_values = pts + cont
-    new_values = np.minimum(stop_cost, continue_values)
+    new_values = np.minimum(problem.costs.lambda_f * (1.0 - pts), continue_values)
     return BellmanMaps(new_values, continue_values, best)
 
 
-def _strategy_setup(
+def _action_set(
     problem: Problem,
     operator: ExpectationOperator,
     strategy: str,
@@ -738,40 +461,46 @@ def _strategy_setup(
     fixed_m: int | None,
     q_grid: np.ndarray | None,
     q_grid_size: int,
-) -> dict:
+) -> _ActionSet:
     n = problem.n
     lam_s = problem.costs.lambda_s
     if strategy == "control_m":
-        return {}
+        counts = np.arange(n + 1)
+        return _ActionSet(operator.stack, np.eye(n + 1), lam_s * counts, counts)
     if strategy == "control_q":
         if q_grid is None:
             q_grid = np.linspace(0.0, 1.0, q_grid_size)
-        else:
-            q_grid = np.asarray(q_grid, dtype=float)
-            if q_grid.size == 0:
-                raise ValueError("q_grid must not be empty")
-        return {"q_grid": q_grid, "coarse_table": _binomial_table(n, q_grid)}
+        q_grid = np.asarray(q_grid, dtype=float)
+        if q_grid.size == 0:
+            raise ValueError("q_grid must not be empty")
+        if not np.all((q_grid >= 0.0) & (q_grid <= 1.0)):
+            raise ValueError("q_grid values must lie in [0, 1]")
+        return _ActionSet(
+            operator.stack, _binomial_table(n, q_grid), lam_s * n * q_grid, q_grid, refine=True
+        )
     if strategy == "open_loop":
         if q is None or not 0.0 <= q <= 1.0:
             raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
-        return {
-            "combined": operator.combined(binomial_weights(n, q) if q > 0 else _one_hot(n, 0)),
-            "fixed_cost": lam_s * n * q,
-        }
-    if strategy == "fixed_m":
+        weights, cost, action = binomial_weights(n, q), lam_s * n * q, q
+    elif strategy == "fixed_m":
         if fixed_m is None or not 0 <= fixed_m <= n:
             raise ValueError(f"fixed_m needs an awake count in 0..{n}, got {fixed_m!r}")
-        return {
-            "combined": operator.combined(_one_hot(n, fixed_m)),
-            "fixed_cost": lam_s * fixed_m,
-        }
-    raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+        weights, cost, action = np.eye(n + 1)[fixed_m], lam_s * fixed_m, fixed_m
+    else:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    # A single action: fold its mixture over awake counts into one g x g map.
+    mix = sparse.kron(weights[None, :], sparse.identity(operator.grid.size), format="csr")
+    return _ActionSet(mix @ operator.stack, np.ones((1, 1)), np.array([cost]), np.array([action]))
 
 
-def _one_hot(n: int, m: int) -> np.ndarray:
-    w = np.zeros(n + 1)
-    w[m] = 1.0
-    return w
+def _resolve_operator(
+    problem: Problem, grid: BeliefGrid, operator: ExpectationOperator | None, method=None
+) -> ExpectationOperator:
+    if operator is None:
+        return build_expectation_operator(problem, grid, method)
+    if operator.grid.size != grid.size or operator.n != problem.n:
+        raise ValueError("operator does not match the grid or n")
+    return operator
 
 
 def _resolve_grid(grid) -> BeliefGrid:
@@ -826,22 +555,19 @@ def value_iteration(
             exception carries the last sup-norm delta.
     """
     grid = _resolve_grid(grid)
-    if operator is None:
-        operator = build_expectation_operator(problem, grid, method)
-    elif operator.grid.size != grid.size or operator.n != problem.n:
-        raise ValueError("operator does not match the requested grid or n")
+    operator = _resolve_operator(problem, grid, operator, method)
     if tolerance is None:
         tolerance = TOLERANCE_SCALE * problem.costs.lambda_f
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    setup = _strategy_setup(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
     start = time.perf_counter()
     values = problem.costs.lambda_f * (1.0 - grid.points)
     deltas = []
     for iteration in range(1, max_iters + 1):
-        maps = _sweep(values, problem, operator, strategy, **setup)
+        maps = _sweep(values, problem, grid.points, acts)
         delta = float(np.max(np.abs(maps.new_values - values)))
         deltas.append(delta)
         values = maps.new_values
@@ -885,12 +611,11 @@ def solve_finite_horizon(
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
     grid = _resolve_grid(grid)
-    if operator is None:
-        operator = build_expectation_operator(problem, grid, method)
-    setup = _strategy_setup(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    operator = _resolve_operator(problem, grid, operator, method)
+    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
     values = problem.costs.lambda_f * (1.0 - grid.points)
     for _ in range(sweeps):
-        values = _sweep(values, problem, operator, strategy, **setup).new_values
+        values = _sweep(values, problem, grid.points, acts).new_values
     return ValueFunction(grid, values)
 
 
@@ -910,6 +635,6 @@ def bellman_maps(
     Policy extraction applies this to a converged value function to read
     off the continuation values and minimizing actions.
     """
-    operator = _require_operator(J, problem, operator)
-    setup = _strategy_setup(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
-    return _sweep(J.values, problem, operator, strategy, **setup)
+    operator = _resolve_operator(problem, J.grid, operator)
+    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    return _sweep(J.values, problem, J.grid.points, acts, decide=True)

@@ -9,8 +9,7 @@ plus a per-belief action map.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +18,8 @@ from .dp import (
     BeliefGrid,
     ExpectationOperator,
     ValueFunction,
-    bellman_control_m,
-    bellman_control_q,
     bellman_maps,
     build_expectation_operator,
-    expected_future_cost,
 )
 from .model import Problem
 
@@ -105,18 +101,6 @@ class Policy:
         return float(self.wake_prob_map[self._continue_index(pi)])
 
 
-def _continuation_values(
-    J: ValueFunction,
-    problem: Problem,
-    strategy: str,
-    operator: ExpectationOperator | None,
-    **strategy_kw,
-):
-    operator = operator or build_expectation_operator(problem, J.grid)
-    maps = bellman_maps(J, problem, strategy, operator=operator, **strategy_kw)
-    return operator, maps
-
-
 def _threshold_from_continuation(
     grid: BeliefGrid, continue_values: np.ndarray, lambda_f: float
 ) -> float:
@@ -170,112 +154,10 @@ def extract_threshold(
         ValueError: If stopping is nowhere optimal ("degenerate
             instance") or the stop set is not an interval.
     """
-    kw = {}
-    if q is not None:
-        kw["q"] = q
-    if fixed_m is not None:
-        kw["fixed_m"] = fixed_m
-    if q_grid is not None:
-        kw["q_grid"] = q_grid
-    _, maps = _continuation_values(J, problem, strategy, operator, **kw)
+    maps = bellman_maps(
+        J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m, q_grid=q_grid
+    )
     return _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
-
-
-def differential_cost(
-    J: ValueFunction,
-    pi: float,
-    m: int,
-    problem: Problem,
-    *,
-    operator: ExpectationOperator | None = None,
-) -> float:
-    """Marginal value of the m-th awake sensor: B(m-1) - B(m) at ``pi``.
-
-    Nonnegative (up to integration tolerance) whenever J is concave, and
-    exactly 0 at pi = 1 where the belief is absorbed.
-
-    Raises:
-        ValueError: If ``m`` is 0 or exceeds the sensor count.
-    """
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= problem.n):
-        raise ValueError(f"m must lie in 1..{problem.n}, got {m!r}")
-    operator = operator or build_expectation_operator(problem, J.grid)
-    lower = expected_future_cost(J, pi, m - 1, problem, operator=operator)
-    upper = expected_future_cost(J, pi, m, problem, operator=operator)
-    return lower - upper
-
-
-def optimal_awake_count(
-    J: ValueFunction,
-    pi: float,
-    problem: Problem,
-    *,
-    operator: ExpectationOperator | None = None,
-    gamma: float | None = None,
-) -> int:
-    """Cost-minimizing awake count at ``pi``, by enumeration over 0..n.
-
-    Only defined in the continuation region.
-
-    Raises:
-        ValueError: If ``pi`` is at or above the stopping threshold
-            ("in stopping region").
-    """
-    operator = operator or build_expectation_operator(problem, J.grid)
-    if gamma is None:
-        gamma = extract_threshold(J, problem, "control_m", operator=operator)
-    if pi >= gamma:
-        raise ValueError(f"belief {pi!r} is in stopping region (threshold {gamma:.6f})")
-    decision = bellman_control_m(J, pi, problem, operator=operator)
-    return int(decision.best)
-
-
-def awake_count_by_differential(
-    J: ValueFunction,
-    pi: float,
-    problem: Problem,
-    *,
-    operator: ExpectationOperator | None = None,
-) -> int:
-    """Awake count by the marginal-value rule: max{m : d(m; pi) >= lambda_s}.
-
-    Equivalent to the enumeration argmin when d is monotone in m; that
-    monotonicity is an observation, not a theorem, so this form is a
-    verification view only.
-    """
-    operator = operator or build_expectation_operator(problem, J.grid)
-    lam_s = problem.costs.lambda_s
-    B = [expected_future_cost(J, pi, m, problem, operator=operator) for m in range(problem.n + 1)]
-    best = 0
-    for m in range(1, problem.n + 1):
-        if B[m - 1] - B[m] >= lam_s:
-            best = m
-    return best
-
-
-def optimal_wake_prob(
-    J: ValueFunction,
-    pi: float,
-    problem: Problem,
-    q_grid: np.ndarray | None = None,
-    *,
-    operator: ExpectationOperator | None = None,
-    gamma: float | None = None,
-) -> float:
-    """Cost-minimizing wake probability at ``pi`` (grid search + refine).
-
-    Raises:
-        ValueError: If ``pi`` is at or above the stopping threshold.
-    """
-    operator = operator or build_expectation_operator(problem, J.grid)
-    if q_grid is None:
-        q_grid = np.linspace(0.0, 1.0, 101)
-    if gamma is None:
-        gamma = extract_threshold(J, problem, "control_q", operator=operator, q_grid=q_grid)
-    if pi >= gamma:
-        raise ValueError(f"belief {pi!r} is in stopping region (threshold {gamma:.6f})")
-    decision = bellman_control_q(J, pi, problem, q_grid, operator=operator)
-    return float(decision.best)
 
 
 def _differential_rule_map(
@@ -306,39 +188,22 @@ def extract_policy(
     ``awake_rule_mismatches``.
     """
     operator = operator or build_expectation_operator(problem, J.grid)
-    kw: dict = {}
-    if strategy == "control_q":
-        kw["q_grid"] = q_grid if q_grid is not None else np.linspace(0.0, 1.0, q_grid_size)
-    if strategy == "open_loop":
-        kw["q"] = q
-    if strategy == "fixed_m":
-        kw["fixed_m"] = fixed_m
-    _, maps = _continuation_values(J, problem, strategy, operator, **kw)
+    maps = bellman_maps(
+        J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m,
+        q_grid=q_grid, q_grid_size=q_grid_size,
+    )
     gamma = _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
-    key = problem.key()
     if strategy == "control_m":
         awake = maps.best_action.astype(int)
         rule = _differential_rule_map(J, problem, operator)
         below = J.grid.points < gamma
-        mismatches = int(np.sum((rule != awake) & below))
-        return Policy(
-            kind="control_m", gamma=gamma, grid=J.grid, n=problem.n,
-            problem_key=key, awake_map=awake, awake_rule_mismatches=mismatches,
-        )
-    if strategy == "control_q":
-        return Policy(
-            kind="control_q", gamma=gamma, grid=J.grid, n=problem.n,
-            problem_key=key, wake_prob_map=maps.best_action.astype(float),
-        )
-    if strategy == "open_loop":
-        return Policy(
-            kind="open_loop", gamma=gamma, grid=J.grid, n=problem.n,
-            problem_key=key, fixed_q=float(q),
-        )
-    if strategy == "fixed_m":
-        return Policy(
-            kind="fixed_m", gamma=gamma, grid=J.grid, n=problem.n,
-            problem_key=key, fixed_m=int(fixed_m),
-            awake_map=np.full(J.grid.size, int(fixed_m)),
-        )
-    raise ValueError(f"strategy must be one of {POLICY_KINDS}, got {strategy!r}")
+        extra = {"awake_map": awake, "awake_rule_mismatches": int(np.sum((rule != awake) & below))}
+    elif strategy == "control_q":
+        extra = {"wake_prob_map": maps.best_action.astype(float)}
+    elif strategy == "open_loop":
+        extra = {"fixed_q": float(q)}
+    else:
+        extra = {"fixed_m": int(fixed_m), "awake_map": maps.best_action.astype(int)}
+    return Policy(
+        kind=strategy, gamma=gamma, grid=J.grid, n=problem.n, problem_key=problem.key(), **extra
+    )

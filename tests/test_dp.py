@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import expit
 
 from quickwake import (
     BeliefGrid,
@@ -11,15 +12,12 @@ from quickwake import (
     Costs,
     Problem,
     SensorModel,
+    LikelihoodAtoms,
     ValueFunction,
-    bellman_control_m,
-    bellman_control_q,
     bellman_maps,
-    bellman_open_loop,
     binomial_weights,
     build_expectation_operator,
-    expected_future_cost,
-    gauss_legendre_atoms,
+    extract_policy,
     logit,
     operator_from_atoms,
     prior_mass,
@@ -27,6 +25,27 @@ from quickwake import (
     solve_finite_horizon,
     value_iteration,
 )
+
+
+def gauss_legendre_atoms(model, n, num_nodes=129, span=8.0):
+    """Reference atoms: Gauss-Legendre nodes for each regime's sum statistic.
+
+    With equal variances the m-sensor slot acts through the sample sum,
+    whose law in each regime is ``N(m * mu, m * sigma^2)``; each regime is
+    integrated on its mean +/- ``span`` standard deviations.
+    """
+    x, w = np.polynomial.legendre.leggauss(num_nodes)
+    var = model.sigma0**2
+    a = (model.mu1 - model.mu0) / var
+    llr0, w0, llr1, w1 = [np.empty(0)], [np.empty(0)], [np.empty(0)], [np.empty(0)]
+    for m in range(1, n + 1):
+        b = -m * (model.mu1**2 - model.mu0**2) / (2.0 * var)
+        sd = math.sqrt(m * var)
+        for mu, llrs, wts in ((model.mu0, llr0, w0), (model.mu1, llr1, w1)):
+            s = m * mu + span * sd * x
+            llrs.append(a * s + b)
+            wts.append(w * span * sd * stats.norm.pdf(s, m * mu, sd))
+    return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
 
 
 def test_binomial_weights_match_scipy():
@@ -75,7 +94,8 @@ def test_exact_operator_mass_and_martingale(problem, operator):
 
 
 def test_quadrature_operator_identities(problem, grid201):
-    op = build_expectation_operator(problem, grid201, "quadrature")
+    atoms = gauss_legendre_atoms(problem.model, problem.n)
+    op = operator_from_atoms(atoms, grid201, problem.prior.p)
     assert np.abs(op.apply_all(np.ones(grid201.size)) - 1.0).max() < 1e-12
     drift = op.apply_all(grid201.points) - op.predicted[None, :]
     assert np.abs(drift).max() < 1e-12
@@ -96,7 +116,8 @@ def test_monte_carlo_operator_close_to_exact(problem, grid201, operator201):
 
 
 def test_quadrature_close_to_exact_on_smooth_values(problem, grid201, operator201):
-    op_q = build_expectation_operator(problem, grid201, "quadrature")
+    atoms = gauss_legendre_atoms(problem.model, problem.n)
+    op_q = operator_from_atoms(atoms, grid201, problem.prior.p)
     smooth = problem.costs.lambda_f * (1.0 - grid201.points) ** 2
     diff = np.abs(op_q.apply_all(smooth) - operator201.apply_all(smooth)).max()
     assert diff < 5e-4
@@ -118,7 +139,9 @@ def test_exact_point_against_adaptive_quadrature(problem, grid1001, operator):
     def j_of_belief(b):
         return np.interp(b, knots_x, knots_y)
 
-    for pi in (0.0, 0.05, 0.42, 0.9, 0.997):
+    B = operator.apply_all(values)
+    for i in (0, 50, 420, 900, 997):
+        pi = float(grid1001.points[i])
         for m in (1, 2, 7, 10):
             t = pi + (1.0 - pi) * p
             a, b_coef = 1.0, -m * 0.5  # sum-statistic LLR is a*s + b
@@ -141,26 +164,28 @@ def test_exact_point_against_adaptive_quadrature(problem, grid1001, operator):
                     integrand, lo, hi, points=pts, epsabs=1e-11, limit=200
                 )
                 total += weight * val
-            got = operator.point(values, pi, m)
-            assert got == pytest.approx(total, abs=1e-7)
+            assert B[m, i] == pytest.approx(total, abs=1e-7)
 
 
-def test_point_consistent_with_matrix_rows(problem, operator):
-    values = problem.costs.lambda_f * (1.0 - operator.grid.points) ** 2
-    B = operator.apply_all(values)
-    for i in (0, 137, 500, 938, 1000):
-        for m in (0, 1, 5, 10):
-            assert operator.point(values, float(operator.grid.points[i]), m) == pytest.approx(
-                B[m, i], abs=1e-10
-            )
-
-
-def test_operator_from_atoms_matches_quadrature_build(problem, grid201):
+def test_operator_from_atoms_matches_direct_atom_sum(problem, grid201):
+    """Each row of the atom-built map is the atom-weighted interpolation."""
     atoms = gauss_legendre_atoms(problem.model, problem.n)
     op = operator_from_atoms(atoms, grid201, problem.prior.p)
-    op_q = build_expectation_operator(problem, grid201, "quadrature")
-    smooth = 100.0 * (1.0 - grid201.points) ** 2
-    np.testing.assert_allclose(op.apply_all(smooth), op_q.apply_all(smooth), atol=1e-10)
+    pts = grid201.points
+    smooth = 100.0 * (1.0 - pts) ** 2
+    B = op.apply_all(smooth)
+    for i in (0, 37, 100, 180, 200):
+        t = pts[i] + (1.0 - pts[i]) * problem.prior.p
+        assert B[0, i] == pytest.approx(np.interp(t, pts, smooth), abs=1e-10)
+        for m in (1, 4, 10):
+            direct = 0.0
+            for weight, llrs, wts in (
+                (t, atoms.llr1[m], atoms.w1[m]),
+                (1.0 - t, atoms.llr0[m], atoms.w0[m]),
+            ):
+                post = expit(logit(t) + llrs)
+                direct += weight * float(np.dot(wts, np.interp(post, pts, smooth)))
+            assert B[m, i] == pytest.approx(direct, abs=1e-10)
 
 
 def test_unequal_variance_requires_monte_carlo():
@@ -173,8 +198,6 @@ def test_unequal_variance_requires_monte_carlo():
     grid = BeliefGrid.uniform(101)
     with pytest.raises(ValueError, match="sufficient statistic"):
         build_expectation_operator(prob, grid, "exact")
-    with pytest.raises(ValueError, match="sufficient statistic"):
-        build_expectation_operator(prob, grid, "quadrature")
     op = build_expectation_operator(prob, grid)  # defaults to monte_carlo
     assert op.method == "monte_carlo"
     assert np.abs(op.apply_all(np.ones(101)) - 1.0).max() < 1e-12
@@ -185,48 +208,53 @@ def test_build_rejects_unknown_method(problem, grid201):
         build_expectation_operator(problem, grid201, "simpson")
 
 
-# --- Bellman steps ----------------------------------------------------------
-
-
-def test_expected_future_cost_validates_m(problem, solved_control_m, operator):
-    J, _ = solved_control_m
-    with pytest.raises(ValueError):
-        expected_future_cost(J, 0.2, 11, problem, operator=operator)
-    with pytest.raises(ValueError):
-        expected_future_cost(J, 0.2, -1, problem, operator=operator)
+# --- Bellman sweeps ----------------------------------------------------------
 
 
 def test_bellman_control_m_matches_vectorized_maps(problem, solved_control_m, operator):
+    """The control_m sweep against a by-hand backup from the grid maps."""
     J, _ = solved_control_m
     maps = bellman_maps(J, problem, "control_m", operator=operator)
+    B = operator.apply_all(J.values)
+    lam_s, lam_f = problem.costs.lambda_s, problem.costs.lambda_f
     for i in (3, 144, 500, 900):
         pi = float(J.grid.points[i])
-        decision = bellman_control_m(J, pi, problem, operator=operator)
-        assert decision.value == pytest.approx(maps.new_values[i], abs=1e-10)
-        if not decision.stop:
-            assert decision.best == maps.best_action[i]
+        cont = [lam_s * m + B[m, i] for m in range(problem.n + 1)]
+        best = int(np.argmin(cont))
+        backup = min(lam_f * (1.0 - pi), pi + cont[best])
+        assert maps.new_values[i] == pytest.approx(backup, abs=1e-10)
+        assert maps.best_action[i] == best
 
 
 def test_bellman_control_q_refinement_never_hurts(problem, solved_control_q, operator):
     J, _ = solved_control_q
-    coarse = np.linspace(0.0, 1.0, 11)
-    for pi in (0.1, 0.4, 0.63, 0.8):
-        rough = bellman_control_q(J, pi, problem, coarse, operator=operator)
-        fine = bellman_control_q(J, pi, problem, np.linspace(0, 1, 101), operator=operator)
-        assert fine.value <= rough.value + 1e-9
-        assert 0.0 <= rough.best <= 1.0
+    rough = bellman_maps(J, problem, "control_q", q_grid=np.linspace(0, 1, 11), operator=operator)
+    fine = bellman_maps(J, problem, "control_q", q_grid=np.linspace(0, 1, 101), operator=operator)
+    assert np.all(fine.new_values <= rough.new_values + 1e-9)
+    assert np.all((rough.best_action >= 0.0) & (rough.best_action <= 1.0))
     with pytest.raises(ValueError):
-        bellman_control_q(J, 0.2, problem, np.array([]), operator=operator)
-    with pytest.raises(ValueError):
-        bellman_control_q(J, 0.2, problem, np.array([0.5, 1.4]), operator=operator)
+        bellman_maps(J, problem, "control_q", q_grid=np.array([]), operator=operator)
+
+
+def test_q_grid_range_checked_on_every_entry_point(problem, grid201, operator201):
+    """A wake probability outside [0, 1] would give negative binomial weights."""
+    J = solve_finite_horizon(problem, 2, "control_m", grid201, operator=operator201)
+    for bad in ([0.5, 1.4], [-0.2, 0.5], [np.nan]):
+        with pytest.raises(ValueError, match="q_grid"):
+            value_iteration(problem, "control_q", grid201, q_grid=bad, operator=operator201)
+        with pytest.raises(ValueError, match="q_grid"):
+            bellman_maps(J, problem, "control_q", q_grid=bad, operator=operator201)
+        with pytest.raises(ValueError, match="q_grid"):
+            extract_policy(J, problem, "control_q", q_grid=bad, operator=operator201)
 
 
 def test_bellman_open_loop_is_control_q_at_fixed_q(problem, solved_open_loop, operator):
+    """The folded single-q map against the unfolded binomial mixture."""
     J, _ = solved_open_loop
-    for pi in (0.05, 0.3, 0.72):
-        v = bellman_open_loop(J, pi, problem, 0.03, operator=operator)
-        d = bellman_control_q(J, pi, problem, np.array([0.03]), operator=operator)
-        assert v == pytest.approx(d.value, abs=1e-12)
+    folded = bellman_maps(J, problem, "open_loop", q=0.03, operator=operator)
+    mixed = bellman_maps(J, problem, "control_q", q_grid=np.array([0.03]), operator=operator)
+    np.testing.assert_allclose(folded.new_values, mixed.new_values, atol=1e-12)
+    np.testing.assert_allclose(folded.continue_values, mixed.continue_values, atol=1e-12)
 
 
 # --- value iteration --------------------------------------------------------

@@ -1,0 +1,37 @@
+"""The public surface: ``__all__`` and the README's library example."""
+
+import ast
+import re
+from pathlib import Path
+
+import quickwake
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_all_names_resolve_and_cover_the_imports():
+    for name in quickwake.__all__:
+        assert hasattr(quickwake, name), name
+    tree = ast.parse(Path(quickwake.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert public - set(quickwake.__all__) == set()
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    small = code.replace("BeliefGrid.uniform(1001)", "BeliefGrid.uniform(101)")
+    small = small.replace("replications=100_000", "replications=200")
+    assert small != code
+    scope: dict = {}
+    exec(compile(small, "README.md", "exec"), scope)
+    assert scope["policy"].kind == "control_m"
+    assert 0.0 < scope["policy"].gamma < 1.0
+    assert scope["metrics"].replications == 200

@@ -4,12 +4,10 @@ import pytest
 from quickwake import (
     BeliefGrid,
     Policy,
-    awake_count_by_differential,
-    differential_cost,
+    bellman_maps,
+    binomial_weights,
     extract_policy,
     extract_threshold,
-    optimal_awake_count,
-    optimal_wake_prob,
     value_iteration,
 )
 from quickwake.policy import _threshold_from_continuation
@@ -29,13 +27,12 @@ def test_control_m_threshold_brackets_grid_crossing(problem, solved_control_m, o
 
 def test_threshold_refinement_is_consistent(problem, solved_control_m, operator):
     """At the refined threshold, stopping and continuing cost the same."""
-    from quickwake import bellman_control_m
-
     J, _ = solved_control_m
     gamma = extract_threshold(J, problem, "control_m", operator=operator)
+    maps = bellman_maps(J, problem, "control_m", operator=operator)
     stop_cost = problem.costs.lambda_f * (1.0 - gamma)
-    decision = bellman_control_m(J, gamma, problem, operator=operator)
-    assert decision.value == pytest.approx(stop_cost, abs=1e-6 * problem.costs.lambda_f)
+    continue_cost = np.interp(gamma, J.grid.points, maps.continue_values)
+    assert continue_cost == pytest.approx(stop_cost, abs=1e-6 * problem.costs.lambda_f)
 
 
 def test_threshold_from_continuation_edge_cases():
@@ -64,30 +61,25 @@ def test_fixed_two_stops_everywhere(problem, grid1001, operator):
 def test_optimal_awake_count_agrees_with_policy_map(
     problem, solved_control_m, policy_control_m, operator
 ):
+    """Below the threshold the policy wakes the count that minimizes
+    ``lambda_s * m + B[m]`` at the nearest grid node."""
     J, _ = solved_control_m
-    gamma = policy_control_m.gamma
+    B = operator.apply_all(J.values)
+    cost = problem.costs.lambda_s * np.arange(problem.n + 1)[:, None] + B
     for pi in (0.0, 0.2, 0.45, 0.6, 0.85):
-        assert pi < gamma
-        m = optimal_awake_count(J, pi, problem, operator=operator, gamma=gamma)
-        assert m == policy_control_m.awake_count_at(pi)
-    with pytest.raises(ValueError, match="stopping region"):
-        optimal_awake_count(J, 0.999, problem, operator=operator, gamma=gamma)
+        assert pi < policy_control_m.gamma
+        i = J.grid.nearest_index(pi)
+        assert policy_control_m.awake_count_at(pi) == int(np.argmin(cost[:, i]))
 
 
 def test_differential_cost_basics(problem, solved_control_m, operator):
     J, _ = solved_control_m
-    with pytest.raises(ValueError):
-        differential_cost(J, 0.3, 0, problem, operator=operator)
-    with pytest.raises(ValueError):
-        differential_cost(J, 0.3, 11, problem, operator=operator)
+    B = operator.apply_all(J.values)
+    d = B[:-1] - B[1:]  # d[m - 1] is the marginal value of the m-th sensor
     # Marginal value of another sensor is nonnegative under a concave J.
-    for pi in (0.05, 0.3, 0.6, 0.9):
-        for m in range(1, problem.n + 1):
-            assert differential_cost(J, pi, m, problem, operator=operator) >= -1e-9
+    assert d.min() >= -1e-9
     # At the absorbing belief the next observation is worthless.
-    assert differential_cost(J, 1.0, 1, problem, operator=operator) == pytest.approx(
-        0.0, abs=1e-9
-    )
+    np.testing.assert_allclose(d[:, -1], 0.0, atol=1e-9)
 
 
 def test_differential_rule_is_a_view_not_the_argmin(
@@ -96,25 +88,32 @@ def test_differential_rule_is_a_view_not_the_argmin(
     """The marginal-value rule reproduces the argmin where d is monotone
     in m; the policy records any nodes where it does not."""
     J, _ = solved_control_m
+    B = operator.apply_all(J.values)
     agreements = 0
     for pi in (0.05, 0.2, 0.5, 0.7):
-        rule = awake_count_by_differential(J, pi, problem, operator=operator)
-        argmin = optimal_awake_count(
-            J, pi, problem, operator=operator, gamma=policy_control_m.gamma
-        )
-        agreements += rule == argmin
+        i = J.grid.nearest_index(pi)
+        d = B[:-1, i] - B[1:, i]
+        rule = max([m for m in range(1, problem.n + 1) if d[m - 1] >= problem.costs.lambda_s],
+                   default=0)
+        agreements += rule == policy_control_m.awake_count_at(pi)
     assert agreements >= 3  # d is non-monotone at some beliefs; see ledger
     assert policy_control_m.awake_rule_mismatches >= 0
 
 
 def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q, operator):
+    """The refined wake probability costs no more than any coarse-grid q."""
     J, _ = solved_control_q
+    B = operator.apply_all(J.values)
+    lam_s, n = problem.costs.lambda_s, problem.n
     for pi in (0.1, 0.4, 0.63):
-        q = optimal_wake_prob(J, pi, problem, operator=operator, gamma=policy_control_q.gamma)
+        i = J.grid.nearest_index(pi)
+        q = policy_control_q.wake_prob_at(pi)
         assert 0.0 <= q <= 1.0
-        assert q == pytest.approx(policy_control_q.wake_prob_at(pi), abs=1e-9)
-    with pytest.raises(ValueError, match="stopping region"):
-        optimal_wake_prob(J, 0.99, problem, operator=operator, gamma=policy_control_q.gamma)
+        chosen = lam_s * n * q + binomial_weights(n, q) @ B[:, i]
+        coarse = min(
+            lam_s * n * c + binomial_weights(n, c) @ B[:, i] for c in np.linspace(0, 1, 101)
+        )
+        assert chosen <= coarse + 1e-9
 
 
 def test_policy_validation():
