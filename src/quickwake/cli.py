@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``solve``     - value iteration + policy extraction: J.csv, policy.csv,
+* ``solve``     - stationary solve + policy extraction: J.csv, policy.csv,
                   report.json
 * ``simulate``  - Monte Carlo evaluation of a solved policy:
                   episodes.csv, metrics.json (and trace.csv with --trace)
@@ -329,6 +329,7 @@ def _write_solve_outputs(cfg: RunConfig, J, report, policy: Policy, out: Path) -
         "value_at_start": float(J(cfg.problem.prior.rho)),
         "iterations": report.iterations,
         "final_sup_norm_delta": report.final_sup_norm_delta,
+        "bellman_residual": report.bellman_residual,
         "wall_seconds": report.wall_seconds,
         "grid_size": report.grid_size,
         "tolerance": report.tolerance,
@@ -349,8 +350,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     _, _, J, report, policy = _solve(cfg)
     _write_solve_outputs(cfg, J, report, policy, cfg.out_dir)
     print(
-        f"solved {cfg.strategy} in {report.iterations} sweeps "
-        f"(delta {report.final_sup_norm_delta:.3g}); gamma = {policy.gamma:.6f}, "
+        f"solved {cfg.strategy} in {report.iterations} rounds "
+        f"(residual {report.bellman_residual:.3g}); gamma = {policy.gamma:.6f}, "
         f"J({cfg.problem.prior.rho:g}) = {J(cfg.problem.prior.rho):.6f}"
     )
     return 0
@@ -605,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the config strategy",
         )
 
-    common(sub.add_parser("solve", help="value iteration + policy extraction"))
+    common(sub.add_parser("solve", help="stationary solve + policy extraction"))
     p_sim = sub.add_parser("simulate", help="Monte Carlo evaluation of a solved policy")
     common(p_sim)
     p_sim.add_argument("--policy", required=True, help="path to a policy.csv from solve")

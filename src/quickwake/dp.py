@@ -20,6 +20,10 @@ strategies differ only in their action set: a sensing cost per action
 and a mixture over awake counts (the identity for control_m, binomial
 rows for control_q, a single row for open_loop and fixed_m).
 
+The stationary problem is solved by policy iteration: a sweep picks the
+stop set and actions, and one linear solve on the continue set gives
+that policy's exact cost.  Finite horizons take plain sweeps.
+
 For equal-variance Gaussian observations the ``m`` awake samples enter
 the posterior only through their sum ``s``, whose marginal is the
 two-component mixture ``t * N(m*mu1, m*sigma^2) + (1-t) * N(m*mu0,
@@ -54,6 +58,8 @@ DEFAULT_MAX_ITERS = 10_000
 TOLERANCE_SCALE = 1e-6
 MC_DRAWS = 100_000
 MC_BINS = 4096
+# (belief row, atom) pairs interpolated at once when building from atoms.
+ATOM_CHUNK_ENTRIES = 1 << 18
 
 # Stopping wins ties within this margin, and argmin ties resolve toward
 # the smaller m or q.
@@ -63,7 +69,8 @@ STRATEGIES = ("control_m", "control_q", "open_loop", "fixed_m")
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when value iteration exhausts max_iters; carries the last delta."""
+    """Raised when the solver exhausts max_iters or misses its residual
+    tolerance; carries the last sup-norm delta (change of J, or residual)."""
 
     def __init__(self, message: str, iterations: int, last_delta: float):
         super().__init__(message)
@@ -136,7 +143,15 @@ class ValueFunction:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """What value iteration did: sweep count, final residual, wall time."""
+    """What the stationary solve did: rounds, error, wall time.
+
+    ``iterations`` counts policy-improvement rounds, the last of which
+    finds the policy unchanged.  ``sup_norm_deltas`` holds the sup-norm
+    change of J in each round (0 in that last round, so
+    ``final_sup_norm_delta`` is 0 on success).  ``bellman_residual`` is
+    ``||TJ - J||_inf`` of the returned J, the error that the
+    ``tolerance`` check is applied to.
+    """
 
     strategy: str
     iterations: int
@@ -144,6 +159,7 @@ class SolveReport:
     wall_seconds: float
     grid_size: int
     tolerance: float
+    bellman_residual: float
     sup_norm_deltas: tuple = field(repr=False, default=())
 
 
@@ -330,12 +346,18 @@ def _operator_from_atoms(
     l0 = _logit_array(t)
     blocks = [_interp_matrix(grid, t)]
     for m in range(1, atoms.n + 1):
-        blocks.append(
-            _interp_matrix(grid, expit(l0[:, None] + atoms.llr1[m]), t[:, None] * atoms.w1[m])
-            + _interp_matrix(
-                grid, expit(l0[:, None] + atoms.llr0[m]), (1.0 - t)[:, None] * atoms.w0[m]
+        # Rows go a chunk at a time: a whole block of 4096 Monte Carlo
+        # atoms holds about half a gigabyte of (row, atom) temporaries.
+        width = max(atoms.llr0[m].size, atoms.llr1[m].size, 1)
+        step = max(1, ATOM_CHUNK_ENTRIES // width)
+        for lo in range(0, grid.size, step):
+            r = slice(lo, lo + step)
+            blocks.append(
+                _interp_matrix(grid, expit(l0[r, None] + atoms.llr1[m]), t[r, None] * atoms.w1[m])
+                + _interp_matrix(
+                    grid, expit(l0[r, None] + atoms.llr0[m]), (1.0 - t[r, None]) * atoms.w0[m]
+                )
             )
-        )
     return ExpectationOperator(grid, p, atoms.n, method, sparse.vstack(blocks, format="csr"))
 
 
@@ -396,7 +418,7 @@ def _refine_q(
 
 
 # ---------------------------------------------------------------------------
-# Value iteration
+# Bellman sweeps and policy iteration
 
 
 @dataclass(frozen=True)
@@ -404,12 +426,16 @@ class BellmanMaps:
     """One synchronous sweep: backed-up values plus per-point decisions.
 
     ``best_action`` holds the minimizing awake count or wake probability
-    per grid node; value iteration's own sweeps leave it ``None``.
+    per grid node; finite-horizon sweeps leave it ``None``.
+    ``expected_next`` is the block product ``E[J(next belief)]`` per
+    awake count (``operator.apply_all(values)``) for control_m and
+    control_q, and the single folded row for open_loop and fixed_m.
     """
 
     new_values: np.ndarray
     continue_values: np.ndarray
     best_action: np.ndarray | None
+    expected_next: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -419,6 +445,8 @@ class _ActionSet:
     Row ``a`` of ``cost[:, None] + weights @ (stack @ J).reshape(-1, g)``
     is the continuation cost of action ``actions[a]``.  ``refine`` marks
     control_q, whose grid minimum is refined between its neighbours.
+    ``private`` marks a dense ``stack`` built for this action set alone
+    (a single action's fold), which a solve may work in place.
     """
 
     stack: object
@@ -426,6 +454,7 @@ class _ActionSet:
     cost: np.ndarray
     actions: np.ndarray
     refine: bool = False
+    private: bool = False
 
 
 def _sweep(
@@ -450,7 +479,7 @@ def _sweep(
         best = np.where(take_coarse, best, q_ref)
     continue_values = pts + cont
     new_values = np.minimum(problem.costs.lambda_f * (1.0 - pts), continue_values)
-    return BellmanMaps(new_values, continue_values, best)
+    return BellmanMaps(new_values, continue_values, best, B)
 
 
 def _action_set(
@@ -490,7 +519,11 @@ def _action_set(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     # A single action: fold its mixture over awake counts into one g x g map.
     mix = sparse.kron(weights[None, :], sparse.identity(operator.grid.size), format="csr")
-    return _ActionSet(mix @ operator.stack, np.ones((1, 1)), np.array([cost]), np.array([action]))
+    fold = mix @ operator.stack
+    return _ActionSet(
+        fold, np.ones((1, 1)), np.array([cost]), np.array([action]),
+        private=isinstance(fold, np.ndarray),
+    )
 
 
 def _resolve_operator(
@@ -513,6 +546,73 @@ def _resolve_grid(grid) -> BeliefGrid:
     return BeliefGrid(np.asarray(grid, dtype=float))
 
 
+def _gather(stack, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense ``stack[rows][:, cols]`` without a copy of the full rows."""
+    if sparse.issparse(stack):
+        return stack[rows][:, cols].toarray()
+    return stack[np.ix_(rows, cols)]
+
+
+def _solve_identity_minus(P: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``(I - P)^-1 rhs``, forming ``I - P`` in ``P``'s own memory.
+
+    ``P`` is restored afterwards bit for bit: negation is exact and the
+    diagonal is put back from a copy.
+    """
+    diag = P.diagonal().copy()
+    step = P.shape[0] + 1
+    np.negative(P, out=P)
+    P.flat[::step] += 1.0
+    try:
+        return np.linalg.solve(P, rhs)
+    finally:
+        np.negative(P, out=P)
+        P.flat[::step] = diag
+
+
+def _evaluate_policy(
+    problem: Problem, pts: np.ndarray, acts: _ActionSet, stop: np.ndarray, best: np.ndarray
+) -> np.ndarray:
+    """Exact cost of stopping on ``stop`` and playing ``best`` elsewhere.
+
+    Solves ``(I - P_CC) J_C = pi_C + c(a_C) + P_CS J_S`` on the continue
+    set C, with ``J_S`` the stopping cost.  Row i of ``P_CC`` is block
+    ``m_i`` of the stack for an awake count, the binomial mixture of the
+    blocks for a wake probability, and the folded map's row for a single
+    action.  The C x C block is gathered once, or, when C is an interval
+    of a private fold, used where it lies; no copy of the stack rows and
+    no identity is formed.  ``numpy.linalg`` is used rather than
+    ``scipy.linalg``: importing the latter costs more resident memory and
+    import time than the transient copy numpy's solver makes.
+    """
+    g = pts.size
+    values = np.where(stop, problem.costs.lambda_f * (1.0 - pts), 0.0)
+    C = np.flatnonzero(~stop)
+    if C.size == 0:
+        return values
+    B = (acts.stack @ values).reshape(-1, g)[:, C]
+    if acts.refine:
+        q = best[C]
+        w = _binomial_table(problem.n, q)
+        rhs = problem.costs.lambda_s * problem.n * q + np.einsum("cm,mc->c", w, B)
+        A = np.zeros((C.size, C.size))
+        for m in range(problem.n + 1):
+            block = _gather(acts.stack, m * g + C, C)
+            block *= w[:, m, None]
+            A += block
+    else:
+        # Unrefined action sets (awake counts, or one action) are sorted.
+        j = np.searchsorted(acts.actions, best[C])
+        rhs = acts.cost[j] + B[j, np.arange(C.size)]
+        lo, hi = C[0], C[-1] + 1
+        if acts.private and hi - lo == C.size:
+            A = acts.stack[lo:hi, lo:hi]
+        else:
+            A = _gather(acts.stack, j * g + C, C)
+    values[C] = _solve_identity_minus(A, rhs + pts[C])
+    return values
+
+
 def value_iteration(
     problem: Problem,
     strategy: str,
@@ -527,19 +627,24 @@ def value_iteration(
     operator: ExpectationOperator | None = None,
     method: str | None = None,
 ) -> tuple[ValueFunction, SolveReport]:
-    """Iterate the Bellman operator to its fixed point on a belief grid.
+    """Solve the stationary Bellman equation on a belief grid exactly.
 
-    Starts from the stopping cost ``lambda_f * (1 - pi)`` (the horizon-zero
-    value) and sweeps synchronously until the sup-norm change drops below
-    ``tolerance`` (default ``1e-6 * lambda_f``).  Iterates decrease
-    monotonically, so the fixed point is approached from above.
+    Policy iteration (Howard 1960; Puterman 1994, ch. 6-7) from the
+    stopping cost ``lambda_f * (1 - pi)``: each round one Bellman sweep
+    picks the stop set and the argmin actions for the current J, then J
+    is replaced by the exact cost of that policy (one linear solve on the
+    continue set).  It stops when the stop set and the continue-set
+    actions repeat; iterates decrease monotonically to the fixed point.
+    A node keeps its decision unless switching lowers its backup by more
+    than ``TIE_BREAK * lambda_f``.
 
     Args:
         problem: The instance to solve.
         strategy: One of control_m, control_q, open_loop, fixed_m.
         grid: BeliefGrid, point count, or None for the 1001-point default.
-        tolerance: Sup-norm stopping threshold.
-        max_iters: Sweep budget.
+        tolerance: Largest accepted Bellman residual ``||TJ - J||_inf`` of
+            the result (default ``1e-6 * lambda_f``).
+        max_iters: Policy-improvement round budget.
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
         q_grid: Wake probability search grid (control_q; default 101 uniform).
@@ -551,8 +656,9 @@ def value_iteration(
         The converged ValueFunction and a SolveReport.
 
     Raises:
-        ConvergenceError: If max_iters sweeps do not reach tolerance; the
-            exception carries the last sup-norm delta.
+        ConvergenceError: If the policy still changes after max_iters
+            rounds (carrying the last change of J), or the result's
+            residual exceeds tolerance (carrying the residual).
     """
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator, method)
@@ -564,27 +670,48 @@ def value_iteration(
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
     start = time.perf_counter()
-    values = problem.costs.lambda_f * (1.0 - grid.points)
+    pts = grid.points
+    stop_cost = problem.costs.lambda_f * (1.0 - pts)
+    # The current policy's backup of its own J is J, so a node switches
+    # only when the sweep beats J by more than round-off; near-ties keep
+    # their decision, which is what stops the rounds from cycling.
+    margin = TIE_BREAK * problem.costs.lambda_f
+    values = stop_cost
+    stop = np.ones(grid.size, dtype=bool)
+    best = np.zeros(grid.size)
     deltas = []
     for iteration in range(1, max_iters + 1):
-        maps = _sweep(values, problem, grid.points, acts)
-        delta = float(np.max(np.abs(maps.new_values - values)))
-        deltas.append(delta)
-        values = maps.new_values
-        if delta < tolerance:
+        maps = _sweep(values, problem, pts, acts, decide=True)
+        switch = maps.new_values < values - margin
+        if not switch.any():
+            deltas.append(0.0)
+            residual = float(np.max(np.abs(maps.new_values - values)))
+            if residual > tolerance:
+                raise ConvergenceError(
+                    f"value iteration did not reach tolerance {tolerance:g} after "
+                    f"{iteration} rounds (Bellman residual {residual:g})",
+                    iterations=iteration,
+                    last_delta=residual,
+                )
             report = SolveReport(
                 strategy=strategy,
                 iterations=iteration,
-                final_sup_norm_delta=delta,
+                final_sup_norm_delta=0.0,
                 wall_seconds=time.perf_counter() - start,
                 grid_size=grid.size,
                 tolerance=tolerance,
+                bellman_residual=residual,
                 sup_norm_deltas=tuple(deltas),
             )
             return ValueFunction(grid, values), report
+        stop = np.where(switch, stop_cost <= maps.continue_values, stop)
+        best = np.where(switch, maps.best_action, best)
+        new_values = _evaluate_policy(problem, pts, acts, stop, best)
+        deltas.append(float(np.max(np.abs(new_values - values))))
+        values = new_values
     raise ConvergenceError(
         f"value iteration did not reach tolerance {tolerance:g} after "
-        f"{max_iters} sweeps (last sup-norm delta {deltas[-1]:g})",
+        f"{max_iters} rounds (last sup-norm delta {deltas[-1]:g})",
         iterations=max_iters,
         last_delta=deltas[-1],
     )

@@ -160,10 +160,8 @@ def extract_threshold(
     return _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
 
 
-def _differential_rule_map(
-    J: ValueFunction, problem: Problem, operator: ExpectationOperator
-) -> np.ndarray:
-    B = operator.apply_all(J.values)
+def _differential_rule_map(B: np.ndarray, problem: Problem) -> np.ndarray:
+    """Largest m whose marginal value ``B[m-1] - B[m]`` covers lambda_s."""
     d = B[:-1] - B[1:]
     hits = d >= problem.costs.lambda_s
     counts = np.arange(1, problem.n + 1)[:, None] * hits
@@ -195,7 +193,7 @@ def extract_policy(
     gamma = _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
     if strategy == "control_m":
         awake = maps.best_action.astype(int)
-        rule = _differential_rule_map(J, problem, operator)
+        rule = _differential_rule_map(maps.expected_next, problem)
         below = J.grid.points < gamma
         extra = {"awake_map": awake, "awake_rule_mismatches": int(np.sum((rule != awake) & below))}
     elif strategy == "control_q":

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quickwake
 from quickwake.cli import ConfigError, load_config, load_policy, main
 from tests.conftest import make_benchmark_problem
 
@@ -117,6 +120,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert report["grid_size"] == 51
     assert report["problem_key"] == make_benchmark_problem().key()
     assert report["awake_rule_mismatches"] >= 0
+    assert 0.0 <= report["bellman_residual"] <= 1e-10
     assert "solved control_m" in capsys.readouterr().out
 
 
@@ -295,9 +299,14 @@ def test_figures_bundle(tmp_path):
 
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "m"))
+    # The child finds the package where this process imported it from,
+    # installed or not.
+    src = str(Path(quickwake.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "quickwake", "solve", "--config", cfg],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "gamma" in proc.stdout

@@ -27,6 +27,9 @@ from quickwake import (
 )
 
 
+from quickwake.dp import _solve_identity_minus
+
+
 def gauss_legendre_atoms(model, n, num_nodes=129, span=8.0):
     """Reference atoms: Gauss-Legendre nodes for each regime's sum statistic.
 
@@ -264,11 +267,12 @@ def test_value_iteration_report(problem, solved_control_m):
     J, report = solved_control_m
     assert report.strategy == "control_m"
     assert report.tolerance == pytest.approx(1e-6 * problem.costs.lambda_f)
-    assert report.final_sup_norm_delta <= report.tolerance
+    assert report.bellman_residual <= 1e-10
+    # One J change per round; the last round finds the policy unchanged.
     assert report.iterations == len(report.sup_norm_deltas)
-    # Geometric contraction: late deltas must be far below early ones.
-    deltas = report.sup_norm_deltas
-    assert deltas[-1] < 1e-3 * deltas[0]
+    assert report.final_sup_norm_delta == report.sup_norm_deltas[-1] == 0.0
+    assert all(d > 0 for d in report.sup_norm_deltas[:-1])
+    assert report.iterations < 50
     # J is bracketed by 0 and the stopping cost, and stopping at 1 is free.
     stopping = problem.costs.lambda_f * (1.0 - J.grid.points)
     assert np.all(J.values >= -1e-12)
@@ -281,6 +285,10 @@ def test_value_iteration_raises_on_budget(problem, grid201, operator201):
         value_iteration(problem, "control_m", grid201, max_iters=3, operator=operator201)
     assert err.value.iterations == 3
     assert err.value.last_delta > 0
+    # The tolerance bounds the result's Bellman residual (about 1e-14 here).
+    with pytest.raises(ConvergenceError, match="Bellman residual") as err:
+        value_iteration(problem, "control_m", grid201, tolerance=1e-300, operator=operator201)
+    assert err.value.last_delta > 1e-300
 
 
 def test_open_loop_q0_matches_deterministic_stopping_oracle(problem, grid1001, operator):
@@ -336,6 +344,34 @@ def test_finite_horizon_approaches_fixed_point(problem, grid201, operator201):
     Jinf, _ = value_iteration(problem, "control_m", grid201, operator=operator201)
     Jk = solve_finite_horizon(problem, 1500, "control_m", grid201, operator=operator201)
     assert np.abs(Jk.values - Jinf.values).max() < 0.05
-    # Sweeps only lower the iterate, so the deeper run sits below the
-    # tolerance-stopped one.
-    assert np.all(Jk.values <= Jinf.values + 1e-10)
+    # Sweeps lower the iterate toward the exact fixed point from above.
+    assert np.all(Jk.values >= Jinf.values - 1e-10)
+
+
+def test_solve_identity_minus_restores_the_block_it_works_in():
+    """Policy evaluation solves in a view of a single action's fold; the
+    fold must come back bit for bit for the next round's sweep."""
+    rng = np.random.default_rng(3)
+    F = rng.random((9, 9)) / 9.0
+    before = F.copy()
+    rhs = rng.random(5)
+    x = _solve_identity_minus(F[2:7, 2:7], rhs)
+    np.testing.assert_allclose((np.eye(5) - before[2:7, 2:7]) @ x, rhs, rtol=0, atol=1e-13)
+    assert np.array_equal(F, before)
+
+
+@pytest.mark.parametrize(
+    "strategy,kw",
+    [("control_m", {}), ("control_q", {}), ("open_loop", {"q": 0.03}), ("fixed_m", {"fixed_m": 1})],
+)
+def test_value_iteration_is_the_exact_fixed_point(problem, grid201, operator201, strategy, kw):
+    """The stationary solve equals the 3000-sweep limit, not a tolerance
+    short of it, and its reported residual is round-off."""
+    J, report = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
+    ref = solve_finite_horizon(problem, 3000, strategy, grid201, operator=operator201, **kw)
+    np.testing.assert_allclose(J.values, ref.values, rtol=0, atol=1e-9)
+    assert report.bellman_residual <= 1e-10
+    maps = bellman_maps(J, problem, strategy, operator=operator201, **kw)
+    assert np.max(np.abs(maps.new_values - J.values)) == pytest.approx(
+        report.bellman_residual, abs=1e-12
+    )

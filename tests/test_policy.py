@@ -97,7 +97,14 @@ def test_differential_rule_is_a_view_not_the_argmin(
                    default=0)
         agreements += rule == policy_control_m.awake_count_at(pi)
     assert agreements >= 3  # d is non-monotone at some beliefs; see ledger
-    assert policy_control_m.awake_rule_mismatches >= 0
+    # The mismatch tally, read off the sweep's own block product, equals
+    # one recomputed from a fresh stack product.
+    d = B[:-1] - B[1:]
+    rule = (np.arange(1, problem.n + 1)[:, None] * (d >= problem.costs.lambda_s)).max(axis=0)
+    below = J.grid.points < policy_control_m.gamma
+    assert policy_control_m.awake_rule_mismatches == int(
+        np.sum((rule != policy_control_m.awake_map) & below)
+    )
 
 
 def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q, operator):
