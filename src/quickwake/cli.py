@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -284,7 +285,9 @@ def load_config(path) -> RunConfig:
 
 def _solve(cfg: RunConfig):
     grid = BeliefGrid.uniform(cfg.grid_size)
+    start = time.perf_counter()
     operator = build_expectation_operator(cfg.problem, grid, cfg.method)
+    build_seconds = time.perf_counter() - start
     J, report = value_iteration(
         cfg.problem, cfg.strategy, grid, cfg.tolerance, cfg.max_iters,
         q=cfg.open_loop_q, fixed_m=cfg.fixed_m, q_grid_size=cfg.q_grid_size,
@@ -294,7 +297,7 @@ def _solve(cfg: RunConfig):
         J, cfg.problem, cfg.strategy, operator=operator,
         q=cfg.open_loop_q, fixed_m=cfg.fixed_m, q_grid_size=cfg.q_grid_size,
     )
-    return grid, operator, J, report, policy
+    return J, report, policy, build_seconds
 
 
 def _action_rows(policy: Policy):
@@ -310,7 +313,9 @@ def _action_rows(policy: Policy):
             yield i, pi, "continue", _fmt(policy.fixed_q)
 
 
-def _write_solve_outputs(cfg: RunConfig, J, report, policy: Policy, out: Path) -> None:
+def _write_solve_outputs(
+    cfg: RunConfig, J, report, policy: Policy, build_seconds: float, out: Path
+) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "J.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -331,6 +336,7 @@ def _write_solve_outputs(cfg: RunConfig, J, report, policy: Policy, out: Path) -
         "final_sup_norm_delta": report.final_sup_norm_delta,
         "bellman_residual": report.bellman_residual,
         "wall_seconds": report.wall_seconds,
+        "operator_build_seconds": build_seconds,
         "grid_size": report.grid_size,
         "tolerance": report.tolerance,
         "method": cfg.method,
@@ -347,11 +353,12 @@ def _write_solve_outputs(cfg: RunConfig, J, report, policy: Policy, out: Path) -
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    _, _, J, report, policy = _solve(cfg)
-    _write_solve_outputs(cfg, J, report, policy, cfg.out_dir)
+    J, report, policy, build_seconds = _solve(cfg)
+    _write_solve_outputs(cfg, J, report, policy, build_seconds, cfg.out_dir)
     print(
-        f"solved {cfg.strategy} in {report.iterations} rounds "
-        f"(residual {report.bellman_residual:.3g}); gamma = {policy.gamma:.6f}, "
+        f"built operator in {build_seconds:.3g} s; solved {cfg.strategy} in "
+        f"{report.iterations} rounds (residual {report.bellman_residual:.3g}); "
+        f"gamma = {policy.gamma:.6f}, "
         f"J({cfg.problem.prior.rho:g}) = {J(cfg.problem.prior.rho):.6f}"
     )
     return 0

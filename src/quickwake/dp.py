@@ -28,9 +28,11 @@ For equal-variance Gaussian observations the ``m`` awake samples enter
 the posterior only through their sum ``s``, whose marginal is the
 two-component mixture ``t * N(m*mu1, m*sigma^2) + (1-t) * N(m*mu0,
 m*sigma^2)`` with ``t`` the predicted belief.  The ``exact`` map is its
-closed form: a piecewise-linear value function integrates against each
-mixture component as Gaussian CDF differences, segment by segment, with
-no integration parameter at all.
+closed form, with no integration parameter at all: a piecewise-linear
+value function integrates against each mixture component as Gaussian
+masses between the preimages of the grid nodes.  Adjacent segments share
+a boundary, so each boundary costs one small-tail CDF per regime, built
+for a block of belief rows at a time.
 
 ``monte_carlo`` covers density pairs with no scalar sufficient statistic
 (seeded, 10^5 draws, compressed to a histogram of the joint likelihood
@@ -60,6 +62,8 @@ MC_DRAWS = 100_000
 MC_BINS = 4096
 # (belief row, atom) pairs interpolated at once when building from atoms.
 ATOM_CHUNK_ENTRIES = 1 << 18
+# Belief rows of one m-block built at once by the closed form.
+EXACT_ROWS = 32
 
 # Stopping wins ties within this margin, and argmin ties resolve toward
 # the smaller m or q.
@@ -192,15 +196,6 @@ def _logit_array(x: np.ndarray) -> np.ndarray:
     return np.log(xc) - np.log1p(-xc)
 
 
-def _stable_ndtr_diff(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
-    """Phi(z_hi) - Phi(z_lo) without cancellation in either tail."""
-    with np.errstate(invalid="ignore"):
-        use_upper = (z_lo + z_hi) > 0
-    upper = ndtr(-z_lo) - ndtr(-z_hi)
-    lower = ndtr(z_hi) - ndtr(z_lo)
-    return np.clip(np.where(use_upper, upper, lower), 0.0, None)
-
-
 def _llr_coefficients(model: SensorModel, m: int) -> tuple[float, float]:
     """Joint log likelihood ratio of an m-sensor slot as a*s + b."""
     var = model.sigma0 * model.sigma0
@@ -275,47 +270,6 @@ def _interp_matrix(
     return sparse.csr_matrix((data, (rows, cols)), shape=(query.shape[0], g))
 
 
-def _exact_row(
-    model: SensorModel,
-    grid_points: np.ndarray,
-    interior_logits: np.ndarray,
-    t: float,
-    m: int,
-) -> np.ndarray:
-    """One row of the closed-form expectation matrix for awake count m.
-
-    Splits the observation-sum axis at the preimages of the grid nodes;
-    on each segment the interpolated value function is affine in the
-    posterior, and ``posterior * mixture density`` integrates to the
-    post-regime component mass, so every term is a pair of normal CDF
-    differences.
-    """
-    g = grid_points.size
-    row = np.zeros(g)
-    if t >= 1.0 - EPS:
-        row[-1] = 1.0
-        return row
-    a, b = _llr_coefficients(model, m)
-    l0 = math.log(max(t, EPS)) - math.log1p(-max(t, EPS))
-    cuts = (interior_logits - l0 - b) / a
-    if a > 0:
-        bounds = np.concatenate(([-np.inf], cuts, [np.inf]))
-    else:
-        bounds = np.concatenate(([np.inf], cuts, [-np.inf]))
-    lo = np.minimum(bounds[:-1], bounds[1:])
-    hi = np.maximum(bounds[:-1], bounds[1:])
-    sd = math.sqrt(m) * model.sigma0
-    d_pre = _stable_ndtr_diff((lo - m * model.mu0) / sd, (hi - m * model.mu0) / sd)
-    d_post = _stable_ndtr_diff((lo - m * model.mu1) / sd, (hi - m * model.mu1) / sd)
-    mass = t * d_post + (1.0 - t) * d_pre
-    post_mass = t * d_post
-    step = np.diff(grid_points)
-    upper = (post_mass - grid_points[:-1] * mass) / step
-    row[:-1] += mass - upper
-    row[1:] += upper
-    return row
-
-
 class ExpectationOperator:
     """Linear map ``values -> E[J(next belief)]`` for every awake count.
 
@@ -362,15 +316,58 @@ def _operator_from_atoms(
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:
+    """Closed-form stack, ``EXACT_ROWS`` rows of an m-block at a time.
+
+    A row splits the observation-sum axis at the preimages of the grid
+    nodes; on each segment the interpolated value function is affine in
+    the posterior and ``posterior * mixture density`` integrates to the
+    post-regime mass, so a row needs only each regime's segment masses.
+    Each is a difference of the small tails ``T = Phi(-|z|)`` at its two
+    boundaries (``1 - T_lo - T_hi`` on the segment that straddles 0), so
+    no two numbers near 1 are ever subtracted.
+    """
     pts = grid.points
     g = grid.size
     t = pts + (1.0 - pts) * p
+    l0 = _logit_array(t)
     interior = _logit_array(pts[1:-1])
+    step = np.diff(pts)
+    # Rows at or above 1 - EPS are absorbing; t increases with the row.
+    live = int(np.searchsorted(t, 1.0 - EPS))
     stack = np.empty(((n + 1) * g, g))
     stack[:g] = _interp_matrix(grid, t).toarray()
+    bounds = np.empty((EXACT_ROWS, g))
     for m in range(1, n + 1):
-        for i in range(g):
-            stack[m * g + i] = _exact_row(model, pts, interior, t[i], m)
+        a, b = _llr_coefficients(model, m)
+        # Dividing by a signed sd orders every row's z upward whatever a's sign.
+        sd = math.copysign(math.sqrt(m) * model.sigma0, a)
+        bounds[:, 0], bounds[:, -1] = -np.inf * a, np.inf * a
+        block = stack[m * g:(m + 1) * g]
+        block[live:] = 0.0
+        block[live:, -1] = 1.0
+        for lo in range(0, live, EXACT_ROWS):
+            r = slice(lo, min(lo + EXACT_ROWS, live))
+            cut = bounds[:r.stop - lo]
+            cut[:, 1:-1] = (interior - l0[r, None] - b) / a
+            d = []
+            for mu in (model.mu0, model.mu1):
+                z = (cut - m * mu) / sd
+                pos = z > 0
+                tail = ndtr(-np.abs(z))
+                # Phi(z) is the tail for z <= 0 and 1 - tail above; the 1
+                # enters only the segment that straddles 0.
+                np.negative(tail, out=tail, where=pos)
+                seg = np.diff(tail, axis=1)
+                seg += np.diff(pos, axis=1)
+                d.append(np.maximum(seg, 0.0, out=seg))
+            tr = t[r, None]
+            post_mass = tr * d[1]
+            mass = post_mass + (1.0 - tr) * d[0]
+            upper = (post_mass - pts[:-1] * mass) / step
+            out = block[r]
+            np.subtract(mass, upper, out=out[:, :-1])
+            out[:, -1] = 0.0
+            out[:, 1:] += upper
     return ExpectationOperator(grid, p, n, "exact", stack)
 
 

@@ -121,7 +121,9 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert report["problem_key"] == make_benchmark_problem().key()
     assert report["awake_rule_mismatches"] >= 0
     assert 0.0 <= report["bellman_residual"] <= 1e-10
-    assert "solved control_m" in capsys.readouterr().out
+    assert report["operator_build_seconds"] > 0.0
+    stdout = capsys.readouterr().out
+    assert "solved control_m" in stdout and "built operator in" in stdout
 
 
 def test_solve_exit_code_on_non_convergence(tmp_path, capsys):

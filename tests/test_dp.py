@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 from quickwake import (
     BeliefGrid,
@@ -27,7 +27,9 @@ from quickwake import (
 )
 
 
+from quickwake.belief import EPS
 from quickwake.dp import _solve_identity_minus
+from tests.conftest import make_benchmark_problem
 
 
 def gauss_legendre_atoms(model, n, num_nodes=129, span=8.0):
@@ -49,6 +51,58 @@ def gauss_legendre_atoms(model, n, num_nodes=129, span=8.0):
             llrs.append(a * s + b)
             wts.append(w * span * sd * stats.norm.pdf(s, m * mu, sd))
     return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
+
+
+def _stable_ndtr_diff(z_lo, z_hi):
+    """Phi(z_hi) - Phi(z_lo) without cancellation in either tail."""
+    with np.errstate(invalid="ignore"):
+        use_upper = (z_lo + z_hi) > 0
+    upper = ndtr(-z_lo) - ndtr(-z_hi)
+    lower = ndtr(z_hi) - ndtr(z_lo)
+    return np.clip(np.where(use_upper, upper, lower), 0.0, None)
+
+
+def exact_row(model, pts, t, m):
+    """Reference row of the closed-form map for awake count m, one at a time.
+
+    Each segment between the preimages of adjacent grid nodes takes four
+    normal CDFs per regime, independently of its neighbours.
+    """
+    row = np.zeros(pts.size)
+    if t >= 1.0 - EPS:
+        row[-1] = 1.0
+        return row
+    var = model.sigma0**2
+    a = (model.mu1 - model.mu0) / var
+    b = -m * (model.mu1**2 - model.mu0**2) / (2.0 * var)
+    cuts = (np.array([logit(x) for x in pts[1:-1]]) - logit(t) - b) / a
+    ends = [-np.inf, np.inf] if a > 0 else [np.inf, -np.inf]
+    bounds = np.concatenate(([ends[0]], cuts, [ends[1]]))
+    lo = np.minimum(bounds[:-1], bounds[1:])
+    hi = np.maximum(bounds[:-1], bounds[1:])
+    sd = math.sqrt(m * var)
+    d_pre = _stable_ndtr_diff((lo - m * model.mu0) / sd, (hi - m * model.mu0) / sd)
+    d_post = _stable_ndtr_diff((lo - m * model.mu1) / sd, (hi - m * model.mu1) / sd)
+    mass = t * d_post + (1.0 - t) * d_pre
+    upper = (t * d_post - pts[:-1] * mass) / np.diff(pts)
+    row[:-1] += mass - upper
+    row[1:] += upper
+    return row
+
+
+def _exact_case(name):
+    """A problem and grid that reach one branch of the closed-form build."""
+    if name == "reference":
+        return make_benchmark_problem(), BeliefGrid.uniform(201)
+    if name == "falling_mean":  # mu1 < mu0: the LLR slope a is negative
+        prob = Problem(SensorModel(0.5, 2.0, -1.0, 2.0), ChangePrior(0.0, 0.05), Costs(0.5, 100.0), 4)
+        return prob, BeliefGrid.uniform(301)
+    if name == "nonuniform":
+        inner = np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 199))
+        return make_benchmark_problem(), BeliefGrid(np.concatenate(([0.0], inner, [1.0])))
+    # One sensor, p = 0.5: an absorbing row and a grid of 51, not a block multiple.
+    prob = Problem(SensorModel(0.0, 1.0, 1.0, 1.0), ChangePrior(0.0, 0.5), Costs(0.5, 100.0), 1)
+    return prob, BeliefGrid.uniform(51)
 
 
 def test_binomial_weights_match_scipy():
@@ -93,6 +147,22 @@ def test_exact_operator_mass_and_martingale(problem, operator):
     mass = operator.apply_all(ones)
     assert np.abs(mass - 1.0).max() < 1e-12
     drift = operator.apply_all(operator.grid.points) - operator.predicted[None, :]
+    assert np.abs(drift).max() < 1e-12
+
+
+# Warnings are errors: a logit of t = 1 or an inf - inf at the segment
+# ends must not leak out of the build.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["reference", "falling_mean", "nonuniform", "absorbing"])
+def test_exact_operator_matches_row_reference(case):
+    prob, grid = _exact_case(case)
+    op = build_expectation_operator(prob, grid, "exact")
+    g = grid.size
+    for m in range(1, prob.n + 1):
+        ref = np.array([exact_row(prob.model, grid.points, t, m) for t in op.predicted])
+        assert np.abs(op.stack[m * g:(m + 1) * g] - ref).max() < 1e-11
+    assert np.abs(op.apply_all(np.ones(g)) - 1.0).max() < 1e-12
+    drift = op.apply_all(grid.points) - op.predicted[None, :]
     assert np.abs(drift).max() < 1e-12
 
 
