@@ -37,7 +37,10 @@ for a block of belief rows at a time.
 ``monte_carlo`` covers density pairs with no scalar sufficient statistic
 (seeded, 10^5 draws, compressed to a histogram of the joint likelihood
 ratio).  Discrete observation alphabets enter through the same atom
-interface; see the oracle module.
+interface; see the oracle module.  An atom-built stack is dense when the
+atoms can fill its rows (twice the largest per-regime atom count reaches
+the grid size, as the histogram's thousands of atoms do at the default
+grid) and CSR otherwise (a binary alphabet's few atoms on a fine grid).
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ DEFAULT_MAX_ITERS = 10_000
 TOLERANCE_SCALE = 1e-6
 MC_DRAWS = 100_000
 MC_BINS = 4096
-# (belief row, atom) pairs interpolated at once when building from atoms.
+# (belief row, atom) pairs interpolated at once when building from atoms;
+# the dense build holds about 80 bytes of temporaries per pair (21 MB).
 ATOM_CHUNK_ENTRIES = 1 << 18
 # Belief rows of one m-block built at once by the closed form.
 EXACT_ROWS = 32
@@ -250,6 +254,13 @@ def monte_carlo_atoms(
     return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
 
 
+def _interp_index(pts: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left node and clipped fraction of each query's interpolation cell."""
+    idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, pts.size - 2)
+    frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
+    return idx, frac
+
+
 def _interp_matrix(
     grid: BeliefGrid, query: np.ndarray, weights: np.ndarray | None = None
 ) -> sparse.csr_matrix:
@@ -257,17 +268,14 @@ def _interp_matrix(
 
     A 1-D ``query`` is one point per row with unit weight.
     """
-    pts = grid.points
-    g = grid.size
     query = query.reshape(query.shape[0], -1)
     if weights is None:
         weights = np.ones_like(query)
-    idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, g - 2)
-    frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
+    idx, frac = _interp_index(grid.points, query)
     rows = np.repeat(np.arange(query.shape[0]), 2 * query.shape[1])
     cols = np.stack([idx, idx + 1], axis=-1).ravel()
     data = np.stack([weights * (1.0 - frac), weights * frac], axis=-1).ravel()
-    return sparse.csr_matrix((data, (rows, cols)), shape=(query.shape[0], g))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(query.shape[0], grid.size))
 
 
 class ExpectationOperator:
@@ -277,7 +285,8 @@ class ExpectationOperator:
     ``(m+1)*g``) maps grid values to the expected cost-to-go when ``m``
     sensors observe the next slot, with the one-step change hazard folded
     in; block 0 is prediction plus interpolation.  The closed form stores
-    it dense, atom-built maps as CSR.
+    it dense.  An atom-built map is dense when twice its largest
+    per-regime atom count reaches the grid size, and CSR below that.
     """
 
     def __init__(self, grid: BeliefGrid, p: float, n: int, method: str, stack):
@@ -296,23 +305,55 @@ class ExpectationOperator:
 def _operator_from_atoms(
     atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, method: str
 ) -> ExpectationOperator:
-    t = grid.points + (1.0 - grid.points) * p
+    """Atom-weighted interpolation, ``ATOM_CHUNK_ENTRIES`` (row, atom) pairs at a time.
+
+    The storage is fixed by the atom counts before anything is allocated.
+    Each atom puts two entries in a row, so once twice the largest
+    per-regime count reaches the grid size the rows can fill: the stack
+    is dense, and each chunk of rows is accumulated by ``np.bincount``
+    over flat ``row * g + col`` keys with no sparse intermediate.  Fewer
+    atoms (a binary alphabet on a fine grid) keep a CSR stack, which a
+    dense one would fill mostly with zeros.
+    """
+    pts = grid.points
+    g = grid.size
+    t = pts + (1.0 - pts) * p
     l0 = _logit_array(t)
-    blocks = [_interp_matrix(grid, t)]
-    for m in range(1, atoms.n + 1):
-        # Rows go a chunk at a time: a whole block of 4096 Monte Carlo
-        # atoms holds about half a gigabyte of (row, atom) temporaries.
-        width = max(atoms.llr0[m].size, atoms.llr1[m].size, 1)
-        step = max(1, ATOM_CHUNK_ENTRIES // width)
-        for lo in range(0, grid.size, step):
-            r = slice(lo, lo + step)
-            blocks.append(
-                _interp_matrix(grid, expit(l0[r, None] + atoms.llr1[m]), t[r, None] * atoms.w1[m])
-                + _interp_matrix(
-                    grid, expit(l0[r, None] + atoms.llr0[m]), (1.0 - t[r, None]) * atoms.w0[m]
+    if 2 * max(w.size for w in (*atoms.llr0, *atoms.llr1)) < g:
+        blocks = [_interp_matrix(grid, t)]
+        for m in range(1, atoms.n + 1):
+            width = max(atoms.llr0[m].size, atoms.llr1[m].size, 1)
+            step = max(1, ATOM_CHUNK_ENTRIES // width)
+            for lo in range(0, g, step):
+                r = slice(lo, lo + step)
+                blocks.append(
+                    _interp_matrix(grid, expit(l0[r, None] + atoms.llr1[m]), t[r, None] * atoms.w1[m])
+                    + _interp_matrix(
+                        grid, expit(l0[r, None] + atoms.llr0[m]), (1.0 - t[r, None]) * atoms.w0[m]
+                    )
                 )
-            )
-    return ExpectationOperator(grid, p, atoms.n, method, sparse.vstack(blocks, format="csr"))
+        return ExpectationOperator(grid, p, atoms.n, method, sparse.vstack(blocks, format="csr"))
+    stack = np.empty(((atoms.n + 1) * g, g))
+    stack[:g] = _interp_matrix(grid, t).toarray()
+    for m in range(1, atoms.n + 1):
+        # Both regimes' atoms go through one key array per chunk.
+        llr = np.concatenate((atoms.llr1[m], atoms.llr0[m]))
+        step = max(1, ATOM_CHUNK_ENTRIES // max(llr.size, 1))
+        block = stack[m * g:(m + 1) * g]
+        for lo in range(0, g, step):
+            r = slice(lo, min(lo + step, g))
+            tr = t[r, None]
+            weight = np.concatenate((tr * atoms.w1[m], (1.0 - tr) * atoms.w0[m]), axis=1)
+            idx, frac = _interp_index(pts, expit(l0[r, None] + llr))
+            # Lower shares land on the left node and upper shares one
+            # column right of it, still in the row because idx <= g - 2.
+            keys = (idx + g * np.arange(tr.shape[0])[:, None]).ravel()
+            upper = weight * frac
+            weight -= upper
+            out = block[r].reshape(-1)
+            out[:] = np.bincount(keys, weight.ravel(), out.size)
+            out[1:] += np.bincount(keys, upper.ravel(), out.size)[:-1]
+    return ExpectationOperator(grid, p, atoms.n, method, stack)
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:

@@ -3,8 +3,12 @@
 Episodes draw a change time from the geometric prior, run a policy slot
 by slot to its stopping time, and account the realized Bayes risk:
 ``lambda_f`` on a false alarm, one unit per slot of detection delay, and
-``lambda_s`` per sensor-slot of sensing.  Replications are seeded
-independently (seed XOR index) so they are order-independent.
+``lambda_s`` per sensor-slot of sensing.  Episode ``i`` draws from its
+own generator seeded ``base_seed ^ i``, so replications do not depend on
+their order.  Base seeds do not give independent streams: for ``R = 2^k``
+replications, every base seed in one aligned block of ``2^k`` (at
+``R = 512``, every base seed below 512) draws the same set of episode
+seeds and returns the same metrics, and other base seeds overlap in part.
 """
 
 from __future__ import annotations
@@ -171,7 +175,12 @@ def run_episodes(
     *,
     horizon_cap: int | None = None,
 ):
-    """Yield one EpisodeResult per replication, episode i seeded base_seed ^ i."""
+    """Yield one EpisodeResult per replication, episode i seeded base_seed ^ i.
+
+    Base seeds that agree above the index bits share most episodes: at
+    512 replications, every base seed below 512 yields the same episodes
+    in another order.
+    """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications!r}")
     for i in range(replications):
@@ -219,14 +228,18 @@ def estimate_metrics(
 ) -> Metrics:
     """Mean delay, false-alarm rate, and total cost over R episodes.
 
-    Episode i uses its own generator seeded ``base_seed ^ i``.  Truncated
-    episodes are excluded from the averages and reported by count.
+    Episode i uses its own generator seeded ``base_seed ^ i``, so base
+    seeds that agree above the index bits share most episodes; at
+    ``replications=512`` every base seed below 512 returns identical
+    metrics.  Truncated episodes are excluded from the averages and
+    reported by count.
 
     Args:
         problem: Instance to simulate.
         policy: Stationary rule to evaluate.
         replications: Episode count R (>= 1).
-        base_seed: XOR-combined with the episode index.
+        base_seed: XOR-combined with the episode index; not an
+            independent stream (see above).
         horizon_cap: Per-episode slot budget.
     """
     return metrics_from_episodes(

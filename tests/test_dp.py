@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, sparse, stats
 from scipy.special import expit, ndtr
 
 from quickwake import (
@@ -10,6 +10,7 @@ from quickwake import (
     ChangePrior,
     ConvergenceError,
     Costs,
+    DiscreteInstance,
     Problem,
     SensorModel,
     LikelihoodAtoms,
@@ -18,7 +19,9 @@ from quickwake import (
     binomial_weights,
     build_expectation_operator,
     extract_policy,
+    likelihood_atoms,
     logit,
+    monte_carlo_atoms,
     operator_from_atoms,
     prior_mass,
     sigmoid,
@@ -103,6 +106,81 @@ def _exact_case(name):
     # One sensor, p = 0.5: an absorbing row and a grid of 51, not a block multiple.
     prob = Problem(SensorModel(0.0, 1.0, 1.0, 1.0), ChangePrior(0.0, 0.5), Costs(0.5, 100.0), 1)
     return prob, BeliefGrid.uniform(51)
+
+
+def coo_atom_stack(atoms, grid, p):
+    """Reference atom map: two COO entries per (row, atom), summed by scipy.
+
+    Each m-block is the CSR sum of the post- and pre-change regimes'
+    interpolation matrices, built over all rows at once.
+    """
+    pts = grid.points
+    g = grid.size
+    t = pts + (1.0 - pts) * p
+    tc = np.clip(t, EPS, 1.0 - EPS)
+    l0 = np.log(tc) - np.log1p(-tc)
+
+    def interp(query, weights):
+        idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, g - 2)
+        frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
+        rows = np.repeat(np.arange(query.shape[0]), 2 * query.shape[1])
+        cols = np.stack([idx, idx + 1], axis=-1).ravel()
+        data = np.stack([weights * (1.0 - frac), weights * frac], axis=-1).ravel()
+        return sparse.csr_matrix((data, (rows, cols)), shape=(query.shape[0], g))
+
+    blocks = [interp(t[:, None], np.ones((g, 1)))]
+    for m in range(1, atoms.n + 1):
+        blocks.append(
+            interp(expit(l0[:, None] + atoms.llr1[m]), t[:, None] * atoms.w1[m])
+            + interp(expit(l0[:, None] + atoms.llr0[m]), (1.0 - t[:, None]) * atoms.w0[m])
+        )
+    return sparse.vstack(blocks, format="csr")
+
+
+def _atom_case(name):
+    """Atoms, grid, p and the storage the build should pick for them."""
+    if name == "monte_carlo":
+        model = SensorModel(0.0, 1.0, 1.0, 1.2)
+        return monte_carlo_atoms(model, 10), BeliefGrid.uniform(201), 0.01, np.ndarray
+    if name == "nonuniform":
+        inner = np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 199))
+        grid = BeliefGrid(np.concatenate(([0.0], inner, [1.0])))
+        model = make_benchmark_problem().model
+        return gauss_legendre_atoms(model, 10), grid, 0.01, np.ndarray
+    if name == "oracle":
+        inst = DiscreteInstance(
+            horizon=2, n=2, g0=(0.7, 0.3), g1=(0.4, 0.6),
+            rho=0.1, p=0.2, lambda_s=0.2, lambda_f=10.0,
+        )
+        return likelihood_atoms(inst), BeliefGrid.uniform(201), inst.p, sparse.csr_matrix
+    # Ratios of e^{+-800} put posteriors exactly on 0 and 1: the right
+    # end hits the idx clip, and p = 0.5 drives the last rows to t = 1.
+    # Eight atoms per regime sit on the storage rule's edge: dense at
+    # grid 16, CSR at 17.
+    llr = np.linspace(-800.0, 800.0, 8)
+    w = np.full(8, 1.0 / 8)
+    atoms = LikelihoodAtoms(
+        n=2, llr0=(np.empty(0), llr, llr[:4]), w0=(np.empty(0), w, 2 * w[:4]),
+        llr1=(np.empty(0), llr[::-1], llr[4:]), w1=(np.empty(0), w, 2 * w[4:]),
+    )
+    size = 16 if name == "end_cells_dense" else 17
+    storage = np.ndarray if name == "end_cells_dense" else sparse.csr_matrix
+    return atoms, BeliefGrid.uniform(size), 0.5, storage
+
+
+# Warnings are errors: the clipped logits and the end cells must build
+# without a divide or an invalid value on either storage path.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "case", ["monte_carlo", "nonuniform", "oracle", "end_cells_dense", "end_cells_sparse"]
+)
+def test_atom_operator_matches_coo_reference(case):
+    atoms, grid, p, storage = _atom_case(case)
+    op = operator_from_atoms(atoms, grid, p)
+    assert isinstance(op.stack, storage)
+    built = op.stack.toarray() if sparse.issparse(op.stack) else op.stack
+    assert np.abs(built - coo_atom_stack(atoms, grid, p).toarray()).max() < 1e-12
+    assert np.abs(op.apply_all(np.ones(grid.size)) - 1.0).max() < 1e-12
 
 
 def test_binomial_weights_match_scipy():

@@ -11,11 +11,13 @@ from quickwake import (
     calibrate_lambda_f,
     default_horizon_cap,
     estimate_metrics,
+    extract_policy,
     metrics_from_episodes,
     run_episode,
     run_episodes,
     sample_change_time,
     sweep_open_loop_q,
+    value_iteration,
 )
 from tests.conftest import constant_count_policy
 
@@ -120,6 +122,19 @@ def test_near_equal_variance_agrees_with_sum_statistic_path(problem, policy_cont
     slow = estimate_metrics(nudged, policy_control_m, 3000, base_seed=31)
     width = fast.total_cost_half_width + slow.total_cost_half_width
     assert abs(fast.mean_total_cost - slow.mean_total_cost) < 2.0 * width + 0.5
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_base_seeds_give_distinct_streams(problem, grid201, operator201):
+    """Different base seeds must simulate different episodes.
+
+    Episode i is seeded ``base_seed ^ i``, so at 512 replications base
+    seeds 0 to 3 all draw seeds 0..511 and report the same mean cost.
+    """
+    J, _ = value_iteration(problem, "control_m", grid201, operator=operator201)
+    pol = extract_policy(J, problem, "control_m", operator=operator201)
+    costs = [estimate_metrics(problem, pol, 512, seed).mean_total_cost for seed in range(4)]
+    assert len({round(c, 9) for c in costs}) == 4
 
 
 def test_policy_problem_mismatch_rejected(problem, policy_control_m):
