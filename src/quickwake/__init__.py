@@ -10,7 +10,6 @@ programs, extracts threshold policies, and simulates them.
 from .belief import (
     TERMINAL,
     logit,
-    one_step_predict,
     posterior_update,
     sigmoid,
     sufficient_statistic_update,
@@ -56,7 +55,6 @@ from .sim import (
     metrics_from_episodes,
     run_episode,
     run_episodes,
-    sample_change_time,
     sweep_open_loop_q,
 )
 
@@ -94,14 +92,12 @@ __all__ = [
     "logit",
     "metrics_from_episodes",
     "monte_carlo_atoms",
-    "one_step_predict",
     "operator_from_atoms",
     "pdf",
     "posterior_update",
     "prior_mass",
     "run_episode",
     "run_episodes",
-    "sample_change_time",
     "sigmoid",
     "solve_finite_horizon",
     "sufficient_statistic_update",

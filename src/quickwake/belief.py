@@ -62,20 +62,6 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def one_step_predict(pi, p: float) -> float:
-    """Belief that the change has fired by the next slot.
-
-    Args:
-        pi: Current belief, or TERMINAL (rejected).
-        p: Per-slot change hazard.
-
-    Returns:
-        ``pi + (1 - pi) * p``.
-    """
-    pi = _check_belief(pi)
-    return pi + (1.0 - pi) * p
-
-
 def posterior_update(pi, p: float, observations, model: SensorModel) -> float:
     """One full slot of the belief recursion.
 

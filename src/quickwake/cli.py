@@ -5,7 +5,8 @@ Subcommands:
 * ``solve``     - stationary solve + policy extraction: J.csv, policy.csv,
                   report.json
 * ``simulate``  - Monte Carlo evaluation of a solved policy:
-                  episodes.csv, metrics.json (and trace.csv with --trace)
+                  episodes.csv, metrics.json (and episode 0's trace.csv with
+                  --trace)
 * ``sweep-q``   - fixed-q cost curve over a q grid: sweep.csv
 * ``calibrate`` - bisect lambda_f to a target false-alarm rate:
                   calibration.json
@@ -44,7 +45,6 @@ from .policy import Policy, extract_policy
 from .sim import (
     calibrate_lambda_f,
     metrics_from_episodes,
-    run_episode,
     run_episodes,
     sweep_open_loop_q,
 )
@@ -425,10 +425,10 @@ def cmd_simulate(cfg: RunConfig, policy_path, trace: bool) -> int:
     metrics = metrics_from_episodes(episodes)
     with open(out / "episodes.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["seed", "T", "tau", "delay", "false_alarm", "obs_cost"])
+        w.writerow(["episode", "T", "tau", "delay", "false_alarm", "obs_cost"])
         for ep in episodes:
             w.writerow(
-                [ep.seed, ep.change_time, ep.stop_time, ep.delay,
+                [ep.episode, ep.change_time, ep.stop_time, ep.delay,
                  int(ep.false_alarm), _fmt(ep.obs_cost)]
             )
     doc = {
@@ -448,14 +448,10 @@ def cmd_simulate(cfg: RunConfig, policy_path, trace: bool) -> int:
     }
     (out / "metrics.json").write_text(json.dumps(doc, indent=2) + "\n")
     if trace:
-        ep = run_episode(
-            cfg.problem, policy, np.random.default_rng(cfg.base_seed),
-            cfg.horizon_cap, seed=cfg.base_seed, collect_trace=True,
-        )
         with open(out / "trace.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k", "pi", "m"])
-            for k, pi, m in ep.trace:
+            for k, pi, m in episodes[0].trace:
                 w.writerow([k, _fmt(pi), m])
     print(
         f"simulated {metrics.completed}/{metrics.replications} episodes: "
@@ -617,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo evaluation of a solved policy")
     common(p_sim)
     p_sim.add_argument("--policy", required=True, help="path to a policy.csv from solve")
-    p_sim.add_argument("--trace", action="store_true", help="emit one traced episode")
+    p_sim.add_argument("--trace", action="store_true", help="write the trace of episode 0")
     common(sub.add_parser("sweep-q", help="fixed-q cost curve"))
     p_cal = sub.add_parser("calibrate", help="bisect lambda_f to a target P_FA")
     common(p_cal)

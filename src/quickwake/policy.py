@@ -78,14 +78,24 @@ class Policy:
     def should_stop(self, pi: float) -> bool:
         return pi >= self.gamma
 
-    def _continue_index(self, pi: float) -> int:
-        # Clamp to the last node strictly below gamma: a belief just
-        # under the threshold must never pick up a stop-node entry.
-        idx = self.grid.nearest_index(pi)
-        end = int(np.searchsorted(self.grid.points, self.gamma, side="left")) - 1
+    def _continue_indices(self, pi) -> np.ndarray:
+        """Nearest grid node to each belief, clamped below the threshold.
+
+        A belief just under gamma must never pick up a stop-node entry,
+        so indices are capped at the last node strictly below gamma.
+        Ties between two nodes go to the lower one.
+        """
+        pts = self.grid.points
+        end = int(np.searchsorted(pts, self.gamma, side="left")) - 1
         if end < 0:
             raise ValueError("policy stops everywhere; no continue-region action")
-        return min(idx, end)
+        pi = np.asarray(pi, dtype=float)
+        upper = np.clip(np.searchsorted(pts, pi), 1, pts.size - 1)
+        idx = np.where(pi - pts[upper - 1] <= pts[upper] - pi, upper - 1, upper)
+        return np.minimum(idx, end)
+
+    def _continue_index(self, pi: float) -> int:
+        return int(self._continue_indices(pi))
 
     def awake_count_at(self, pi: float) -> int:
         """Continue-region awake count at the nearest continue-region node."""

@@ -3,12 +3,17 @@
 Episodes draw a change time from the geometric prior, run a policy slot
 by slot to its stopping time, and account the realized Bayes risk:
 ``lambda_f`` on a false alarm, one unit per slot of detection delay, and
-``lambda_s`` per sensor-slot of sensing.  Episode ``i`` draws from its
-own generator seeded ``base_seed ^ i``, so replications do not depend on
-their order.  Base seeds do not give independent streams: for ``R = 2^k``
-replications, every base seed in one aligned block of ``2^k`` (at
-``R = 512``, every base seed below 512) draws the same set of episode
-seeds and returns the same metrics, and other base seeds overlap in part.
+``lambda_s`` per sensor-slot of sensing.
+
+One engine runs every episode.  Replications are cut into blocks of
+``BLOCK_EPISODES``; block ``b`` draws from its own generator, seeded by
+child ``b`` of ``SeedSequence(base_seed)``, so different base seeds give
+independent streams and block ``b`` does not depend on how many blocks
+run beside it.  Within a block all still-active episodes advance one slot
+per iteration in numpy arrays, and episodes leave the arrays when they
+stop or reach the horizon cap.  An episode is therefore reproduced by
+``base_seed`` and its index, and ``run_episode`` is the one-episode call
+of the same engine on the caller's generator.
 """
 
 from __future__ import annotations
@@ -17,18 +22,29 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import expit
 
-from .belief import one_step_predict, posterior_update, sufficient_statistic_update
+from .belief import EPS
 from .dp import BeliefGrid, ExpectationOperator, build_expectation_operator, value_iteration
 from .model import ChangePrior, Problem, SensorModel
 from .policy import Policy, extract_policy
 
+# Episodes advanced together on one generator.  Long enough that each
+# slot's numpy calls amortize their fixed cost over many episodes; short
+# enough that a block's (episodes, n) per-sensor readings stay near 1 MB
+# at n = 10.
+BLOCK_EPISODES = 1 << 14
+
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """One simulated run of a policy against one drawn change time."""
+    """One simulated run of a policy against one drawn change time.
 
-    seed: int
+    ``episode`` is the index within its run (``run_episodes``) or the
+    caller's label (``run_episode``).
+    """
+
+    episode: int
     change_time: int
     stop_time: int
     delay: int
@@ -65,11 +81,155 @@ def default_horizon_cap(prior: ChangePrior) -> int:
     return int(math.ceil(100.0 / prior.p))
 
 
-def sample_change_time(rng: np.random.Generator, prior: ChangePrior) -> int:
-    """Draw T: 0 with probability rho, else geometric on {1, 2, ...}."""
-    if rng.random() < prior.rho:
-        return 0
-    return int(rng.geometric(prior.p))
+def _belief_step(model, pi, p: float, m, obs):
+    """One slot of the belief recursion for a batch of episodes.
+
+    The array form of ``posterior_update`` (``obs`` of shape
+    (episodes, n), of which the first ``m[i]`` readings of row i count)
+    and of ``sufficient_statistic_update`` (``obs`` of shape (episodes,),
+    the sum of the ``m[i]`` readings).  Rows with ``m = 0`` only predict; a
+    predicted belief of 1 is absorbing and one of 0 stays at 0.
+    """
+    if obs.ndim == 1:
+        llr = (
+            (model.mu1 - model.mu0) * obs - m * (model.mu1**2 - model.mu0**2) / 2.0
+        ) / (model.sigma0 * model.sigma0)
+    else:
+        counted = np.arange(obs.shape[1]) < m[:, None]
+        llr = np.where(counted, model.log_likelihood_ratio(obs), 0.0).sum(axis=1)
+    t = pi + (1.0 - pi) * p
+    c = np.clip(t, EPS, 1.0 - EPS)
+    moved = expit(np.log(c) - np.log1p(-c) + llr)
+    moved = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, moved))
+    return np.where(m == 0, t, moved)
+
+
+def _run_block(
+    problem: Problem,
+    policy: Policy,
+    rng: np.random.Generator,
+    count: int,
+    horizon_cap: int | None,
+    trace: list | None = None,
+):
+    """Run ``count`` episodes in lockstep on one generator.
+
+    Draw order: every change time (a uniform for the mass at zero, then a
+    geometric), then per slot, over the episodes still active in index
+    order, the binomial wake draws (control_q and open_loop), then the
+    readings: one normal per episode for the summed reading of equal-
+    variance Gaussians, else an (episodes, n) block per regime, pre-change
+    rows first.  ``trace`` collects (slot, belief, awake count) of episode
+    0 while it runs.
+
+    Returns:
+        change, stop and sensed (awake sensor-slots) as integer arrays,
+        the final belief, and the truncation flags.
+    """
+    if horizon_cap is None:
+        horizon_cap = default_horizon_cap(problem.prior)
+    if horizon_cap < 1:
+        raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap!r}")
+    if policy.n != problem.n:
+        raise ValueError(f"policy is for n={policy.n}, problem has n={problem.n}")
+    prior, model, n, gamma = problem.prior, problem.model, problem.n, policy.gamma
+    sum_statistic = isinstance(model, SensorModel) and model.equal_variance
+    change = np.where(rng.random(count) < prior.rho, 0, rng.geometric(prior.p, count))
+    stop = np.zeros(count, dtype=np.int64)
+    sensed = np.zeros(count, dtype=np.int64)
+    final = np.empty(count)
+    truncated = np.zeros(count, dtype=bool)
+    # State of the active episodes, compacted whenever some leave.
+    idx = np.arange(count)
+    pi = np.full(count, float(prior.rho))
+    T = change
+    awake = np.zeros(count, dtype=np.int64)
+    k = 0
+    while True:
+        done = pi >= gamma
+        if k >= horizon_cap:
+            truncated[idx[~done]] = True
+            done[:] = True
+        if done.any():
+            out = idx[done]
+            stop[out] = k
+            final[out] = pi[done]
+            sensed[out] = awake[done]
+            keep = ~done
+            idx, pi, T, awake = idx[keep], pi[keep], T[keep], awake[keep]
+            if idx.size == 0:
+                break
+        if policy.kind == "open_loop":
+            m = rng.binomial(n, policy.fixed_q, idx.size)
+        elif policy.kind == "control_q":
+            m = rng.binomial(n, policy.wake_prob_map[policy._continue_indices(pi)])
+        else:
+            m = policy.awake_map[policy._continue_indices(pi)]
+        if trace is not None and idx[0] == 0:
+            trace.append((k, float(pi[0]), int(m[0])))
+        awake += m
+        post = T <= k + 1
+        if sum_statistic:
+            mean = np.where(post, model.mu1, model.mu0)
+            obs = m * mean + np.sqrt(m) * model.sigma0 * rng.standard_normal(idx.size)
+        else:
+            obs = np.empty((idx.size, n))
+            obs[~post] = model.sample("pre", (idx.size - int(post.sum()), n), rng)
+            obs[post] = model.sample("post", (int(post.sum()), n), rng)
+        pi = _belief_step(model, pi, prior.p, m, obs)
+        k += 1
+    return change, stop, sensed, final, truncated
+
+
+def _simulate(
+    problem: Problem,
+    policy: Policy,
+    replications: int,
+    base_seed: int,
+    horizon_cap: int | None,
+    trace: list | None = None,
+):
+    """Every block of a run, concatenated in episode order."""
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications!r}")
+    blocks = -(-replications // BLOCK_EPISODES)
+    seeds = np.random.SeedSequence(base_seed).spawn(blocks)
+    parts = [
+        _run_block(
+            problem, policy, np.random.default_rng(seed),
+            min(BLOCK_EPISODES, replications - b * BLOCK_EPISODES), horizon_cap,
+            trace if b == 0 else None,
+        )
+        for b, seed in enumerate(seeds)
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _outcomes(problem: Problem, change, stop, sensed):
+    """Delay, false-alarm flag, sensing cost and total cost per episode."""
+    delay = np.maximum(stop - change, 0)
+    false_alarm = stop < change
+    obs_cost = problem.costs.lambda_s * sensed
+    total = problem.costs.lambda_f * false_alarm + delay + obs_cost
+    return delay, false_alarm, obs_cost, total
+
+
+def _results(problem: Problem, run, labels, trace: list | None):
+    change, stop, sensed, final, truncated = run
+    delay, false_alarm, obs_cost, total = _outcomes(problem, change, stop, sensed)
+    for i, label in enumerate(labels):
+        yield EpisodeResult(
+            episode=label,
+            change_time=int(change[i]),
+            stop_time=int(stop[i]),
+            delay=int(delay[i]),
+            false_alarm=bool(false_alarm[i]),
+            obs_cost=float(obs_cost[i]),
+            total_cost=float(total[i]),
+            final_belief=float(final[i]),
+            truncated=bool(truncated[i]),
+            trace=tuple(trace) if trace is not None and i == 0 else None,
+        )
 
 
 def run_episode(
@@ -83,11 +243,14 @@ def run_episode(
 ) -> EpisodeResult:
     """Run ``policy`` from belief rho until it stops or hits the cap.
 
-    Per slot, in a fixed draw order: the wake decision (a binomial draw
-    for probability-based kinds), then the slot's observations, drawn
-    pre-change while the next slot index is still below T.  Equal-
-    variance Gaussian models are simulated through the sample-sum
-    statistic; anything else is sampled per sensor.
+    This is the one-episode call of the engine behind ``run_episodes``,
+    on the caller's generator, so it follows the same draw order: the
+    change time (a uniform for the mass at zero, then a geometric), then
+    per slot the wake draw (a binomial for probability-based kinds) and
+    the slot's readings, drawn pre-change while the next slot index is
+    still below T.  Equal-variance Gaussian models draw one normal for
+    the sum of the awake readings; anything else draws all ``n`` sensors
+    and counts the first ``m``.
 
     Args:
         problem: Instance to simulate.
@@ -95,70 +258,12 @@ def run_episode(
         rng: Generator owned by this episode.
         horizon_cap: Slot budget; default 100/p.  Hitting it flags the
             result truncated.
-        seed: Recorded in the result for bookkeeping only.
+        seed: Recorded as the result's ``episode``, for bookkeeping only.
         collect_trace: Keep a per-slot (slot, belief, awake_count) log.
     """
-    if horizon_cap is None:
-        horizon_cap = default_horizon_cap(problem.prior)
-    if horizon_cap < 1:
-        raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap!r}")
-    if policy.n != problem.n:
-        raise ValueError(f"policy is for n={policy.n}, problem has n={problem.n}")
-    model = problem.model
-    prior = problem.prior
-    lam_s = problem.costs.lambda_s
-    lam_f = problem.costs.lambda_f
-    n = problem.n
-    gamma = policy.gamma
-    kind = policy.kind
-    sum_statistic = isinstance(model, SensorModel) and model.equal_variance
-    T = sample_change_time(rng, prior)
-    pi = float(prior.rho)
-    obs_cost = 0.0
-    k = 0
-    truncated = False
     trace: list | None = [] if collect_trace else None
-    while True:
-        if pi >= gamma:
-            break
-        if k >= horizon_cap:
-            truncated = True
-            break
-        if kind in ("control_m", "fixed_m"):
-            m = policy.awake_count_at(pi)
-        else:
-            m = int(rng.binomial(n, policy.wake_prob_at(pi)))
-        if trace is not None:
-            trace.append((k, pi, m))
-        obs_cost += lam_s * m
-        post_change = T <= k + 1
-        if m == 0:
-            pi = one_step_predict(pi, prior.p)
-        elif sum_statistic:
-            mu = model.mu1 if post_change else model.mu0
-            s = rng.normal(m * mu, math.sqrt(m) * model.sigma0)
-            pi = sufficient_statistic_update(pi, prior.p, m, s, model)
-        else:
-            regime = "post" if post_change else "pre"
-            xs = model.sample(regime, m, rng)
-            pi = posterior_update(pi, prior.p, xs, model)
-        k += 1
-    tau = k
-    delay = max(0, tau - T)
-    false_alarm = tau < T
-    total = lam_f * false_alarm + delay + obs_cost
-    return EpisodeResult(
-        seed=seed,
-        change_time=T,
-        stop_time=tau,
-        delay=delay,
-        false_alarm=false_alarm,
-        obs_cost=obs_cost,
-        total_cost=total,
-        final_belief=pi,
-        truncated=truncated,
-        trace=tuple(trace) if trace is not None else None,
-    )
+    run = _run_block(problem, policy, rng, 1, horizon_cap, trace)
+    return next(_results(problem, run, [seed], trace))
 
 
 def _half_width(x: np.ndarray) -> float:
@@ -175,19 +280,39 @@ def run_episodes(
     *,
     horizon_cap: int | None = None,
 ):
-    """Yield one EpisodeResult per replication, episode i seeded base_seed ^ i.
+    """Yield one EpisodeResult per replication, in episode order.
 
-    Base seeds that agree above the index bits share most episodes: at
-    512 replications, every base seed below 512 yields the same episodes
-    in another order.
+    Episodes run in blocks of ``BLOCK_EPISODES``, block ``b`` on child
+    ``b`` of ``SeedSequence(base_seed)`` (see the module docstring), so
+    ``base_seed`` and an episode's index reproduce it.  Episode 0 also
+    carries its per-slot (slot, belief, awake_count) trace.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications!r}")
-    for i in range(replications):
-        seed = base_seed ^ i
-        yield run_episode(
-            problem, policy, np.random.default_rng(seed), horizon_cap, seed=seed
+    trace: list = []
+    run = _simulate(problem, policy, replications, base_seed, horizon_cap, trace)
+    yield from _results(problem, run, range(replications), trace)
+
+
+def _metrics(delay, false_alarm, obs_cost, total, truncated) -> Metrics:
+    done = ~truncated
+    completed = int(done.sum())
+    if not completed:
+        raise RuntimeError(
+            f"all {truncated.size} episodes hit the horizon cap; no completed runs"
         )
+    delay, false_alarm = delay[done].astype(float), false_alarm[done].astype(float)
+    obs_cost, total = obs_cost[done], total[done]
+    return Metrics(
+        replications=int(truncated.size),
+        completed=completed,
+        truncated=int(truncated.size) - completed,
+        mean_delay=float(delay.mean()),
+        delay_half_width=_half_width(delay),
+        prob_false_alarm=float(false_alarm.mean()),
+        false_alarm_half_width=_half_width(false_alarm),
+        mean_obs_cost=float(obs_cost.mean()),
+        mean_total_cost=float(total.mean()),
+        total_cost_half_width=_half_width(total),
+    )
 
 
 def metrics_from_episodes(episodes) -> Metrics:
@@ -195,27 +320,11 @@ def metrics_from_episodes(episodes) -> Metrics:
     episodes = list(episodes)
     if not episodes:
         raise ValueError("no episodes given")
-    completed = [e for e in episodes if not e.truncated]
-    if not completed:
-        raise RuntimeError(
-            f"all {len(episodes)} episodes hit the horizon cap; no completed runs"
-        )
-    delays = np.array([e.delay for e in completed], dtype=float)
-    alarms = np.array([e.false_alarm for e in completed], dtype=float)
-    obs = np.array([e.obs_cost for e in completed], dtype=float)
-    totals = np.array([e.total_cost for e in completed], dtype=float)
-    return Metrics(
-        replications=len(episodes),
-        completed=len(completed),
-        truncated=len(episodes) - len(completed),
-        mean_delay=float(delays.mean()),
-        delay_half_width=_half_width(delays),
-        prob_false_alarm=float(alarms.mean()),
-        false_alarm_half_width=_half_width(alarms),
-        mean_obs_cost=float(obs.mean()),
-        mean_total_cost=float(totals.mean()),
-        total_cost_half_width=_half_width(totals),
-    )
+    cols = np.array(
+        [(e.delay, e.false_alarm, e.obs_cost, e.total_cost, e.truncated) for e in episodes],
+        dtype=float,
+    ).T
+    return _metrics(*cols[:4], cols[4].astype(bool))
 
 
 def estimate_metrics(
@@ -228,23 +337,23 @@ def estimate_metrics(
 ) -> Metrics:
     """Mean delay, false-alarm rate, and total cost over R episodes.
 
-    Episode i uses its own generator seeded ``base_seed ^ i``, so base
-    seeds that agree above the index bits share most episodes; at
-    ``replications=512`` every base seed below 512 returns identical
-    metrics.  Truncated episodes are excluded from the averages and
-    reported by count.
+    The same episodes as ``run_episodes`` with the same arguments,
+    aggregated from the engine's arrays without per-episode objects.
+    Truncated episodes are excluded from the averages and reported by
+    count.
 
     Args:
         problem: Instance to simulate.
         policy: Stationary rule to evaluate.
         replications: Episode count R (>= 1).
-        base_seed: XOR-combined with the episode index; not an
-            independent stream (see above).
+        base_seed: Root of the ``SeedSequence`` whose children seed the
+            blocks; distinct base seeds give independent streams.
         horizon_cap: Per-episode slot budget.
     """
-    return metrics_from_episodes(
-        run_episodes(problem, policy, replications, base_seed, horizon_cap=horizon_cap)
+    change, stop, sensed, _, truncated = _simulate(
+        problem, policy, replications, base_seed, horizon_cap
     )
+    return _metrics(*_outcomes(problem, change, stop, sensed), truncated)
 
 
 @dataclass(frozen=True)

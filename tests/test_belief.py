@@ -7,11 +7,11 @@ from quickwake import (
     TERMINAL,
     SensorModel,
     logit,
-    one_step_predict,
     posterior_update,
     sigmoid,
     sufficient_statistic_update,
 )
+from quickwake.sim import _belief_step
 
 MODEL = SensorModel(mu0=0.0, sigma0=1.0, mu1=1.0, sigma1=1.0)
 
@@ -23,10 +23,45 @@ def test_logit_sigmoid_round_trip():
     assert sigmoid(-1000.0) == 0.0
 
 
-def test_one_step_predict_closed_form():
-    assert one_step_predict(0.0, 0.01) == 0.01
-    assert one_step_predict(0.4, 0.25) == pytest.approx(0.4 + 0.6 * 0.25)
-    assert one_step_predict(1.0, 0.5) == 1.0
+@pytest.mark.parametrize("p", [0.02, 0.0])
+def test_simulator_belief_step_matches_scalar_updates(p):
+    """The simulator's batched slot update against the scalar recursions.
+
+    Rows cover m = 0 (prediction only), pi = 1 (absorbing), pi = 0 (which
+    stays at 0 when p = 0), readings whose log-likelihood ratios are
+    +-1e3, and beliefs within EPS of 0 and 1, where both sides clamp the
+    log-odds the same way.  MODEL's per-reading ratio is x - 1/2.
+    """
+    rng = np.random.default_rng(3)
+    n = 4
+    edge = [0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.3, np.nextafter(1.0, 0.0), 1e-20]
+    pi = np.concatenate([edge, rng.uniform(0.0, 1.0, 31)])
+    m = np.concatenate([[0, 2, 0, 3, 1, 1, 4, 1, 1], rng.integers(0, n + 1, 31)])
+    x = rng.normal(0.5, 1.5, size=(pi.size, n))
+    x[1] = x[4] = 1000.5
+    x[3] = x[5] = -999.5
+    x[6] = 250.5
+    x[7, 0], x[8, 0] = -34.5, 35.5
+    skewed = SensorModel(mu0=0.0, sigma0=1.0, mu1=1.0, sigma1=1.5)
+    for model in (MODEL, skewed):
+        got = _belief_step(model, pi, p, m, x)
+        want = [posterior_update(pi[i], p, x[i, : m[i]], model) for i in range(pi.size)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    s = x.sum(axis=1, where=np.arange(n) < m[:, None])
+    got = _belief_step(MODEL, pi, p, m, s)
+    want = [
+        sufficient_statistic_update(pi[i], p, int(m[i]), s[i], MODEL) if m[i]
+        else posterior_update(pi[i], p, [], MODEL)
+        for i in range(pi.size)
+    ]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert got[4] == 1.0 and got[5] == 0.0 and got[6] == 1.0
+    assert got[3] == 1.0  # absorbing despite readings
+    if p == 0.0:
+        assert got[1] == 0.0
+    # m = 0 is prediction alone, bit for bit: pi + (1 - pi) p.
+    np.testing.assert_array_equal(got[m == 0], (pi + (1.0 - pi) * p)[m == 0])
+    assert got[0] == p and got[2] == 1.0
 
 
 def test_posterior_update_matches_direct_bayes():

@@ -168,9 +168,9 @@ def test_simulate_deterministic(solved_run, tmp_path):
     assert metrics["completed"] + metrics["truncated"] == 120
     assert metrics["base_seed"] == 5
     rows = read_csv(a / "episodes.csv")
-    assert rows[0] == ["seed", "T", "tau", "delay", "false_alarm", "obs_cost"]
+    assert rows[0] == ["episode", "T", "tau", "delay", "false_alarm", "obs_cost"]
     assert len(rows) == 121
-    assert int(rows[1][0]) == 5  # base_seed ^ 0
+    assert [int(r[0]) for r in rows[1:]] == list(range(120))
 
 
 def test_simulate_seed_override_changes_outcomes(solved_run, tmp_path):
@@ -186,6 +186,7 @@ def test_simulate_seed_override_changes_outcomes(solved_run, tmp_path):
 
 
 def test_simulate_trace(solved_run, tmp_path):
+    """trace.csv follows the episode in row 0 of episodes.csv: same T, same tau."""
     cfg, out = solved_run
     dest = tmp_path / "tr"
     assert main(["simulate", "--config", cfg, "--policy", str(out / "policy.csv"),
@@ -194,6 +195,18 @@ def test_simulate_trace(solved_run, tmp_path):
     assert rows[0] == ["k", "pi", "m"]
     assert len(rows) > 1
     assert rows[1][0] == "0" and rows[1][1] == "0"
+    first = read_csv(dest / "episodes.csv")[1]
+    assert first[0] == "0"
+    assert len(rows) - 1 == int(first[2])  # one row per slot before tau
+    run = load_config(cfg)
+    policy = load_policy(out / "policy.csv", run.problem)
+    ep = next(quickwake.run_episodes(
+        run.problem, policy, run.replications, run.base_seed, horizon_cap=run.horizon_cap
+    ))
+    assert (ep.change_time, ep.stop_time) == (int(first[1]), int(first[2]))
+    assert [(int(k), float(pi), int(m)) for k, pi, m in rows[1:]] == [
+        (k, pytest.approx(pi, abs=1e-12), m) for k, pi, m in ep.trace
+    ]
 
 
 def test_simulate_rejects_fingerprint_mismatch(solved_run, tmp_path, capsys):

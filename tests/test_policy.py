@@ -159,6 +159,25 @@ def test_action_lookup_clamps_to_continue_region():
     assert not pol.should_stop(0.579)
 
 
+def test_array_lookup_matches_scalar_lookup(policy_control_m, policy_control_q):
+    """The simulator's batched lookup and the scalar one pick the same node:
+    the nearest one, clamped to the last node below gamma."""
+    for pol in (policy_control_m, policy_control_q):
+        pts = pol.grid.points
+        end = int(np.sum(pts < pol.gamma)) - 1
+        below = np.nextafter(pol.gamma, 0.0)
+        probes = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]), [below, pol.gamma]])
+        batched = pol._continue_indices(probes)
+        scalar = [pol._continue_index(float(pi)) for pi in probes]
+        nearest = [min(pol.grid.nearest_index(float(pi)), end) for pi in probes]
+        assert batched.tolist() == scalar == nearest
+        assert batched[-2] == end
+        if pol.kind == "control_m":
+            assert pol.awake_map[batched].tolist() == [pol.awake_count_at(pi) for pi in probes]
+        else:
+            assert pol.wake_prob_map[batched].tolist() == [pol.wake_prob_at(pi) for pi in probes]
+
+
 def test_extract_policy_open_loop_carries_q(problem, solved_open_loop, operator):
     J, _ = solved_open_loop
     pol = extract_policy(J, problem, "open_loop", q=0.03, operator=operator)

@@ -15,10 +15,10 @@ from quickwake import (
     metrics_from_episodes,
     run_episode,
     run_episodes,
-    sample_change_time,
     sweep_open_loop_q,
     value_iteration,
 )
+from quickwake import sim
 from tests.conftest import constant_count_policy
 
 
@@ -27,10 +27,13 @@ def test_default_horizon_cap():
     assert default_horizon_cap(ChangePrior(0.0, 0.3)) == 334
 
 
-def test_sample_change_time_distribution():
-    rng = np.random.default_rng(11)
-    prior = ChangePrior(rho=0.3, p=0.2)
-    draws = np.array([sample_change_time(rng, prior) for _ in range(20_000)])
+def test_change_time_distribution(problem, grid201):
+    # gamma = 0 stops every episode at slot 0, so only the change time is drawn.
+    prior_problem = Problem(problem.model, ChangePrior(rho=0.3, p=0.2), problem.costs, problem.n)
+    pol = constant_count_policy(prior_problem, grid201, 0.0, 1)
+    eps = list(run_episodes(prior_problem, pol, 20_000, 11))
+    assert all(e.stop_time == 0 for e in eps)
+    draws = np.array([e.change_time for e in eps])
     assert abs(float((draws == 0).mean()) - 0.3) < 0.01
     positive = draws[draws > 0]
     assert abs(float(positive.mean()) - 5.0) < 0.15  # geometric mean 1/p
@@ -124,17 +127,43 @@ def test_near_equal_variance_agrees_with_sum_statistic_path(problem, policy_cont
     assert abs(fast.mean_total_cost - slow.mean_total_cost) < 2.0 * width + 0.5
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-def test_base_seeds_give_distinct_streams(problem, grid201, operator201):
+@pytest.fixture(scope="module")
+def policy201(problem, grid201, operator201):
+    J, _ = value_iteration(problem, "control_m", grid201, operator=operator201)
+    return extract_policy(J, problem, "control_m", operator=operator201)
+
+
+def test_base_seeds_give_distinct_streams(problem, policy201):
     """Different base seeds must simulate different episodes.
 
-    Episode i is seeded ``base_seed ^ i``, so at 512 replications base
-    seeds 0 to 3 all draw seeds 0..511 and report the same mean cost.
+    Seeding episode i with ``base_seed ^ i`` made base seeds 0 to 3 draw
+    the same 512 episodes and report the same mean cost.
     """
-    J, _ = value_iteration(problem, "control_m", grid201, operator=operator201)
-    pol = extract_policy(J, problem, "control_m", operator=operator201)
-    costs = [estimate_metrics(problem, pol, 512, seed).mean_total_cost for seed in range(4)]
+    costs = [estimate_metrics(problem, policy201, 512, seed).mean_total_cost for seed in range(4)]
     assert len({round(c, 9) for c in costs}) == 4
+
+
+def test_same_base_seed_repeats_bit_for_bit(problem, policy201):
+    a = list(run_episodes(problem, policy201, 300, 42))
+    b = list(run_episodes(problem, policy201, 300, 42))
+    assert a == b
+    assert [e.episode for e in a] == list(range(300))
+    assert estimate_metrics(problem, policy201, 300, 42) == metrics_from_episodes(a)
+
+
+def test_blocks_do_not_depend_on_their_neighbours(problem, policy201, monkeypatch):
+    """Block b runs on child b of SeedSequence(base_seed), whatever the run length."""
+    monkeypatch.setattr(sim, "BLOCK_EPISODES", 4)
+    ten = list(run_episodes(problem, policy201, 10, 7))
+    eight = list(run_episodes(problem, policy201, 8, 7))
+    assert ten[:8] == eight
+    for b, count in enumerate((4, 4, 2)):
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(b + 1)[b])
+        change, stop, _, final, _ = sim._run_block(problem, policy201, rng, count, None)
+        block = ten[4 * b: 4 * b + count]
+        assert [e.change_time for e in block] == change.tolist()
+        assert [e.stop_time for e in block] == stop.tolist()
+        assert [e.final_belief for e in block] == final.tolist()
 
 
 def test_policy_problem_mismatch_rejected(problem, policy_control_m):
