@@ -41,6 +41,11 @@ interface; see the oracle module.  An atom-built stack is dense when the
 atoms can fill its rows (twice the largest per-regime atom count reaches
 the grid size, as the histogram's thousands of atoms do at the default
 grid) and CSR otherwise (a binary alphabet's few atoms on a fine grid).
+The dense build works like the closed form, per row and grid segment:
+the atoms are sorted once per ``m``, the preimages of the grid nodes cut
+them into segments, and each segment's mass and first moment give the
+node shares.  Both builds take a block of rows at a time, so their
+temporaries are one block of rows by the grid or atom count.
 """
 
 from __future__ import annotations
@@ -63,11 +68,12 @@ DEFAULT_MAX_ITERS = 10_000
 TOLERANCE_SCALE = 1e-6
 MC_DRAWS = 100_000
 MC_BINS = 4096
-# (belief row, atom) pairs interpolated at once when building from atoms;
-# the dense build holds about 80 bytes of temporaries per pair (21 MB).
+# (belief row, atom) pairs interpolated at once by the CSR atom build,
+# which holds a COO triple and its CSR copy for each pair.
 ATOM_CHUNK_ENTRIES = 1 << 18
-# Belief rows of one m-block built at once by the closed form.
-EXACT_ROWS = 32
+# Belief rows of one m-block built at once by the closed form and the
+# dense atom build.
+BLOCK_ROWS = 32
 
 # Stopping wins ties within this margin, and argmin ties resolve toward
 # the smaller m or q.
@@ -254,13 +260,6 @@ def monte_carlo_atoms(
     return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
 
 
-def _interp_index(pts: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left node and clipped fraction of each query's interpolation cell."""
-    idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, pts.size - 2)
-    frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
-    return idx, frac
-
-
 def _interp_matrix(
     grid: BeliefGrid, query: np.ndarray, weights: np.ndarray | None = None
 ) -> sparse.csr_matrix:
@@ -271,7 +270,9 @@ def _interp_matrix(
     query = query.reshape(query.shape[0], -1)
     if weights is None:
         weights = np.ones_like(query)
-    idx, frac = _interp_index(grid.points, query)
+    pts = grid.points
+    idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, pts.size - 2)
+    frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
     rows = np.repeat(np.arange(query.shape[0]), 2 * query.shape[1])
     cols = np.stack([idx, idx + 1], axis=-1).ravel()
     data = np.stack([weights * (1.0 - frac), weights * frac], axis=-1).ravel()
@@ -287,6 +288,9 @@ class ExpectationOperator:
     in; block 0 is prediction plus interpolation.  The closed form stores
     it dense.  An atom-built map is dense when twice its largest
     per-regime atom count reaches the grid size, and CSR below that.
+    Dense stacks are filled ``BLOCK_ROWS`` rows at a time from segment
+    sums, so building one needs only a block's temporaries beyond the
+    stack itself.
     """
 
     def __init__(self, grid: BeliefGrid, p: float, n: int, method: str, stack):
@@ -302,18 +306,41 @@ class ExpectationOperator:
         return (self.stack @ values).reshape(self.n + 1, self.grid.size)
 
 
+def _segment_shares(
+    out: np.ndarray, mass: np.ndarray, first: np.ndarray, pts: np.ndarray, step: np.ndarray
+) -> None:
+    """Write node shares into ``out`` from segment sums, one row per belief.
+
+    On segment ``j`` (between ``pts[j]`` and ``pts[j + 1]``) the
+    interpolated value function is affine in the posterior, so a row needs
+    only each segment's probability ``mass`` and ``first`` moment (mass
+    times posterior): the upper node takes ``(first - pts[j] * mass) /
+    step[j]`` and the lower node the rest.
+    """
+    upper = (first - pts[:-1] * mass) / step
+    np.subtract(mass, upper, out=out[:, :-1])
+    out[:, -1] = 0.0
+    out[:, 1:] += upper
+
+
 def _operator_from_atoms(
     atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, method: str
 ) -> ExpectationOperator:
-    """Atom-weighted interpolation, ``ATOM_CHUNK_ENTRIES`` (row, atom) pairs at a time.
+    """Atom-weighted interpolation, dense by segment sums or CSR by pairs.
 
     The storage is fixed by the atom counts before anything is allocated.
     Each atom puts two entries in a row, so once twice the largest
-    per-regime count reaches the grid size the rows can fill: the stack
-    is dense, and each chunk of rows is accumulated by ``np.bincount``
-    over flat ``row * g + col`` keys with no sparse intermediate.  Fewer
-    atoms (a binary alphabet on a fine grid) keep a CSR stack, which a
-    dense one would fill mostly with zeros.
+    per-regime count reaches the grid size the rows can fill and the
+    stack is dense.  Its rows are built ``BLOCK_ROWS`` at a time from
+    segment sums: both regimes' atoms are sorted together once per
+    ``m``, one ``searchsorted`` per block finds where each row's
+    preimages of the interior nodes cut them, and one ``np.add.reduceat``
+    sums each segment's mass and first moment, which ``_segment_shares``
+    turns into node shares as in the closed form.  The temporaries are
+    one block of rows by the atom count.  Fewer atoms (a binary alphabet
+    on a fine grid) keep a CSR stack, which a dense one would fill mostly
+    with zeros; it is built ``ATOM_CHUNK_ENTRIES`` (row, atom) pairs at a
+    time.
     """
     pts = grid.points
     g = grid.size
@@ -335,29 +362,58 @@ def _operator_from_atoms(
         return ExpectationOperator(grid, p, atoms.n, method, sparse.vstack(blocks, format="csr"))
     stack = np.empty(((atoms.n + 1) * g, g))
     stack[:g] = _interp_matrix(grid, t).toarray()
+    interior = _logit_array(pts[1:-1])
+    step = np.diff(pts)
+    scale0 = np.exp(-l0)
     for m in range(1, atoms.n + 1):
-        # Both regimes' atoms go through one key array per chunk.
+        # Both regimes in one ascending order.  A row weighs post-change
+        # atoms by t and pre-change ones by 1 - t, i.e. pre + t * diff.
         llr = np.concatenate((atoms.llr1[m], atoms.llr0[m]))
-        step = max(1, ATOM_CHUNK_ENTRIES // max(llr.size, 1))
+        order = np.argsort(llr)
+        post = order < atoms.llr1[m].size
+        llr = llr[order]
+        w = np.concatenate((atoms.w1[m], atoms.w0[m]))[order]
+        pre = np.where(post, 0.0, w)
+        diff = np.where(post, w, -w)
+        with np.errstate(over="ignore"):
+            scale = np.exp(-llr)
+        count = llr.size
         block = stack[m * g:(m + 1) * g]
-        for lo in range(0, g, step):
-            r = slice(lo, min(lo + step, g))
-            tr = t[r, None]
-            weight = np.concatenate((tr * atoms.w1[m], (1.0 - tr) * atoms.w0[m]), axis=1)
-            idx, frac = _interp_index(pts, expit(l0[r, None] + llr))
-            # Lower shares land on the left node and upper shares one
-            # column right of it, still in the row because idx <= g - 2.
-            keys = (idx + g * np.arange(tr.shape[0])[:, None]).ravel()
-            upper = weight * frac
-            weight -= upper
-            out = block[r].reshape(-1)
-            out[:] = np.bincount(keys, weight.ravel(), out.size)
-            out[1:] += np.bincount(keys, upper.ravel(), out.size)[:-1]
+        for lo in range(0, g, BLOCK_ROWS):
+            r = slice(lo, min(lo + BLOCK_ROWS, g))
+            rows = r.stop - lo
+            # An atom lies on segment j >= 1 of a row when its llr reaches
+            # logit(pts[j]) - l0, i.e. when its posterior reaches pts[j];
+            # the last segment keeps posteriors of 1.  Each row's starts
+            # close with the index of a zero pad and are offset into the
+            # flat block.
+            starts = np.empty((rows, g), dtype=np.intp)
+            starts[:, 0] = 0
+            starts[:, 1:-1] = np.searchsorted(llr, interior - l0[r, None])
+            starts[:, -1] = count
+            empty = starts[:, 1:] == starts[:, :-1]
+            starts += (count + 1) * np.arange(rows)[:, None]
+            # Mass in the real part and mass times posterior in the
+            # imaginary part, so one reduceat sums both.  The posterior
+            # is 1 / (1 + e^{-l0} e^{-llr}); an overflow to inf gives 0.
+            z = np.empty((rows, count + 1), dtype=complex)
+            z[:, -1] = 0.0
+            mass, first = z.real[:, :-1], z.imag[:, :-1]
+            np.multiply(t[r, None], diff, out=mass)
+            mass += pre
+            with np.errstate(over="ignore"):
+                np.multiply(scale0[r, None], scale, out=first)
+            first += 1.0
+            np.divide(mass, first, out=first)
+            sums = np.add.reduceat(z.ravel(), starts.ravel()).reshape(rows, g)[:, :-1]
+            # reduceat returns the start element for an empty segment.
+            sums[empty] = 0.0
+            _segment_shares(block[r], sums.real, sums.imag, pts, step)
     return ExpectationOperator(grid, p, atoms.n, method, stack)
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:
-    """Closed-form stack, ``EXACT_ROWS`` rows of an m-block at a time.
+    """Closed-form stack, ``BLOCK_ROWS`` rows of an m-block at a time.
 
     A row splits the observation-sum axis at the preimages of the grid
     nodes; on each segment the interpolated value function is affine in
@@ -377,7 +433,7 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
     live = int(np.searchsorted(t, 1.0 - EPS))
     stack = np.empty(((n + 1) * g, g))
     stack[:g] = _interp_matrix(grid, t).toarray()
-    bounds = np.empty((EXACT_ROWS, g))
+    bounds = np.empty((BLOCK_ROWS, g))
     for m in range(1, n + 1):
         a, b = _llr_coefficients(model, m)
         # Dividing by a signed sd orders every row's z upward whatever a's sign.
@@ -386,8 +442,8 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
         block = stack[m * g:(m + 1) * g]
         block[live:] = 0.0
         block[live:, -1] = 1.0
-        for lo in range(0, live, EXACT_ROWS):
-            r = slice(lo, min(lo + EXACT_ROWS, live))
+        for lo in range(0, live, BLOCK_ROWS):
+            r = slice(lo, min(lo + BLOCK_ROWS, live))
             cut = bounds[:r.stop - lo]
             cut[:, 1:-1] = (interior - l0[r, None] - b) / a
             d = []
@@ -403,12 +459,7 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
                 d.append(np.maximum(seg, 0.0, out=seg))
             tr = t[r, None]
             post_mass = tr * d[1]
-            mass = post_mass + (1.0 - tr) * d[0]
-            upper = (post_mass - pts[:-1] * mass) / step
-            out = block[r]
-            np.subtract(mass, upper, out=out[:, :-1])
-            out[:, -1] = 0.0
-            out[:, 1:] += upper
+            _segment_shares(block[r], post_mass + (1.0 - tr) * d[0], post_mass, pts, step)
     return ExpectationOperator(grid, p, n, "exact", stack)
 
 

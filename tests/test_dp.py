@@ -153,6 +153,26 @@ def _atom_case(name):
             rho=0.1, p=0.2, lambda_s=0.2, lambda_f=10.0,
         )
         return likelihood_atoms(inst), BeliefGrid.uniform(201), inst.p, sparse.csr_matrix
+    if name == "segment_edges":
+        # With p = 0 every row's prior is a node, so a ratio that is a
+        # difference of node logits puts the posterior on a node: exactly
+        # for 30 of a regime's 110 (row, atom) pairs, among them llr = 0
+        # at t = 0.5, where l0 = 0.  Repeated ratios, shared by both
+        # regimes and given out of order, leave empty segments between
+        # equal ratios.  Ten atoms per regime on 11 nodes is dense.
+        grid = BeliefGrid.uniform(11)
+        nodes = np.log(grid.points[1:-1]) - np.log1p(-grid.points[1:-1])
+        llr = np.concatenate((nodes[[1, 6, 6, 7]] - nodes[3], [0.0, 0.0, 0.0, -2.0, 1.5, 1.5]))
+        assert expit(llr[4]) == grid.points[5]  # the row t = 0.5, where l0 = 0
+        rng = np.random.default_rng(5)
+        w0, w1 = rng.uniform(0.5, 1.5, (2, llr.size))
+        perm0, perm1 = rng.permutation(llr.size), rng.permutation(llr.size)
+        empty = np.empty(0)
+        atoms = LikelihoodAtoms(
+            n=1, llr0=(empty, llr[perm0]), w0=(empty, w0[perm0] / w0.sum()),
+            llr1=(empty, llr[perm1]), w1=(empty, w1[perm1] / w1.sum()),
+        )
+        return atoms, grid, 0.0, np.ndarray
     # Ratios of e^{+-800} put posteriors exactly on 0 and 1: the right
     # end hits the idx clip, and p = 0.5 drives the last rows to t = 1.
     # Eight atoms per regime sit on the storage rule's edge: dense at
@@ -172,7 +192,8 @@ def _atom_case(name):
 # without a divide or an invalid value on either storage path.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "case", ["monte_carlo", "nonuniform", "oracle", "end_cells_dense", "end_cells_sparse"]
+    "case",
+    ["monte_carlo", "nonuniform", "oracle", "end_cells_dense", "end_cells_sparse", "segment_edges"],
 )
 def test_atom_operator_matches_coo_reference(case):
     atoms, grid, p, storage = _atom_case(case)
@@ -181,6 +202,32 @@ def test_atom_operator_matches_coo_reference(case):
     built = op.stack.toarray() if sparse.issparse(op.stack) else op.stack
     assert np.abs(built - coo_atom_stack(atoms, grid, p).toarray()).max() < 1e-12
     assert np.abs(op.apply_all(np.ones(grid.size)) - 1.0).max() < 1e-12
+
+
+def test_monte_carlo_operator_rows_match_direct_sum_at_grid_1001(grid1001):
+    """Production-size dense atom build against a per-row interpolation sum."""
+    atoms = monte_carlo_atoms(SensorModel(0.0, 1.0, 1.0, 1.2), 10)
+    p = 0.01
+    op = operator_from_atoms(atoms, grid1001, p)
+    assert isinstance(op.stack, np.ndarray)
+    assert np.abs(op.apply_all(np.ones(grid1001.size)) - 1.0).max() < 1e-12
+    pts = grid1001.points
+    g = grid1001.size
+    for i in (0, 1, 500, 999, 1000):
+        t = pts[i] + (1.0 - pts[i]) * p
+        l0 = logit(t)
+        for m in (1, 5, 10):
+            direct = np.zeros(g)
+            for weight, llrs, wts in (
+                (t, atoms.llr1[m], atoms.w1[m]),
+                (1.0 - t, atoms.llr0[m], atoms.w0[m]),
+            ):
+                post = expit(l0 + llrs)
+                idx = np.clip(np.searchsorted(pts, post, side="right") - 1, 0, g - 2)
+                frac = np.clip((post - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
+                np.add.at(direct, idx, weight * wts * (1.0 - frac))
+                np.add.at(direct, idx + 1, weight * wts * frac)
+            assert np.abs(op.stack[m * g + i] - direct).max() < 1e-12
 
 
 def test_binomial_weights_match_scipy():
