@@ -21,8 +21,13 @@ and a mixture over awake counts (the identity for control_m, binomial
 rows for control_q, a single row for open_loop and fixed_m).
 
 The stationary problem is solved by policy iteration: a sweep picks the
-stop set and actions, and one linear solve on the continue set gives
-that policy's exact cost.  Finite horizons take plain sweeps.
+stop set and actions, and one linear solve on the continue set C gives
+that policy's exact cost.  The solve reads only the policy's continue
+rows, ``|C| x g``, formed once per round; when C is an interval, as on
+every instance solved so far, a dense stack gives them by slices of its
+blocks.  The multi-sweep solvers fold a single action's mixture into one
+``g x g`` map first; one-off sweeps read the stack directly.  Finite
+horizons take plain sweeps.
 
 For equal-variance Gaussian observations the ``m`` awake samples enter
 the posterior only through their sum ``s``, whose marginal is the
@@ -517,8 +522,9 @@ class BellmanMaps:
     ``best_action`` holds the minimizing awake count or wake probability
     per grid node; finite-horizon sweeps leave it ``None``.
     ``expected_next`` is the block product ``E[J(next belief)]`` per
-    awake count (``operator.apply_all(values)``) for control_m and
-    control_q, and the single folded row for open_loop and fixed_m.
+    awake count (``operator.apply_all(values)``) for every strategy
+    ``bellman_maps`` sweeps; only the multi-sweep solvers, which sweep a
+    single action's folded map, get its one row instead.
     """
 
     new_values: np.ndarray
@@ -532,14 +538,17 @@ class _ActionSet:
     """A strategy as one sweep sees it.
 
     Row ``a`` of ``cost[:, None] + weights @ (stack @ J).reshape(-1, g)``
-    is the continuation cost of action ``actions[a]``.  ``refine`` marks
-    control_q, whose grid minimum is refined between its neighbours.
-    ``private`` marks a dense ``stack`` built for this action set alone
-    (a single action's fold), which a solve may work in place.
+    is the continuation cost of action ``actions[a]``.  ``weights`` None
+    stands for the identity: action ``a`` plays block ``a`` of the stack
+    (control_m's awake counts, or a single action's fold).  ``refine``
+    marks control_q, whose grid minimum is refined between its
+    neighbours.  ``private`` marks a dense ``stack`` built for this
+    action set alone (a single action's fold), so policy evaluation may
+    take its continue rows as a view and work in them in place.
     """
 
     stack: object
-    weights: np.ndarray
+    weights: np.ndarray | None
     cost: np.ndarray
     actions: np.ndarray
     refine: bool = False
@@ -552,7 +561,7 @@ def _sweep(
     """One Bellman sweep; the argmin action is only formed when ``decide``
     is set or control_q needs it to bracket its refinement."""
     B = (acts.stack @ values).reshape(-1, pts.size)
-    table = acts.cost[:, None] + acts.weights @ B
+    table = acts.cost[:, None] + (B if acts.weights is None else acts.weights @ B)
     cont = table.min(axis=0)
     best = None
     if decide or acts.refine:
@@ -584,7 +593,7 @@ def _action_set(
     lam_s = problem.costs.lambda_s
     if strategy == "control_m":
         counts = np.arange(n + 1)
-        return _ActionSet(operator.stack, np.eye(n + 1), lam_s * counts, counts)
+        return _ActionSet(operator.stack, None, lam_s * counts, counts)
     if strategy == "control_q":
         if q_grid is None:
             q_grid = np.linspace(0.0, 1.0, q_grid_size)
@@ -606,13 +615,18 @@ def _action_set(
         weights, cost, action = np.eye(n + 1)[fixed_m], lam_s * fixed_m, fixed_m
     else:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    # A single action: fold its mixture over awake counts into one g x g map.
-    mix = sparse.kron(weights[None, :], sparse.identity(operator.grid.size), format="csr")
-    fold = mix @ operator.stack
-    return _ActionSet(
-        fold, np.ones((1, 1)), np.array([cost]), np.array([action]),
-        private=isinstance(fold, np.ndarray),
-    )
+    return _ActionSet(operator.stack, weights[None, :], np.array([cost]), np.array([action]))
+
+
+def _fold(acts: _ActionSet, g: int) -> _ActionSet:
+    """A single unrefined action with its mixture over awake counts folded
+    into one ``g x g`` map, for solvers that sweep it many times; any other
+    action set as it is."""
+    if acts.refine or acts.weights is None or acts.weights.shape[0] != 1:
+        return acts
+    mix = sparse.kron(acts.weights, sparse.identity(g), format="csr")
+    fold = mix @ acts.stack
+    return _ActionSet(fold, None, acts.cost, acts.actions, private=isinstance(fold, np.ndarray))
 
 
 def _resolve_operator(
@@ -633,13 +647,6 @@ def _resolve_grid(grid) -> BeliefGrid:
     if isinstance(grid, (int, np.integer)):
         return BeliefGrid.uniform(int(grid))
     return BeliefGrid(np.asarray(grid, dtype=float))
-
-
-def _gather(stack, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dense ``stack[rows][:, cols]`` without a copy of the full rows."""
-    if sparse.issparse(stack):
-        return stack[rows][:, cols].toarray()
-    return stack[np.ix_(rows, cols)]
 
 
 def _solve_identity_minus(P: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -664,41 +671,58 @@ def _evaluate_policy(
 ) -> np.ndarray:
     """Exact cost of stopping on ``stop`` and playing ``best`` elsewhere.
 
-    Solves ``(I - P_CC) J_C = pi_C + c(a_C) + P_CS J_S`` on the continue
-    set C, with ``J_S`` the stopping cost.  Row i of ``P_CC`` is block
-    ``m_i`` of the stack for an awake count, the binomial mixture of the
-    blocks for a wake probability, and the folded map's row for a single
-    action.  The C x C block is gathered once, or, when C is an interval
-    of a private fold, used where it lies; no copy of the stack rows and
-    no identity is formed.  ``numpy.linalg`` is used rather than
-    ``scipy.linalg``: importing the latter costs more resident memory and
-    import time than the transient copy numpy's solver makes.
+    Forms ``P_C``, the continue rows (``|C| x g``) of the policy's
+    transition matrix, once: row i is block ``m_i`` of the stack for an
+    awake count, the binomial mixture of the blocks for a wake
+    probability or an unfolded single action, and the folded map's row
+    for a folded one.  ``values`` is the stopping cost on the stop set S
+    and 0 on C, so ``P_C @ values`` is ``P_CS J_S`` and the solve is
+    ``(I - P_C[:, C]) J_C = pi_C + c(a_C) + P_C @ values``.  When C is an
+    interval ``[lo, hi)`` of a dense stack, a mixture is one ``einsum``
+    over rows ``lo:hi`` of every block.  Rows that each read one block
+    (an awake count, or a fold) are gathered up to column ``hi`` only,
+    the columns past it entering the right-hand side at once, so no wider
+    copy is held while the solver copies ``P_C[:, C]``; a private fold's
+    rows are a view, worked in place and restored.  A mixture on any
+    other C, or on a CSR stack, takes a sparse mixing matrix that reads
+    only C's rows of each block.
+    ``numpy.linalg`` is used rather than ``scipy.linalg``: importing the
+    latter costs more resident memory and import time than the transient
+    copy numpy's solver makes.
     """
     g = pts.size
     values = np.where(stop, problem.costs.lambda_f * (1.0 - pts), 0.0)
     C = np.flatnonzero(~stop)
     if C.size == 0:
         return values
-    B = (acts.stack @ values).reshape(-1, g)[:, C]
+    lo, hi = C[0], C[-1] + 1
+    interval = hi - lo == C.size
     if acts.refine:
-        q = best[C]
-        w = _binomial_table(problem.n, q)
-        rhs = problem.costs.lambda_s * problem.n * q + np.einsum("cm,mc->c", w, B)
-        A = np.zeros((C.size, C.size))
-        for m in range(problem.n + 1):
-            block = _gather(acts.stack, m * g + C, C)
-            block *= w[:, m, None]
-            A += block
+        w = _binomial_table(problem.n, best[C])
+        rhs = pts[C] + problem.costs.lambda_s * problem.n * best[C]
     else:
         # Unrefined action sets (awake counts, or one action) are sorted.
         j = np.searchsorted(acts.actions, best[C])
-        rhs = acts.cost[j] + B[j, np.arange(C.size)]
-        lo, hi = C[0], C[-1] + 1
-        if acts.private and hi - lo == C.size:
-            A = acts.stack[lo:hi, lo:hi]
-        else:
-            A = _gather(acts.stack, j * g + C, C)
-    values[C] = _solve_identity_minus(A, rhs + pts[C])
+        w = None if acts.weights is None else acts.weights[j]
+        rhs = pts[C] + acts.cost[j]
+    if w is None:
+        # Columns from hi on are all in S.  A fold is one block, so its
+        # continue rows are rows lo:hi.
+        rows = slice(lo, hi) if acts.private and interval else j * g + C
+        P = acts.stack[rows, :hi]
+        rhs += acts.stack[rows, hi:] @ values[hi:]
+    elif interval and isinstance(acts.stack, np.ndarray):
+        P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
+    else:
+        counts = w.shape[1]
+        cols = (C[:, None] + g * np.arange(counts)).ravel()
+        rows = np.arange(C.size).repeat(counts)
+        mix = sparse.csr_matrix((w.ravel(), (rows, cols)), shape=(C.size, acts.stack.shape[0]))
+        P = mix @ acts.stack
+    if sparse.issparse(P):
+        P = P.toarray()
+    rhs += P @ values[:P.shape[1]]
+    values[C] = _solve_identity_minus(P[:, lo:hi] if interval else P[:, C], rhs)
     return values
 
 
@@ -758,6 +782,7 @@ def value_iteration(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    acts = _fold(acts, grid.size)
     start = time.perf_counter()
     pts = grid.points
     stop_cost = problem.costs.lambda_f * (1.0 - pts)
@@ -829,6 +854,7 @@ def solve_finite_horizon(
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator, method)
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    acts = _fold(acts, grid.size)
     values = problem.costs.lambda_f * (1.0 - grid.points)
     for _ in range(sweeps):
         values = _sweep(values, problem, grid.points, acts).new_values
@@ -849,7 +875,9 @@ def bellman_maps(
     """One sweep over the whole grid, exposing the per-point decisions.
 
     Policy extraction applies this to a converged value function to read
-    off the continuation values and minimizing actions.
+    off the continuation values and minimizing actions.  A single
+    action's one-row mixture is swept over the whole stack, which costs
+    less than building its fold for one sweep.
     """
     operator = _resolve_operator(problem, J.grid, operator)
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)

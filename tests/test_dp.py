@@ -11,6 +11,7 @@ from quickwake import (
     ConvergenceError,
     Costs,
     DiscreteInstance,
+    ExpectationOperator,
     Problem,
     SensorModel,
     LikelihoodAtoms,
@@ -31,7 +32,15 @@ from quickwake import (
 
 
 from quickwake.belief import EPS
-from quickwake.dp import _solve_identity_minus
+from quickwake.dp import (
+    _action_set,
+    _binomial_table,
+    _evaluate_policy,
+    _fold,
+    _solve_identity_minus,
+    _sweep,
+)
+from quickwake.policy import _threshold_from_continuation
 from tests.conftest import make_benchmark_problem
 
 
@@ -447,7 +456,7 @@ def test_q_grid_range_checked_on_every_entry_point(problem, grid201, operator201
 
 
 def test_bellman_open_loop_is_control_q_at_fixed_q(problem, solved_open_loop, operator):
-    """The folded single-q map against the unfolded binomial mixture."""
+    """open_loop's one-row sweep against control_q's sweep over that one q."""
     J, _ = solved_open_loop
     folded = bellman_maps(J, problem, "open_loop", q=0.03, operator=operator)
     mixed = bellman_maps(J, problem, "control_q", q_grid=np.array([0.03]), operator=operator)
@@ -570,3 +579,101 @@ def test_value_iteration_is_the_exact_fixed_point(problem, grid201, operator201,
     assert np.max(np.abs(maps.new_values - J.values)) == pytest.approx(
         report.bellman_residual, abs=1e-12
     )
+
+
+STRATEGY_KW = {
+    "control_m": {},
+    "control_q": {},
+    "open_loop": {"q": 0.03},
+    "fixed_m": {"fixed_m": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def csr_operator201(problem, grid201, operator201):
+    """The grid-201 exact stack stored as CSR, to drive the sparse paths."""
+    return ExpectationOperator(
+        grid201, problem.prior.p, problem.n, "exact", sparse.csr_matrix(operator201.stack)
+    )
+
+
+def _unfolded_action_set(problem, operator, strategy, kw):
+    """The unfolded action set that a sweep of ``strategy`` sees."""
+    return _action_set(problem, operator, strategy, kw.get("q"), kw.get("fixed_m"), None, 101)
+
+
+def _dense(stack):
+    return stack.toarray() if sparse.issparse(stack) else stack
+
+
+def _random_policy(problem, strategy, g, rng):
+    """Random continue-set actions with each node's mixture over awake counts."""
+    n, lam_s = problem.n, problem.costs.lambda_s
+    if strategy == "control_m":
+        best = rng.integers(0, n + 1, g).astype(float)
+        return best, np.eye(n + 1)[best.astype(int)], lam_s * best
+    if strategy == "control_q":
+        best = rng.random(g)
+        return best, _binomial_table(n, best), lam_s * n * best
+    if strategy == "open_loop":
+        best = np.full(g, 0.03)
+        return best, _binomial_table(n, best), lam_s * n * best
+    best = np.full(g, 1.0)
+    return best, np.eye(n + 1)[np.ones(g, dtype=int)], lam_s * best
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGY_KW))
+def test_policy_evaluation_matches_dense_reference(
+    problem, grid201, operator201, csr_operator201, strategy
+):
+    """Policy evaluation against a solve of the policy's full g x g
+    transition matrix, assembled row by row from the stack blocks, on
+    dense and CSR stacks and on a continue set with and without a hole.
+    The stationary solve must also agree between the two storages."""
+    kw = STRATEGY_KW[strategy]
+    pts = grid201.points
+    g, n, lam_f = grid201.size, problem.n, problem.costs.lambda_f
+    rng = np.random.default_rng(11)
+    best, weights, cost = _random_policy(problem, strategy, g, rng)
+    stack = operator201.stack
+    P = np.zeros((g, g))
+    for i in range(g):
+        for m in range(n + 1):
+            P[i] += weights[i, m] * stack[m * g + i]
+    interval = pts >= 0.8
+    holed = interval.copy()
+    holed[50:55] = True
+    for stop in (interval, holed):
+        A = np.eye(g) - np.where(stop[:, None], 0.0, P)
+        ref = np.linalg.solve(A, np.where(stop, lam_f * (1.0 - pts), pts + cost))
+        for op in (operator201, csr_operator201):
+            # A single action is evaluated both folded and unfolded.
+            unfolded = _unfolded_action_set(problem, op, strategy, kw)
+            for acts in (unfolded, _fold(unfolded, g)):
+                before = _dense(acts.stack).copy()
+                J = _evaluate_policy(problem, pts, acts, stop, best)
+                np.testing.assert_allclose(J, ref, rtol=0, atol=1e-12)
+                # A private fold is worked in place and must come back unchanged.
+                assert np.array_equal(_dense(acts.stack), before)
+    J_dense, rep_dense = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
+    J_csr, rep_csr = value_iteration(problem, strategy, grid201, operator=csr_operator201, **kw)
+    np.testing.assert_allclose(J_csr.values, J_dense.values, rtol=0, atol=1e-12)
+    assert rep_csr.iterations == rep_dense.iterations
+
+
+@pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
+def test_single_action_extraction_matches_folded_sweep(problem, grid201, operator201, strategy):
+    """One-off sweeps of a single action read the stack unfolded; they
+    must agree with the folded map the stationary solve sweeps."""
+    kw = STRATEGY_KW[strategy]
+    J, _ = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
+    pts = grid201.points
+    acts = _unfolded_action_set(problem, operator201, strategy, kw)
+    folded = _sweep(J.values, problem, pts, _fold(acts, grid201.size), decide=True)
+    maps = bellman_maps(J, problem, strategy, operator=operator201, **kw)
+    np.testing.assert_allclose(maps.continue_values, folded.continue_values, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(maps.best_action, folded.best_action)
+    np.testing.assert_array_equal(maps.expected_next, operator201.apply_all(J.values))
+    gamma = _threshold_from_continuation(grid201, folded.continue_values, problem.costs.lambda_f)
+    policy = extract_policy(J, problem, strategy, operator=operator201, **kw)
+    assert policy.gamma == pytest.approx(gamma, abs=1e-12)
