@@ -489,12 +489,15 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
+    grid = BeliefGrid.uniform(cfg.grid_size)
+    operator = build_expectation_operator(cfg.problem, grid, cfg.method)
     result = calibrate_lambda_f(
         cfg.problem, cfg.strategy, cfg.target_alpha, cfg.calibrate_tolerance,
         lambda_lo=cfg.lambda_lo, lambda_hi=cfg.lambda_hi, max_trials=cfg.max_trials,
         replications=max(cfg.replications, 1), base_seed=cfg.base_seed,
-        grid=cfg.grid_size, horizon_cap=cfg.horizon_cap,
+        grid=grid, horizon_cap=cfg.horizon_cap,
         q=cfg.open_loop_q, fixed_m=cfg.fixed_m, q_grid_size=cfg.q_grid_size,
+        operator=operator,
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     doc = {

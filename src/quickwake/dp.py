@@ -50,13 +50,19 @@ The dense build works like the closed form, per row and grid segment:
 the atoms are sorted once per ``m``, the preimages of the grid nodes cut
 them into segments, and each segment's mass and first moment give the
 node shares.  Both builds take a block of rows at a time, so their
-temporaries are one block of rows by the grid or atom count.
+temporaries are one block of rows by the grid or atom count.  The
+m-blocks are filled concurrently, one thread per CPU the process may run
+on (at most ``n``); each row's arithmetic is the same on any thread, so
+the stack does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +83,7 @@ MC_BINS = 4096
 # which holds a COO triple and its CSR copy for each pair.
 ATOM_CHUNK_ENTRIES = 1 << 18
 # Belief rows of one m-block built at once by the closed form and the
-# dense atom build.
+# dense atom build, shared out among the build's worker threads.
 BLOCK_ROWS = 32
 
 # Stopping wins ties within this margin, and argmin ties resolve toward
@@ -293,9 +299,11 @@ class ExpectationOperator:
     in; block 0 is prediction plus interpolation.  The closed form stores
     it dense.  An atom-built map is dense when twice its largest
     per-regime atom count reaches the grid size, and CSR below that.
-    Dense stacks are filled ``BLOCK_ROWS`` rows at a time from segment
-    sums, so building one needs only a block's temporaries beyond the
-    stack itself.
+    Dense stacks are filled from segment sums, their m-blocks
+    concurrently on the process's CPUs and each a few rows at a time, so
+    building one needs only one serial block's worth of temporaries
+    (``BLOCK_ROWS`` rows) beyond the stack itself.  The stack does not
+    depend on the worker count.
     """
 
     def __init__(self, grid: BeliefGrid, p: float, n: int, method: str, stack):
@@ -328,6 +336,54 @@ def _segment_shares(
     out[:, 1:] += upper
 
 
+def _build_workers(n: int) -> int:
+    """Threads that fill an ``n``-count stack: one per CPU this process
+    may run on, and no more than there are m-blocks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(n, cpus))
+
+
+def _fill_blocks(make_fill, n: int) -> None:
+    """Fill m-blocks 1..n of a stack concurrently, one awake count a task.
+
+    ``make_fill(block_rows)`` returns a function of ``m`` that writes only
+    block m, ``block_rows`` rows at a time, using scratch of its own.  The
+    builds' kernels (``ndtr``, ``searchsorted``, ``reduceat``) release the
+    GIL, so the calling thread and ``workers - 1`` pool threads take the
+    counts in turn from one shared queue.  Blocks of ``BLOCK_ROWS //
+    workers`` rows keep the workers' temporaries together at one serial
+    block's.  Every worker's fill, and so its scratch, is made in the
+    calling thread, whose heap already holds freed memory to reuse;
+    scratch first allocated in a pool thread would add to the peak.  Row
+    arithmetic does not depend on the block size, so the stack is the
+    same for any worker count.  With one worker no thread is started.
+    """
+    workers = _build_workers(n)
+    fills = [make_fill(max(1, BLOCK_ROWS // workers)) for _ in range(workers)]
+    counts = iter(range(1, n + 1))
+    lock = threading.Lock()
+
+    def work(fill) -> None:
+        while True:
+            with lock:
+                m = next(counts, None)
+            if m is None:
+                return
+            fill(m)
+
+    if workers == 1:
+        work(fills[0])
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(work, fill) for fill in fills[1:]]
+        work(fills[0])
+    for future in futures:
+        future.result()
+
+
 def _operator_from_atoms(
     atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, method: str
 ) -> ExpectationOperator:
@@ -336,13 +392,13 @@ def _operator_from_atoms(
     The storage is fixed by the atom counts before anything is allocated.
     Each atom puts two entries in a row, so once twice the largest
     per-regime count reaches the grid size the rows can fill and the
-    stack is dense.  Its rows are built ``BLOCK_ROWS`` at a time from
-    segment sums: both regimes' atoms are sorted together once per
-    ``m``, one ``searchsorted`` per block finds where each row's
-    preimages of the interior nodes cut them, and one ``np.add.reduceat``
-    sums each segment's mass and first moment, which ``_segment_shares``
-    turns into node shares as in the closed form.  The temporaries are
-    one block of rows by the atom count.  Fewer atoms (a binary alphabet
+    stack is dense.  Its rows are built a block at a time (see
+    ``_fill_blocks``) from segment sums: both regimes' atoms are sorted
+    together once per ``m``, one ``searchsorted`` per block finds where
+    each row's preimages of the interior nodes cut them, and one
+    ``np.add.reduceat`` sums each segment's mass and first moment, which
+    ``_segment_shares`` turns into node shares as in the closed form.  The
+    temporaries are one block of rows by the atom count.  Fewer atoms (a binary alphabet
     on a fine grid) keep a CSR stack, which a dense one would fill mostly
     with zeros; it is built ``ATOM_CHUNK_ENTRIES`` (row, atom) pairs at a
     time.
@@ -370,7 +426,15 @@ def _operator_from_atoms(
     interior = _logit_array(pts[1:-1])
     step = np.diff(pts)
     scale0 = np.exp(-l0)
-    for m in range(1, atoms.n + 1):
+    width = max(atoms.llr1[m].size + atoms.llr0[m].size for m in range(1, atoms.n + 1)) + 1
+
+    def make_fill(block_rows: int):
+        # Mass in the real part and mass times posterior in the imaginary
+        # part, so one reduceat sums both; a row's last entry is a zero pad.
+        z_buf = np.empty(block_rows * width, dtype=complex)
+        return lambda m: fill(m, block_rows, z_buf)
+
+    def fill(m: int, block_rows: int, z_buf: np.ndarray) -> None:
         # Both regimes in one ascending order.  A row weighs post-change
         # atoms by t and pre-change ones by 1 - t, i.e. pre + t * diff.
         llr = np.concatenate((atoms.llr1[m], atoms.llr0[m]))
@@ -384,13 +448,15 @@ def _operator_from_atoms(
             scale = np.exp(-llr)
         count = llr.size
         block = stack[m * g:(m + 1) * g]
-        for lo in range(0, g, BLOCK_ROWS):
-            r = slice(lo, min(lo + BLOCK_ROWS, g))
+        z_rows = z_buf[:block_rows * (count + 1)].reshape(block_rows, count + 1)
+        z_rows[:, -1] = 0.0
+        for lo in range(0, g, block_rows):
+            r = slice(lo, min(lo + block_rows, g))
             rows = r.stop - lo
             # An atom lies on segment j >= 1 of a row when its llr reaches
             # logit(pts[j]) - l0, i.e. when its posterior reaches pts[j];
             # the last segment keeps posteriors of 1.  Each row's starts
-            # close with the index of a zero pad and are offset into the
+            # close with the index of its zero pad and are offset into the
             # flat block.
             starts = np.empty((rows, g), dtype=np.intp)
             starts[:, 0] = 0
@@ -398,11 +464,9 @@ def _operator_from_atoms(
             starts[:, -1] = count
             empty = starts[:, 1:] == starts[:, :-1]
             starts += (count + 1) * np.arange(rows)[:, None]
-            # Mass in the real part and mass times posterior in the
-            # imaginary part, so one reduceat sums both.  The posterior
-            # is 1 / (1 + e^{-l0} e^{-llr}); an overflow to inf gives 0.
-            z = np.empty((rows, count + 1), dtype=complex)
-            z[:, -1] = 0.0
+            # The posterior is 1 / (1 + e^{-l0} e^{-llr}); an overflow to
+            # inf gives 0.
+            z = z_rows[:rows]
             mass, first = z.real[:, :-1], z.imag[:, :-1]
             np.multiply(t[r, None], diff, out=mass)
             mass += pre
@@ -414,11 +478,14 @@ def _operator_from_atoms(
             # reduceat returns the start element for an empty segment.
             sums[empty] = 0.0
             _segment_shares(block[r], sums.real, sums.imag, pts, step)
+
+    _fill_blocks(make_fill, atoms.n)
     return ExpectationOperator(grid, p, atoms.n, method, stack)
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:
-    """Closed-form stack, ``BLOCK_ROWS`` rows of an m-block at a time.
+    """Closed-form stack, a block of rows of an m-block at a time (see
+    ``_fill_blocks``).
 
     A row splits the observation-sum axis at the preimages of the grid
     nodes; on each segment the interpolated value function is affine in
@@ -438,33 +505,50 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
     live = int(np.searchsorted(t, 1.0 - EPS))
     stack = np.empty(((n + 1) * g, g))
     stack[:g] = _interp_matrix(grid, t).toarray()
-    bounds = np.empty((BLOCK_ROWS, g))
-    for m in range(1, n + 1):
+
+    def make_fill(block_rows: int):
+        # One block's scratch: the cuts, z and the tails; z > 0 and where
+        # it flips between neighbours; each regime's segment masses.
+        real = np.empty((3, block_rows, g))
+        flags = np.empty((2, block_rows, g), dtype=bool)
+        masses = np.empty((2, block_rows, g - 1))
+        return lambda m: fill(m, block_rows, real, flags, masses)
+
+    def fill(m: int, block_rows: int, real, flags, masses) -> None:
         a, b = _llr_coefficients(model, m)
         # Dividing by a signed sd orders every row's z upward whatever a's sign.
         sd = math.copysign(math.sqrt(m) * model.sigma0, a)
-        bounds[:, 0], bounds[:, -1] = -np.inf * a, np.inf * a
+        real[0, :, 0], real[0, :, -1] = -np.inf * a, np.inf * a
         block = stack[m * g:(m + 1) * g]
         block[live:] = 0.0
         block[live:, -1] = 1.0
-        for lo in range(0, live, BLOCK_ROWS):
-            r = slice(lo, min(lo + BLOCK_ROWS, live))
-            cut = bounds[:r.stop - lo]
+        for lo in range(0, live, block_rows):
+            r = slice(lo, min(lo + block_rows, live))
+            cut, z, tail = real[:, :r.stop - lo]
+            pos, flip = flags[:, :r.stop - lo]
+            d0, d1 = masses[:, :r.stop - lo]
             cut[:, 1:-1] = (interior - l0[r, None] - b) / a
-            d = []
-            for mu in (model.mu0, model.mu1):
-                z = (cut - m * mu) / sd
-                pos = z > 0
-                tail = ndtr(-np.abs(z))
+            for seg, mu in ((d0, model.mu0), (d1, model.mu1)):
+                np.subtract(cut, m * mu, out=z)
+                z /= sd
+                np.greater(z, 0, out=pos)
+                np.negative(np.abs(z, out=tail), out=tail)
+                ndtr(tail, out=tail)
                 # Phi(z) is the tail for z <= 0 and 1 - tail above; the 1
                 # enters only the segment that straddles 0.
                 np.negative(tail, out=tail, where=pos)
-                seg = np.diff(tail, axis=1)
-                seg += np.diff(pos, axis=1)
-                d.append(np.maximum(seg, 0.0, out=seg))
+                np.subtract(tail[:, 1:], tail[:, :-1], out=seg)
+                seg += np.not_equal(pos[:, 1:], pos[:, :-1], out=flip[:, 1:])
+                np.maximum(seg, 0.0, out=seg)
+            # Weighted by the prior: d1 becomes the post-regime mass and d0
+            # the total.
             tr = t[r, None]
-            post_mass = tr * d[1]
-            _segment_shares(block[r], post_mass + (1.0 - tr) * d[0], post_mass, pts, step)
+            d1 *= tr
+            d0 *= 1.0 - tr
+            d0 += d1
+            _segment_shares(block[r], d0, d1, pts, step)
+
+    _fill_blocks(make_fill, n)
     return ExpectationOperator(grid, p, n, "exact", stack)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .belief import EPS
-from .dp import BeliefGrid, ExpectationOperator, build_expectation_operator, value_iteration
+from .dp import ExpectationOperator, _resolve_grid, _resolve_operator, value_iteration
 from .model import ChangePrior, Problem, SensorModel
 from .policy import Policy, extract_policy
 
@@ -393,12 +393,8 @@ def sweep_open_loop_q(
         raise ValueError("q_values must not be empty")
     if np.any((q_values < 0.0) | (q_values > 1.0)):
         raise ValueError("q_values must lie in [0, 1]")
-    if grid is None:
-        grid = BeliefGrid.uniform(1001)
-    elif isinstance(grid, int):
-        grid = BeliefGrid.uniform(grid)
-    if operator is None:
-        operator = build_expectation_operator(problem, grid)
+    grid = _resolve_grid(grid)
+    operator = _resolve_operator(problem, grid, operator)
     rho = problem.prior.rho
     rows = []
     for q in q_values:
@@ -444,6 +440,7 @@ def calibrate_lambda_f(
     q: float | None = None,
     fixed_m: int | None = None,
     q_grid_size: int = 101,
+    operator: ExpectationOperator | None = None,
 ) -> CalibrationResult:
     """Bisect the false-alarm cost until simulated P_FA hits the target.
 
@@ -467,6 +464,9 @@ def calibrate_lambda_f(
         q: Wake probability when strategy is open_loop.
         fixed_m: Awake count when strategy is fixed_m.
         q_grid_size: Search grid size for control_q trials.
+        operator: Prebuilt expectation maps on ``grid``, shared by every
+            trial (lambda_f does not enter them); built with the default
+            method when None.
 
     Raises:
         ValueError: If the target is outside (0, 1) or the bracket does
@@ -477,11 +477,8 @@ def calibrate_lambda_f(
         raise ValueError(f"target_alpha must lie in (0, 1), got {target_alpha!r}")
     if not 0.0 < lambda_lo < lambda_hi:
         raise ValueError(f"need 0 < lambda_lo < lambda_hi, got {lambda_lo!r}, {lambda_hi!r}")
-    if grid is None:
-        grid = BeliefGrid.uniform(1001)
-    elif isinstance(grid, int):
-        grid = BeliefGrid.uniform(grid)
-    operator = build_expectation_operator(problem, grid)
+    grid = _resolve_grid(grid)
+    operator = _resolve_operator(problem, grid, operator)
     trace: list = []
 
     def alpha_at(lam: float) -> float:

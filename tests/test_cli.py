@@ -278,6 +278,17 @@ def test_calibrate_artifact(tmp_path):
     assert doc["lambda_f"] > 0
 
 
+def test_calibrate_uses_the_configured_method(tmp_path, capsys):
+    # Unequal variances have no scalar statistic for the default exact method.
+    cfg = write_config(tmp_path, {"problem.sigma1": 1.2}, out_dir=str(tmp_path / "x"))
+    errors = []
+    for command in ("solve", "calibrate"):
+        assert main([command, "--config", cfg]) == 1
+        errors.append(capsys.readouterr().err)
+    assert "no scalar sufficient statistic" in errors[0]
+    assert errors[1] == errors[0]
+
+
 def test_calibrate_target_alpha_flag(tmp_path):
     out = tmp_path / "cal2"
     cfg = write_config(

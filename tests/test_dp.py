@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from quickwake import (
 )
 
 
+from quickwake import dp
 from quickwake.belief import EPS
 from quickwake.dp import (
     _action_set,
@@ -298,6 +301,49 @@ def test_exact_operator_matches_row_reference(case):
     assert np.abs(op.apply_all(np.ones(g)) - 1.0).max() < 1e-12
     drift = op.apply_all(grid.points) - op.predicted[None, :]
     assert np.abs(drift).max() < 1e-12
+
+
+def _build_case(name):
+    """A stack built by one of the two pooled builds."""
+    if name == "atoms":
+        atoms, grid, p, _ = _atom_case("monte_carlo")
+        return operator_from_atoms(atoms, grid, p).stack
+    if name == "n3":
+        prob = Problem(SensorModel(0.0, 1.0, 1.0, 1.0), ChangePrior(0.0, 0.01), Costs(0.5, 100.0), 3)
+        return build_expectation_operator(prob, BeliefGrid.uniform(201), "exact").stack
+    prob, grid = _exact_case(name)
+    return build_expectation_operator(prob, grid, "exact").stack
+
+
+@pytest.mark.parametrize("case", ["reference", "falling_mean", "absorbing", "n3", "atoms"])
+def test_stack_does_not_depend_on_worker_count(case, monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert dp._build_workers(1) == 1 and dp._build_workers(1 << 20) == cpus
+    stacks = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(dp, "_build_workers", lambda n, w=workers: min(n, w))
+        stacks.append(_build_case(case))
+    assert isinstance(stacks[0], np.ndarray)
+    assert all(np.array_equal(stacks[0], other) for other in stacks[1:])
+
+
+@pytest.mark.parametrize("thread", ["caller", "pool"])
+def test_build_error_reaches_the_caller_and_leaves_no_thread(thread, monkeypatch):
+    prob, grid = _exact_case("falling_mean")
+    real = dp._segment_shares
+    raise_in_caller = thread == "caller"
+
+    def failing(out, *args):
+        if (threading.current_thread() is threading.main_thread()) == raise_in_caller:
+            raise RuntimeError("block failed")
+        real(out, *args)
+
+    monkeypatch.setattr(dp, "_build_workers", lambda n: min(n, 2))
+    monkeypatch.setattr(dp, "_segment_shares", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        build_expectation_operator(prob, grid, "exact")
+    assert threading.active_count() == before
 
 
 def test_quadrature_operator_identities(problem, grid201):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from quickwake import (
+    BeliefGrid,
     ChangePrior,
     Costs,
     Problem,
     SensorModel,
+    build_expectation_operator,
     calibrate_lambda_f,
     default_horizon_cap,
     estimate_metrics,
@@ -205,6 +207,20 @@ def test_calibration_reaches_target(problem):
     assert abs(result.alpha - 0.05) <= 0.015
     assert result.trials == len(result.trace)
     assert result.lambda_f > 0
+
+
+def test_grid_may_be_a_numpy_integer(problem):
+    sweep = sweep_open_loop_q(problem, [0.0, 0.05], grid=np.int64(51))
+    assert sweep.rows == sweep_open_loop_q(problem, [0.0, 0.05], grid=51).rows
+    # A tolerance of 1 accepts the first bracket probe: one trial.
+    kw = dict(target_alpha=0.05, tolerance=1.0, replications=50, base_seed=3)
+    cal = calibrate_lambda_f(problem, "control_m", grid=np.int64(51), **kw)
+    assert cal.trials == 1
+    grid = BeliefGrid.uniform(51)
+    op = build_expectation_operator(problem, grid)
+    assert calibrate_lambda_f(problem, "control_m", grid=grid, operator=op, **kw) == cal
+    with pytest.raises(ValueError, match="operator does not match"):
+        calibrate_lambda_f(problem, "control_m", grid=101, operator=op, **kw)
 
 
 def test_calibration_bracket_must_straddle(problem):
