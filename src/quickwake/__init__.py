@@ -34,16 +34,10 @@ from .model import (
     Costs,
     Problem,
     SensorModel,
-    log_likelihood_ratio,
-    pdf,
     prior_mass,
 )
 from .oracle import DiscreteInstance, brute_force_value, likelihood_atoms
-from .policy import (
-    Policy,
-    extract_policy,
-    extract_threshold,
-)
+from .policy import Policy, extract_policy
 from .sim import (
     CalibrationResult,
     EpisodeResult,
@@ -86,14 +80,11 @@ __all__ = [
     "default_horizon_cap",
     "estimate_metrics",
     "extract_policy",
-    "extract_threshold",
     "likelihood_atoms",
-    "log_likelihood_ratio",
     "logit",
     "metrics_from_episodes",
     "monte_carlo_atoms",
     "operator_from_atoms",
-    "pdf",
     "posterior_update",
     "prior_mass",
     "run_episode",

@@ -430,7 +430,8 @@ def _operator_from_atoms(
 
     def make_fill(block_rows: int):
         # Mass in the real part and mass times posterior in the imaginary
-        # part, so one reduceat sums both; a row's last entry is a zero pad.
+        # part, so one reduceat sums both.  Each row has one spare slot at
+        # its end (see ``fill``).
         z_buf = np.empty(block_rows * width, dtype=complex)
         return lambda m: fill(m, block_rows, z_buf)
 
@@ -449,15 +450,17 @@ def _operator_from_atoms(
         count = llr.size
         block = stack[m * g:(m + 1) * g]
         z_rows = z_buf[:block_rows * (count + 1)].reshape(block_rows, count + 1)
-        z_rows[:, -1] = 0.0
         for lo in range(0, g, block_rows):
             r = slice(lo, min(lo + block_rows, g))
             rows = r.stop - lo
             # An atom lies on segment j >= 1 of a row when its llr reaches
             # logit(pts[j]) - l0, i.e. when its posterior reaches pts[j];
             # the last segment keeps posteriors of 1.  Each row's starts
-            # close with the index of its zero pad and are offset into the
-            # flat block.
+            # close with the index of its spare slot and are offset into the
+            # flat block.  The slot only keeps the last row's closing index
+            # inside the array; its value is never set, and reaches only the
+            # column that ``[:, :-1]`` drops or an empty segment, which
+            # ``sums[empty] = 0.0`` zeroes.
             starts = np.empty((rows, g), dtype=np.intp)
             starts[:, 0] = 0
             starts[:, 1:-1] = np.searchsorted(llr, interior - l0[r, None])

@@ -137,9 +137,9 @@ class Problem:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
 
-    def key(self) -> str:
-        """Stable digest of the instance, used to pair artifacts on disk."""
-        payload = {
+    def fields(self) -> dict:
+        """The nine scalars that define the instance, named as in a run config."""
+        return {
             "n": self.n,
             "rho": self.prior.rho,
             "p": self.prior.p,
@@ -150,18 +150,11 @@ class Problem:
             "mu1": self.model.mu1,
             "sigma1": self.model.sigma1,
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def key(self) -> str:
+        """Stable digest of the instance, used to pair artifacts on disk."""
+        blob = json.dumps(self.fields(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def pdf(model: SensorModel, regime: str, x):
-    """Observation density under ``regime`` ("pre" or "post")."""
-    return model.pdf(regime, x)
-
-
-def log_likelihood_ratio(model: SensorModel, x):
-    """Pointwise log likelihood ratio of post vs pre for observations ``x``."""
-    return model.log_likelihood_ratio(x)
 
 
 def prior_mass(prior: ChangePrior, k: int) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import (
+    STRATEGIES,
     TIE_BREAK,
     BeliefGrid,
     ExpectationOperator,
@@ -24,8 +25,6 @@ from .dp import (
 from .model import Problem
 
 THRESHOLD_BISECTION_STEPS = 50
-
-POLICY_KINDS = ("control_m", "control_q", "open_loop", "fixed_m")
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,8 @@ class Policy:
     awake_rule_mismatches: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
+        if self.kind not in STRATEGIES:
+            raise ValueError(f"kind must be one of {STRATEGIES}, got {self.kind!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.gamma!r}")
         if self.kind in ("control_m", "fixed_m"):
@@ -114,6 +113,15 @@ class Policy:
 def _threshold_from_continuation(
     grid: BeliefGrid, continue_values: np.ndarray, lambda_f: float
 ) -> float:
+    """Smallest belief at which stopping is optimal.
+
+    Grid-brackets the crossing of the stopping cost and the continuation
+    value, then refines it by bisection on their linear interpolants.
+
+    Raises:
+        ValueError: If stopping is nowhere optimal ("degenerate
+            instance") or the stop set is not an interval reaching 1.
+    """
     pts = grid.points
     stop_cost = lambda_f * (1.0 - pts)
     stop = stop_cost <= continue_values + TIE_BREAK
@@ -142,32 +150,6 @@ def _threshold_from_continuation(
         else:
             hi = mid
     return hi
-
-
-def extract_threshold(
-    J: ValueFunction,
-    problem: Problem,
-    strategy: str = "control_m",
-    *,
-    operator: ExpectationOperator | None = None,
-    q: float | None = None,
-    fixed_m: int | None = None,
-    q_grid: np.ndarray | None = None,
-) -> float:
-    """Smallest belief at which stopping is optimal under ``J``.
-
-    Grid-brackets the crossing of the stopping cost and the continuation
-    value, then refines it by bisection on their linear interpolants.
-    The stop set must be a single interval reaching 1.
-
-    Raises:
-        ValueError: If stopping is nowhere optimal ("degenerate
-            instance") or the stop set is not an interval.
-    """
-    maps = bellman_maps(
-        J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m, q_grid=q_grid
-    )
-    return _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
 
 
 def _differential_rule_map(B: np.ndarray, problem: Problem) -> np.ndarray:

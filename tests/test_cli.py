@@ -75,6 +75,7 @@ def test_load_config_defaults(tmp_path):
         ({"strategy": "fixed-m"}, "fixed_m"),
         ({"fixed_m": 99}, "fixed_m must lie in 0..10"),
         ({"problem.sigma0": -1.0}, "invalid problem block"),
+        ({"solver.grid_size": None}, "field solver.grid_size must be a int"),
     ],
 )
 def test_load_config_rejections(tmp_path, overrides, fragment):
@@ -227,6 +228,26 @@ def test_simulate_requires_sibling_report(solved_run, tmp_path, capsys):
     assert "report.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "report,fragment",
+    [
+        (None, "strategy"),  # only the problem key
+        ([1], "must be a JSON object"),
+    ],
+)
+def test_simulate_rejects_malformed_report(solved_run, tmp_path, capsys, report, fragment):
+    cfg, out = solved_run
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "policy.csv").write_bytes((out / "policy.csv").read_bytes())
+    if report is None:
+        report = {"problem_key": make_benchmark_problem().key()}
+    (bad / "report.json").write_text(json.dumps(report))
+    assert main(["simulate", "--config", cfg, "--policy", str(bad / "policy.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "report.json" in err
+
+
 def test_load_policy_round_trip(solved_run):
     cfg, out = solved_run
     problem = make_benchmark_problem()
@@ -276,6 +297,13 @@ def test_calibrate_artifact(tmp_path):
     assert abs(doc["alpha"] - 0.05) <= 0.02
     assert doc["trials"] == len(doc["trace"])
     assert doc["lambda_f"] > 0
+
+
+def test_calibrate_rejects_zero_replications(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sim.replications": 0}, out_dir=str(tmp_path / "x"))
+    assert main(["calibrate", "--config", cfg]) == 1
+    assert "field sim.replications must be >= 1 for calibrate" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_calibrate_uses_the_configured_method(tmp_path, capsys):

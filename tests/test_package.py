@@ -1,10 +1,11 @@
-"""The public surface: ``__all__`` and the README's library example."""
+"""The public surface: ``__all__`` and the README's library and config examples."""
 
 import ast
 import re
 from pathlib import Path
 
 import quickwake
+from quickwake.cli import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +36,17 @@ def test_readme_library_example_runs():
     assert scope["policy"].kind == "control_m"
     assert 0.0 < scope["policy"].gamma < 1.0
     assert scope["metrics"].replications == 200
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("Config schema", 1)[1]
+    doc = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(doc)
+    cfg = load_config(path)
+    assert cfg.strategy == "control_m"
+    assert cfg.horizon_cap is None  # JSON null takes the default
+    assert cfg.tolerance == 1e-6
+    assert cfg.replications == 100_000
+    assert cfg.sweep_q_values.tolist() == [0.0, 0.05, 0.1]

@@ -7,7 +7,6 @@ from quickwake import (
     bellman_maps,
     binomial_weights,
     extract_policy,
-    extract_threshold,
     value_iteration,
 )
 from quickwake.policy import _threshold_from_continuation
@@ -15,7 +14,7 @@ from quickwake.policy import _threshold_from_continuation
 
 def test_control_m_threshold_brackets_grid_crossing(problem, solved_control_m, operator):
     J, _ = solved_control_m
-    gamma = extract_threshold(J, problem, "control_m", operator=operator)
+    gamma = extract_policy(J, problem, "control_m", operator=operator).gamma
     assert 0.8 < gamma < 0.99
     pts = J.grid.points
     below = pts[pts < gamma][-1]
@@ -28,7 +27,7 @@ def test_control_m_threshold_brackets_grid_crossing(problem, solved_control_m, o
 def test_threshold_refinement_is_consistent(problem, solved_control_m, operator):
     """At the refined threshold, stopping and continuing cost the same."""
     J, _ = solved_control_m
-    gamma = extract_threshold(J, problem, "control_m", operator=operator)
+    gamma = extract_policy(J, problem, "control_m", operator=operator).gamma
     maps = bellman_maps(J, problem, "control_m", operator=operator)
     stop_cost = problem.costs.lambda_f * (1.0 - gamma)
     continue_cost = np.interp(gamma, J.grid.points, maps.continue_values)
