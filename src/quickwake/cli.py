@@ -14,8 +14,9 @@ Subcommands:
                   thresholds, sweep curves) in one invocation
 
 Exit codes: 0 success, 1 invalid config or mismatched inputs, 2 solver
-non-convergence.  All outputs are deterministic for a fixed (config,
-seed) pair; floats are written with a fixed 12-significant-digit format.
+non-convergence or a ``calibrate`` bisection out of trials.  All outputs
+are deterministic for a fixed (config, seed) pair; floats are written
+with a fixed 12-significant-digit format.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def _at_least(low):
     return lambda v: v >= low, f"be >= {low}"
 
 
+_POSITIVE = (lambda v: v > 0, "be > 0")
+
+
 # One row per config field: (path, type, default, check).  A check is a
 # (predicate, requirement) pair applied to a value the config supplies.
 # A field whose default is None also takes JSON null for "use the default".
@@ -81,19 +85,19 @@ _FIELDS = (
     ("problem.mu1", float, _REQUIRED, None),
     ("problem.sigma1", float, _REQUIRED, None),
     ("solver.grid_size", int, DEFAULT_GRID_SIZE, _at_least(2)),
-    ("solver.tolerance", float, None, (lambda v: v > 0, "be > 0")),
-    ("solver.max_iters", int, DEFAULT_MAX_ITERS, None),
+    ("solver.tolerance", float, None, _POSITIVE),
+    ("solver.max_iters", int, DEFAULT_MAX_ITERS, _at_least(1)),
     ("solver.q_grid_size", int, DEFAULT_Q_GRID_SIZE, _at_least(1)),
     ("solver.method", str, "exact", None),
     ("sim.replications", int, 1000, _at_least(0)),
     ("sim.base_seed", int, 0, None),
     ("sim.horizon_cap", int, None, _at_least(1)),
     ("sweep.q_values", list, None, None),
-    ("calibrate.target_alpha", float, 0.04, None),
-    ("calibrate.tolerance", float, 0.005, None),
-    ("calibrate.lambda_lo", float, 0.1, None),
+    ("calibrate.target_alpha", float, 0.04, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    ("calibrate.tolerance", float, 0.005, _POSITIVE),
+    ("calibrate.lambda_lo", float, 0.1, _POSITIVE),
     ("calibrate.lambda_hi", float, 1e4, None),
-    ("calibrate.max_trials", int, 40, None),
+    ("calibrate.max_trials", int, 40, _at_least(1)),
 )
 _BLOCKS = ("problem", "solver", "sim", "sweep", "calibrate")
 # RunConfig attributes that are not the last part of their field's path.
@@ -214,6 +218,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         if q_values.size == 0 or np.any((q_values < 0) | (q_values > 1)):
             raise ConfigError("field sweep.q_values must be nonempty values in [0, 1]")
         values["sweep_q_values"] = q_values
+    if not values["lambda_lo"] < values["lambda_hi"]:
+        raise ConfigError(
+            f"field calibrate.lambda_hi must be > calibrate.lambda_lo, "
+            f"got {values['lambda_hi']} <= {values['lambda_lo']}"
+        )
     fixed_m = values["fixed_m"]
     if fixed_m is not None and not 0 <= fixed_m <= problem.n:
         raise ConfigError(f"field fixed_m must lie in 0..{problem.n}, got {fixed_m}")
@@ -291,6 +300,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "gamma": policy.gamma,
         "value_at_start": float(J(cfg.problem.prior.rho)),
         "iterations": report.iterations,
+        "coarse_iterations": report.coarse_iterations,
         "final_sup_norm_delta": report.final_sup_norm_delta,
         "bellman_residual": report.bellman_residual,
         "wall_seconds": report.wall_seconds,
@@ -310,7 +320,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     _write_json(out / "report.json", doc)
     print(
         f"built operator in {build_seconds:.3g} s; solved {cfg.strategy} in "
-        f"{report.iterations} rounds (residual {report.bellman_residual:.3g}); "
+        f"{report.iterations} rounds after {report.coarse_iterations} coarse rounds "
+        f"(residual {report.bellman_residual:.3g}); "
         f"gamma = {policy.gamma:.6f}, "
         f"J({cfg.problem.prior.rho:g}) = {J(cfg.problem.prior.rho):.6f}"
     )
@@ -324,9 +335,9 @@ def load_policy(policy_path, problem: Problem) -> Policy:
     problem fingerprint; the CSV carries the action maps.
 
     Raises:
-        ConfigError: On a missing or malformed report or a
-            problem-fingerprint mismatch (the policy was solved for a
-            different instance).
+        ConfigError: On a missing or malformed report, an unreadable
+            policy file or a problem-fingerprint mismatch (the policy was
+            solved for a different instance).
     """
     policy_path = Path(policy_path)
     report_path = policy_path.parent / "report.json"
@@ -344,21 +355,25 @@ def load_policy(policy_path, problem: Problem) -> Policy:
         raise ConfigError(
             f"field strategy in {report_path} must be one of {STRATEGIES}, got {kind!r}"
         )
+    gamma = _typed(report["gamma"], float, f"gamma in {report_path}")
     pis, values = [], []
-    with open(policy_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["pi", "action", "m_or_q"]:
-            raise ConfigError(f"{policy_path.name} must have columns pi,action,m_or_q")
-        for row in reader:
-            pis.append(float(row["pi"]))
-            values.append(row["m_or_q"])
+    try:
+        with open(policy_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != ["pi", "action", "m_or_q"]:
+                raise ConfigError(f"{policy_path.name} must have columns pi,action,m_or_q")
+            for row in reader:
+                pis.append(float(row["pi"]))
+                values.append(row["m_or_q"])
+    except OSError as exc:
+        raise ConfigError(f"cannot read {policy_path}: {exc}") from exc
     awake_map = wake_prob_map = None
     if kind in ("control_m", "fixed_m"):
         awake_map = np.array([int(v) if v else 0 for v in values])
     if kind == "control_q":
         wake_prob_map = np.array([float(v) if v else 0.0 for v in values])
     return Policy(
-        kind=kind, gamma=float(report["gamma"]), grid=BeliefGrid(np.asarray(pis)),
+        kind=kind, gamma=gamma, grid=BeliefGrid(np.asarray(pis)),
         n=problem.n, problem_key=report["problem_key"],
         awake_map=awake_map, wake_prob_map=wake_prob_map,
         fixed_q=report.get("open_loop_q"), fixed_m=report.get("fixed_m"),

@@ -29,6 +29,15 @@ blocks.  The multi-sweep solvers fold a single action's mixture into one
 ``g x g`` map first; one-off sweeps read the stack directly.  Finite
 horizons take plain sweeps.
 
+Policy iteration reaches the same fixed point from any proper starting
+policy, so a stationary solve first solves the strategy on a nested
+coarse grid (every ``COARSE_STRIDE``-th node plus the last) and starts
+the fine rounds from that policy, mapped by nearest coarse node.  The
+coarse nodes are fine nodes, so a piecewise-linear J on them is
+piecewise-linear on the fine grid: with ``R`` the interpolation from
+coarse to fine values, the coarse rows of the stack times ``R`` are
+exactly the operator built on the coarse grid, whatever built the stack.
+
 For equal-variance Gaussian observations the ``m`` awake samples enter
 the posterior only through their sum ``s``, whose marginal is the
 two-component mixture ``t * N(m*mu1, m*sigma^2) + (1-t) * N(m*mu0,
@@ -58,6 +67,7 @@ the stack does not depend on the worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -85,6 +95,10 @@ ATOM_CHUNK_ENTRIES = 1 << 18
 # Belief rows of one m-block built at once by the closed form and the
 # dense atom build, shared out among the build's worker threads.
 BLOCK_ROWS = 32
+# A stationary solve starts from the policy on every COARSE_STRIDE-th
+# node plus the last, unless that leaves fewer than COARSE_MIN_NODES.
+COARSE_STRIDE = 8
+COARSE_MIN_NODES = 16
 
 # Stopping wins ties within this margin, and argmin ties resolve toward
 # the smaller m or q.
@@ -95,7 +109,8 @@ STRATEGIES = ("control_m", "control_q", "open_loop", "fixed_m")
 
 class ConvergenceError(RuntimeError):
     """Raised when the solver exhausts max_iters or misses its residual
-    tolerance; carries the last sup-norm delta (change of J, or residual)."""
+    tolerance; carries the last sup-norm delta (change of J, or residual;
+    for a lambda_f calibration out of trials, the last |P_FA - target|)."""
 
     def __init__(self, message: str, iterations: int, last_delta: float):
         super().__init__(message)
@@ -170,12 +185,14 @@ class ValueFunction:
 class SolveReport:
     """What the stationary solve did: rounds, error, wall time.
 
-    ``iterations`` counts policy-improvement rounds, the last of which
-    finds the policy unchanged.  ``sup_norm_deltas`` holds the sup-norm
-    change of J in each round (0 in that last round, so
-    ``final_sup_norm_delta`` is 0 on success).  ``bellman_residual`` is
-    ``||TJ - J||_inf`` of the returned J, the error that the
-    ``tolerance`` check is applied to.
+    ``iterations`` counts the policy-improvement rounds on the fine grid,
+    the last of which finds the policy unchanged; ``coarse_iterations``
+    counts the rounds of the coarse solve that gave their starting
+    policy (0 when the grid has no coarse level).  ``sup_norm_deltas``
+    holds the sup-norm change of J in each fine round (0 in that last
+    round, so ``final_sup_norm_delta`` is 0 on success).
+    ``bellman_residual`` is ``||TJ - J||_inf`` of the returned J, the
+    error that the ``tolerance`` check is applied to.
     """
 
     strategy: str
@@ -185,6 +202,7 @@ class SolveReport:
     grid_size: int
     tolerance: float
     bellman_residual: float
+    coarse_iterations: int = 0
     sup_norm_deltas: tuple = field(repr=False, default=())
 
 
@@ -317,6 +335,26 @@ class ExpectationOperator:
     def apply_all(self, values: np.ndarray) -> np.ndarray:
         """E[J(next belief)] per awake count (rows) and grid belief (columns)."""
         return (self.stack @ values).reshape(self.n + 1, self.grid.size)
+
+    @functools.cached_property
+    def coarse(self) -> "ExpectationOperator | None":
+        """The same map on every ``COARSE_STRIDE``-th node plus the last
+        (see the module docstring), built once, a block at a time, in the
+        stack's storage; None if that leaves under ``COARSE_MIN_NODES``."""
+        g = self.grid.size
+        keep = np.unique(np.append(np.arange(0, g, COARSE_STRIDE), g - 1))
+        if keep.size < COARSE_MIN_NODES:
+            return None
+        grid = BeliefGrid(self.grid.points[keep])
+        R = _interp_matrix(grid, self.grid.points)
+        blocks = (self.stack[m * g + keep] @ R for m in range(self.n + 1))
+        if sparse.issparse(self.stack):
+            stack = sparse.vstack(list(blocks), format="csr")
+        else:  # filled in place, so the blocks are never held twice
+            stack = np.empty(((self.n + 1) * keep.size, keep.size))
+            for rows, block in zip(np.split(stack, self.n + 1), blocks):
+                rows[...] = block
+        return ExpectationOperator(grid, self.p, self.n, self.method, stack)
 
 
 def _segment_shares(
@@ -708,11 +746,15 @@ def _action_set(
 def _fold(acts: _ActionSet, g: int) -> _ActionSet:
     """A single unrefined action with its mixture over awake counts folded
     into one ``g x g`` map, for solvers that sweep it many times; any other
-    action set as it is."""
+    action set as it is.  A dense stack folds in one BLAS contraction over
+    its blocks, viewed as rows of ``g * g``; a CSR one through a
+    block-mixing matrix."""
     if acts.refine or acts.weights is None or acts.weights.shape[0] != 1:
         return acts
-    mix = sparse.kron(acts.weights, sparse.identity(g), format="csr")
-    fold = mix @ acts.stack
+    if isinstance(acts.stack, np.ndarray):
+        fold = (acts.weights @ acts.stack.reshape(acts.weights.shape[1], g * g)).reshape(g, g)
+    else:
+        fold = sparse.kron(acts.weights, sparse.identity(g), format="csr") @ acts.stack
     return _ActionSet(fold, None, acts.cost, acts.actions, private=isinstance(fold, np.ndarray))
 
 
@@ -813,6 +855,36 @@ def _evaluate_policy(
     return values
 
 
+def _policy_rounds(
+    problem: Problem, pts: np.ndarray, acts: _ActionSet, stop: np.ndarray, best: np.ndarray,
+    max_iters: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, float | None]:
+    """The rounds of ``value_iteration`` from the policy that stops on
+    ``stop`` and plays ``best`` elsewhere, which is evaluated first.
+    Returns J, the last decisions ``(stop, best)``, the change of J per
+    round (0 in a last round that changes nothing) and that round's
+    Bellman residual, or None if ``max_iters`` rounds end in a change."""
+    stop_cost = problem.costs.lambda_f * (1.0 - pts)
+    # The current policy's backup of its own J is J, so a node switches
+    # only when the sweep beats J by more than round-off; near-ties keep
+    # their decision, which is what stops the rounds from cycling.
+    margin = TIE_BREAK * problem.costs.lambda_f
+    values = _evaluate_policy(problem, pts, acts, stop, best)
+    deltas = []
+    for _ in range(max_iters):
+        maps = _sweep(values, problem, pts, acts, decide=True)
+        switch = maps.new_values < values - margin
+        if not switch.any():
+            deltas.append(0.0)
+            return values, stop, best, deltas, float(np.max(np.abs(maps.new_values - values)))
+        stop = np.where(switch, stop_cost <= maps.continue_values, stop)
+        best = np.where(switch, maps.best_action, best)
+        new_values = _evaluate_policy(problem, pts, acts, stop, best)
+        deltas.append(float(np.max(np.abs(new_values - values))))
+        values = new_values
+    return values, stop, best, deltas, None
+
+
 def value_iteration(
     problem: Problem,
     strategy: str,
@@ -829,14 +901,20 @@ def value_iteration(
 ) -> tuple[ValueFunction, SolveReport]:
     """Solve the stationary Bellman equation on a belief grid exactly.
 
-    Policy iteration (Howard 1960; Puterman 1994, ch. 6-7) from the
-    stopping cost ``lambda_f * (1 - pi)``: each round one Bellman sweep
-    picks the stop set and the argmin actions for the current J, then J
-    is replaced by the exact cost of that policy (one linear solve on the
-    continue set).  It stops when the stop set and the continue-set
-    actions repeat; iterates decrease monotonically to the fixed point.
-    A node keeps its decision unless switching lowers its backup by more
-    than ``TIE_BREAK * lambda_f``.
+    Policy iteration (Howard 1960; Puterman 1994, ch. 6-7): each round
+    one Bellman sweep picks the stop set and the argmin actions for the
+    current J, then J is replaced by the exact cost of that policy (one
+    linear solve on the continue set).  It stops when the stop set and
+    the continue-set actions repeat; iterates decrease monotonically to
+    the fixed point.  A node keeps its decision unless switching lowers
+    its backup by more than ``TIE_BREAK * lambda_f``.
+
+    The fine rounds start from the decisions of the nearest node of
+    ``operator.coarse``, solved the same way from stopping everywhere in
+    at most ``max_iters`` rounds and never raising.  Its nodes are fine
+    nodes, so its stack is exactly the coarse grid's operator (see the
+    module docstring); from any proper start the rounds reach the same
+    fixed point.
 
     Args:
         problem: The instance to solve.
@@ -844,12 +922,13 @@ def value_iteration(
         grid: BeliefGrid, point count, or None for the 1001-point default.
         tolerance: Largest accepted Bellman residual ``||TJ - J||_inf`` of
             the result (default ``1e-6 * lambda_f``).
-        max_iters: Policy-improvement round budget.
+        max_iters: Policy-improvement round budget of each level.
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
         q_grid: Wake probability search grid (control_q; default 101 uniform).
         q_grid_size: Size of the default control_q search grid.
-        operator: Prebuilt expectation maps to reuse across solves.
+        operator: Prebuilt expectation maps to reuse across solves; its
+            coarse level is built on first use and kept with it.
         method: Expectation construction when building the operator here.
 
     Returns:
@@ -857,7 +936,7 @@ def value_iteration(
 
     Raises:
         ConvergenceError: If the policy still changes after max_iters
-            rounds (carrying the last change of J), or the result's
+            fine rounds (carrying the last change of J), or the result's
             residual exceeds tolerance (carrying the residual).
     """
     grid = _resolve_grid(grid)
@@ -872,50 +951,43 @@ def value_iteration(
     acts = _fold(acts, grid.size)
     start = time.perf_counter()
     pts = grid.points
-    stop_cost = problem.costs.lambda_f * (1.0 - pts)
-    # The current policy's backup of its own J is J, so a node switches
-    # only when the sweep beats J by more than round-off; near-ties keep
-    # their decision, which is what stops the rounds from cycling.
-    margin = TIE_BREAK * problem.costs.lambda_f
-    values = stop_cost
     stop = np.ones(grid.size, dtype=bool)
     best = np.zeros(grid.size)
-    deltas = []
-    for iteration in range(1, max_iters + 1):
-        maps = _sweep(values, problem, pts, acts, decide=True)
-        switch = maps.new_values < values - margin
-        if not switch.any():
-            deltas.append(0.0)
-            residual = float(np.max(np.abs(maps.new_values - values)))
-            if residual > tolerance:
-                raise ConvergenceError(
-                    f"value iteration did not reach tolerance {tolerance:g} after "
-                    f"{iteration} rounds (Bellman residual {residual:g})",
-                    iterations=iteration,
-                    last_delta=residual,
-                )
-            report = SolveReport(
-                strategy=strategy,
-                iterations=iteration,
-                final_sup_norm_delta=0.0,
-                wall_seconds=time.perf_counter() - start,
-                grid_size=grid.size,
-                tolerance=tolerance,
-                bellman_residual=residual,
-                sup_norm_deltas=tuple(deltas),
-            )
-            return ValueFunction(grid, values), report
-        stop = np.where(switch, stop_cost <= maps.continue_values, stop)
-        best = np.where(switch, maps.best_action, best)
-        new_values = _evaluate_policy(problem, pts, acts, stop, best)
-        deltas.append(float(np.max(np.abs(new_values - values))))
-        values = new_values
-    raise ConvergenceError(
-        f"value iteration did not reach tolerance {tolerance:g} after "
-        f"{max_iters} rounds (last sup-norm delta {deltas[-1]:g})",
-        iterations=max_iters,
-        last_delta=deltas[-1],
+    coarse_deltas = []
+    coarse = operator.coarse
+    if coarse is not None:
+        cpts = coarse.grid.points
+        coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m, q_grid, q_grid_size)
+        _, stop, best, coarse_deltas, _ = _policy_rounds(
+            problem, cpts, _fold(coarse_acts, cpts.size),
+            np.ones(cpts.size, dtype=bool), np.zeros(cpts.size), max_iters,
+        )
+        # Nearest coarse node; a fine node midway takes the lower one.
+        hi = np.searchsorted(cpts, pts).clip(1, cpts.size - 1)
+        near = hi - (pts - cpts[hi - 1] <= cpts[hi] - pts)
+        stop, best = stop[near], best[near]
+    values, _, _, deltas, residual = _policy_rounds(problem, pts, acts, stop, best, max_iters)
+    if residual is None or residual > tolerance:
+        what = "last sup-norm delta" if residual is None else "Bellman residual"
+        last = deltas[-1] if residual is None else residual
+        raise ConvergenceError(
+            f"value iteration did not reach tolerance {tolerance:g} after "
+            f"{len(deltas)} rounds ({what} {last:g})",
+            iterations=len(deltas),
+            last_delta=last,
+        )
+    report = SolveReport(
+        strategy=strategy,
+        iterations=len(deltas),
+        final_sup_norm_delta=0.0,
+        wall_seconds=time.perf_counter() - start,
+        grid_size=grid.size,
+        tolerance=tolerance,
+        bellman_residual=residual,
+        coarse_iterations=len(coarse_deltas),
+        sup_norm_deltas=tuple(deltas),
     )
+    return ValueFunction(grid, values), report
 
 
 def solve_finite_horizon(

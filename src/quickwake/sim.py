@@ -25,7 +25,9 @@ import numpy as np
 from scipy.special import expit
 
 from .belief import EPS
-from .dp import ExpectationOperator, _resolve_grid, _resolve_operator, value_iteration
+from .dp import (
+    ConvergenceError, ExpectationOperator, _resolve_grid, _resolve_operator, value_iteration,
+)
 from .model import ChangePrior, Problem, SensorModel
 from .policy import Policy, extract_policy
 
@@ -471,7 +473,8 @@ def calibrate_lambda_f(
     Raises:
         ValueError: If the target is outside (0, 1) or the bracket does
             not straddle it.
-        RuntimeError: If the trial budget runs out before tolerance.
+        ConvergenceError: If the trial budget runs out before tolerance
+            (carrying the trial count and the last |P_FA - target|).
     """
     if not 0.0 < target_alpha < 1.0:
         raise ValueError(f"target_alpha must lie in (0, 1), got {target_alpha!r}")
@@ -516,7 +519,9 @@ def calibrate_lambda_f(
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(
-        f"calibration used {max_trials} trials without reaching "
-        f"|P_FA - {target_alpha}| <= {tolerance}"
+    raise ConvergenceError(
+        f"calibration used {len(trace)} trials without reaching "
+        f"|P_FA - {target_alpha}| <= {tolerance}",
+        iterations=len(trace),
+        last_delta=abs(trace[-1][1] - target_alpha),
     )

@@ -76,6 +76,13 @@ def test_load_config_defaults(tmp_path):
         ({"fixed_m": 99}, "fixed_m must lie in 0..10"),
         ({"problem.sigma0": -1.0}, "invalid problem block"),
         ({"solver.grid_size": None}, "field solver.grid_size must be a int"),
+        ({"solver.max_iters": 0}, "field solver.max_iters must be >= 1"),
+        ({"calibrate.max_trials": 0}, "field calibrate.max_trials must be >= 1"),
+        ({"calibrate.lambda_lo": 0.0}, "field calibrate.lambda_lo must be > 0"),
+        ({"calibrate.target_alpha": 1.0}, r"field calibrate.target_alpha must lie in \(0, 1\)"),
+        ({"calibrate.tolerance": 0.0}, "field calibrate.tolerance must be > 0"),
+        ({"calibrate.lambda_lo": 500.0, "calibrate.lambda_hi": 10.0},
+         "field calibrate.lambda_hi must be > calibrate.lambda_lo"),
     ],
 )
 def test_load_config_rejections(tmp_path, overrides, fragment):
@@ -123,8 +130,10 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert report["awake_rule_mismatches"] >= 0
     assert 0.0 <= report["bellman_residual"] <= 1e-10
     assert report["operator_build_seconds"] > 0.0
+    assert report["coarse_iterations"] == 0  # 51 nodes have no coarse level
     stdout = capsys.readouterr().out
     assert "solved control_m" in stdout and "built operator in" in stdout
+    assert "after 0 coarse rounds" in stdout
 
 
 def test_solve_exit_code_on_non_convergence(tmp_path, capsys):
@@ -233,6 +242,8 @@ def test_simulate_requires_sibling_report(solved_run, tmp_path, capsys):
     [
         (None, "strategy"),  # only the problem key
         ([1], "must be a JSON object"),
+        ({"strategy": "control_m", "gamma": [1], "problem_key": make_benchmark_problem().key()},
+         "field gamma in"),
     ],
 )
 def test_simulate_rejects_malformed_report(solved_run, tmp_path, capsys, report, fragment):
@@ -246,6 +257,16 @@ def test_simulate_rejects_malformed_report(solved_run, tmp_path, capsys, report,
     assert main(["simulate", "--config", cfg, "--policy", str(bad / "policy.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err and "report.json" in err
+
+
+def test_simulate_requires_policy_file(solved_run, tmp_path, capsys):
+    cfg, out = solved_run
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "report.json").write_bytes((out / "report.json").read_bytes())
+    assert main(["simulate", "--config", cfg, "--policy", str(bare / "policy.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "policy.csv" in err
 
 
 def test_load_policy_round_trip(solved_run):
@@ -304,6 +325,17 @@ def test_calibrate_rejects_zero_replications(tmp_path, capsys):
     assert main(["calibrate", "--config", cfg]) == 1
     assert "field sim.replications must be >= 1 for calibrate" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_calibrate_exit_code_when_trials_run_out(tmp_path, capsys):
+    # Both bracket probes run before the budget is read, so two trials
+    # cannot reach a tolerance this tight.
+    cfg = write_config(
+        tmp_path, {"calibrate.max_trials": 2, "calibrate.tolerance": 1e-9},
+        out_dir=str(tmp_path / "x"),
+    )
+    assert main(["calibrate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: calibration used 2 trials")
 
 
 def test_calibrate_uses_the_configured_method(tmp_path, capsys):

@@ -40,6 +40,7 @@ from quickwake.dp import (
     _binomial_table,
     _evaluate_policy,
     _fold,
+    _policy_rounds,
     _solve_identity_minus,
     _sweep,
 )
@@ -723,3 +724,94 @@ def test_single_action_extraction_matches_folded_sweep(problem, grid201, operato
     gamma = _threshold_from_continuation(grid201, folded.continue_values, problem.costs.lambda_f)
     policy = extract_policy(J, problem, strategy, operator=operator201, **kw)
     assert policy.gamma == pytest.approx(gamma, abs=1e-12)
+
+
+@pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
+def test_single_action_fold_matches_block_mixing(
+    problem, grid201, operator201, csr_operator201, strategy
+):
+    """A dense stack folds in one contraction, a CSR one by a block-mixing
+    product; both agree with mixing the dense blocks."""
+    kw = STRATEGY_KW[strategy]
+    g = grid201.size
+    weights = _unfolded_action_set(problem, operator201, strategy, kw).weights
+    ref = sparse.kron(weights, sparse.identity(g), format="csr") @ operator201.stack
+    folds = [
+        _dense(_fold(_unfolded_action_set(problem, op, strategy, kw), g).stack)
+        for op in (operator201, csr_operator201)
+    ]
+    for fold in folds:
+        assert np.abs(fold - ref).max() < 1e-14
+    assert np.abs(folds[0] - folds[1]).max() < 1e-14
+
+
+# --- the coarse start ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [201, 203])
+@pytest.mark.parametrize("case", ["exact", "monte_carlo", "oracle"])
+def test_coarse_stack_is_the_coarse_grid_operator(case, size):
+    """The coarse rows of the fine stack times the coarse-to-fine
+    interpolation equal a build on the coarse grid, for the closed form
+    and for dense and CSR atom stacks; 203 nodes end off the stride."""
+    if case == "exact":
+        prob = make_benchmark_problem()
+        build = lambda grid: build_expectation_operator(prob, grid, "exact")
+    else:
+        atoms, _, p, _ = _atom_case(case)
+        build = lambda grid: operator_from_atoms(atoms, grid, p)
+    op = build(BeliefGrid.uniform(size))
+    coarse = op.coarse
+    keep = np.unique(np.append(np.arange(0, size, 8), size - 1))
+    np.testing.assert_array_equal(coarse.grid.points, op.grid.points[keep])
+    direct = build(coarse.grid)
+    assert type(coarse.stack) is type(op.stack) is type(direct.stack)
+    assert np.abs(_dense(coarse.stack) - _dense(direct.stack)).max() < 1e-12
+    assert op.coarse is coarse
+
+
+@pytest.fixture(scope="module")
+def mc_case201(grid201):
+    """An unequal-variance problem on its grid-201 Monte Carlo operator."""
+    prob = Problem(SensorModel(0.0, 1.0, 1.0, 1.2), ChangePrior(0.0, 0.01), Costs(0.5, 100.0), 10)
+    return prob, build_expectation_operator(prob, grid201)
+
+
+@pytest.mark.parametrize("storage", ["exact", "csr", "monte_carlo"])
+@pytest.mark.parametrize("strategy", list(STRATEGY_KW))
+def test_coarse_start_matches_cold_start(
+    problem, grid201, operator201, csr_operator201, mc_case201, strategy, storage
+):
+    """Policy iteration from the coarse policy ends where it ends from
+    stopping everywhere."""
+    kw = STRATEGY_KW[strategy]
+    cases = {"exact": (problem, operator201), "csr": (problem, csr_operator201)}
+    prob, op = cases.get(storage, mc_case201)
+    g, pts = grid201.size, grid201.points
+    J, report = value_iteration(prob, strategy, grid201, operator=op, **kw)
+    assert report.coarse_iterations > 0
+    acts = _fold(_unfolded_action_set(prob, op, strategy, kw), g)
+    cold, _, _, deltas, residual = _policy_rounds(
+        prob, pts, acts, np.ones(g, dtype=bool), np.zeros(g), dp.DEFAULT_MAX_ITERS
+    )
+    assert residual is not None and report.iterations <= len(deltas)
+    np.testing.assert_allclose(J.values, cold, rtol=0, atol=1e-12)
+    gamma, cold_gamma = (
+        extract_policy(V, prob, strategy, operator=op, **kw).gamma
+        for V in (J, ValueFunction(grid201, cold))
+    )
+    assert gamma == pytest.approx(cold_gamma, abs=1e-10)
+
+
+def test_coarse_start_rounds_at_grid_1001(solved_control_m, solved_control_q):
+    for _, report in (solved_control_m, solved_control_q):
+        assert report.coarse_iterations > 0
+        assert report.iterations <= 4
+
+
+def test_small_grid_starts_cold(problem):
+    """101 nodes leave 14 coarse ones, under the cutoff: no coarse level."""
+    op = build_expectation_operator(problem, BeliefGrid.uniform(101))
+    assert op.coarse is None
+    _, report = value_iteration(problem, "control_m", 101, operator=op)
+    assert report.coarse_iterations == 0
