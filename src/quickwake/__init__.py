@@ -47,7 +47,6 @@ from .sim import (
     default_horizon_cap,
     estimate_metrics,
     metrics_from_episodes,
-    run_episode,
     run_episodes,
     sweep_open_loop_q,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "operator_from_atoms",
     "posterior_update",
     "prior_mass",
-    "run_episode",
     "run_episodes",
     "sigmoid",
     "solve_finite_horizon",

@@ -331,8 +331,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 def load_policy(policy_path, problem: Problem) -> Policy:
     """Rebuild a Policy from policy.csv plus its sibling report.json.
 
-    The report carries the refined threshold, the strategy kind, and the
-    problem fingerprint; the CSV carries the action maps.
+    The report carries the refined threshold, the strategy kind, the
+    problem fingerprint and an open-loop policy's wake probability; the
+    CSV carries the action maps.
 
     Raises:
         ConfigError: On a missing or malformed report, an unreadable
@@ -367,16 +368,19 @@ def load_policy(policy_path, problem: Problem) -> Policy:
                 values.append(row["m_or_q"])
     except OSError as exc:
         raise ConfigError(f"cannot read {policy_path}: {exc}") from exc
-    awake_map = wake_prob_map = None
+    awake_map = wake_prob_map = fixed_q = None
     if kind in ("control_m", "fixed_m"):
         awake_map = np.array([int(v) if v else 0 for v in values])
     if kind == "control_q":
         wake_prob_map = np.array([float(v) if v else 0.0 for v in values])
+    if kind == "open_loop":
+        if report.get("open_loop_q") is None:
+            raise ConfigError(f"missing field open_loop_q in {report_path}")
+        fixed_q = _typed(report["open_loop_q"], float, f"open_loop_q in {report_path}")
     return Policy(
         kind=kind, gamma=gamma, grid=BeliefGrid(np.asarray(pis)),
         n=problem.n, problem_key=report["problem_key"],
-        awake_map=awake_map, wake_prob_map=wake_prob_map,
-        fixed_q=report.get("open_loop_q"), fixed_m=report.get("fixed_m"),
+        awake_map=awake_map, wake_prob_map=wake_prob_map, fixed_q=fixed_q,
     )
 
 
@@ -440,7 +444,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         replications=cfg.replications, base_seed=cfg.base_seed,
         grid=operator.grid, horizon_cap=cfg.horizon_cap,
         q=cfg.open_loop_q, fixed_m=cfg.fixed_m, q_grid_size=cfg.q_grid_size,
-        operator=operator,
+        operator=operator, solver_tolerance=cfg.tolerance, max_iters=cfg.max_iters,
     )
     _write_json(cfg.out_dir / "calibration.json", {
         "schema": SCHEMA_VERSION,

@@ -18,16 +18,17 @@ that map is linear in the grid values, so it is assembled once as one
 stacked matrix over all ``m`` and a sweep is one mat-vec.  The four
 strategies differ only in their action set: a sensing cost per action
 and a mixture over awake counts (the identity for control_m, binomial
-rows for control_q, a single row for open_loop and fixed_m).
+rows for control_q).  open_loop and fixed_m have one action, whose
+mixture is folded into a single ``g x g`` map when the action set is
+made, so every sweep of a strategy, one-off or repeated, reads the same
+form.
 
 The stationary problem is solved by policy iteration: a sweep picks the
 stop set and actions, and one linear solve on the continue set C gives
 that policy's exact cost.  The solve reads only the policy's continue
 rows, ``|C| x g``, formed once per round; when C is an interval, as on
 every instance solved so far, a dense stack gives them by slices of its
-blocks.  The multi-sweep solvers fold a single action's mixture into one
-``g x g`` map first; one-off sweeps read the stack directly.  Finite
-horizons take plain sweeps.
+blocks.  Finite horizons take plain sweeps.
 
 Policy iteration reaches the same fixed point from any proper starting
 policy, so a stationary solve first solves the strategy on a nested
@@ -645,54 +646,50 @@ class BellmanMaps:
     """One synchronous sweep: backed-up values plus per-point decisions.
 
     ``best_action`` holds the minimizing awake count or wake probability
-    per grid node; finite-horizon sweeps leave it ``None``.
-    ``expected_next`` is the block product ``E[J(next belief)]`` per
-    awake count (``operator.apply_all(values)``) for every strategy
-    ``bellman_maps`` sweeps; only the multi-sweep solvers, which sweep a
-    single action's folded map, get its one row instead.
+    per grid node (a single action's own value at every node).
+    ``expected_next`` is the stack product of the strategy's action set:
+    ``E[J(next belief)]`` per awake count (``operator.apply_all(values)``)
+    for control_m and control_q, and the folded map's one row for
+    open_loop and fixed_m.
     """
 
     new_values: np.ndarray
     continue_values: np.ndarray
-    best_action: np.ndarray | None
+    best_action: np.ndarray
     expected_next: np.ndarray
 
 
 @dataclass(frozen=True)
 class _ActionSet:
-    """A strategy as one sweep sees it.
+    """A strategy as every sweep of it sees it.
 
     Row ``a`` of ``cost[:, None] + weights @ (stack @ J).reshape(-1, g)``
     is the continuation cost of action ``actions[a]``.  ``weights`` None
     stands for the identity: action ``a`` plays block ``a`` of the stack
-    (control_m's awake counts, or a single action's fold).  ``refine``
-    marks control_q, whose grid minimum is refined between its
-    neighbours.  ``private`` marks a dense ``stack`` built for this
-    action set alone (a single action's fold), so policy evaluation may
-    take its continue rows as a view and work in them in place.
+    (control_m's awake counts, or a single action's fold, a stack of one
+    block).  Only control_q has ``weights``, its binomial rows, and its
+    grid minimum is refined between its neighbours.  ``private`` marks a
+    dense ``stack`` built for this action set alone (a single action's
+    fold), so policy evaluation may take its continue rows as a view and
+    work in them in place.
     """
 
     stack: object
     weights: np.ndarray | None
     cost: np.ndarray
     actions: np.ndarray
-    refine: bool = False
     private: bool = False
 
 
-def _sweep(
-    values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionSet, decide: bool = False
-) -> BellmanMaps:
-    """One Bellman sweep; the argmin action is only formed when ``decide``
-    is set or control_q needs it to bracket its refinement."""
+def _sweep(values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionSet) -> BellmanMaps:
+    """One Bellman sweep with its argmin actions; control_q's are refined
+    between the neighbours of its grid minimum."""
     B = (acts.stack @ values).reshape(-1, pts.size)
     table = acts.cost[:, None] + (B if acts.weights is None else acts.weights @ B)
     cont = table.min(axis=0)
-    best = None
-    if decide or acts.refine:
-        j = np.argmin(table, axis=0)
-        best = acts.actions[j]
-    if acts.refine:
+    j = np.argmin(table, axis=0)
+    best = acts.actions[j]
+    if acts.weights is not None:
         q_grid = acts.actions
         lo = q_grid[np.maximum(j - 1, 0)]
         hi = q_grid[np.minimum(j + 1, q_grid.size - 1)]
@@ -714,11 +711,16 @@ def _action_set(
     q_grid: np.ndarray | None,
     q_grid_size: int,
 ) -> _ActionSet:
+    """The one action set every sweep of ``strategy`` reads.  open_loop
+    and fixed_m fold their mixture into one ``g x g`` map here: a dense
+    stack in one BLAS contraction over its blocks, viewed as rows of
+    ``g * g``, a CSR one through a block-mixing matrix."""
     n = problem.n
     lam_s = problem.costs.lambda_s
+    stack = operator.stack
     if strategy == "control_m":
         counts = np.arange(n + 1)
-        return _ActionSet(operator.stack, None, lam_s * counts, counts)
+        return _ActionSet(stack, None, lam_s * counts, counts)
     if strategy == "control_q":
         if q_grid is None:
             q_grid = np.linspace(0.0, 1.0, q_grid_size)
@@ -727,35 +729,24 @@ def _action_set(
             raise ValueError("q_grid must not be empty")
         if not np.all((q_grid >= 0.0) & (q_grid <= 1.0)):
             raise ValueError("q_grid values must lie in [0, 1]")
-        return _ActionSet(
-            operator.stack, _binomial_table(n, q_grid), lam_s * n * q_grid, q_grid, refine=True
-        )
+        return _ActionSet(stack, _binomial_table(n, q_grid), lam_s * n * q_grid, q_grid)
     if strategy == "open_loop":
         if q is None or not 0.0 <= q <= 1.0:
             raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
-        weights, cost, action = binomial_weights(n, q), lam_s * n * q, q
+        weights, cost, action = binomial_weights(n, q)[None], lam_s * n * q, q
     elif strategy == "fixed_m":
         if fixed_m is None or not 0 <= fixed_m <= n:
             raise ValueError(f"fixed_m needs an awake count in 0..{n}, got {fixed_m!r}")
-        weights, cost, action = np.eye(n + 1)[fixed_m], lam_s * fixed_m, fixed_m
+        weights, cost, action = np.eye(n + 1)[[fixed_m]], lam_s * fixed_m, fixed_m
     else:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    return _ActionSet(operator.stack, weights[None, :], np.array([cost]), np.array([action]))
-
-
-def _fold(acts: _ActionSet, g: int) -> _ActionSet:
-    """A single unrefined action with its mixture over awake counts folded
-    into one ``g x g`` map, for solvers that sweep it many times; any other
-    action set as it is.  A dense stack folds in one BLAS contraction over
-    its blocks, viewed as rows of ``g * g``; a CSR one through a
-    block-mixing matrix."""
-    if acts.refine or acts.weights is None or acts.weights.shape[0] != 1:
-        return acts
-    if isinstance(acts.stack, np.ndarray):
-        fold = (acts.weights @ acts.stack.reshape(acts.weights.shape[1], g * g)).reshape(g, g)
+    g = operator.grid.size
+    if isinstance(stack, np.ndarray):
+        fold = (weights @ stack.reshape(n + 1, g * g)).reshape(g, g)
     else:
-        fold = sparse.kron(acts.weights, sparse.identity(g), format="csr") @ acts.stack
-    return _ActionSet(fold, None, acts.cost, acts.actions, private=isinstance(fold, np.ndarray))
+        fold = sparse.kron(weights, sparse.identity(g), format="csr") @ stack
+    private = isinstance(fold, np.ndarray)
+    return _ActionSet(fold, None, np.array([cost]), np.array([action]), private=private)
 
 
 def _resolve_operator(
@@ -803,12 +794,12 @@ def _evaluate_policy(
     Forms ``P_C``, the continue rows (``|C| x g``) of the policy's
     transition matrix, once: row i is block ``m_i`` of the stack for an
     awake count, the binomial mixture of the blocks for a wake
-    probability or an unfolded single action, and the folded map's row
-    for a folded one.  ``values`` is the stopping cost on the stop set S
-    and 0 on C, so ``P_C @ values`` is ``P_CS J_S`` and the solve is
-    ``(I - P_C[:, C]) J_C = pi_C + c(a_C) + P_C @ values``.  When C is an
-    interval ``[lo, hi)`` of a dense stack, a mixture is one ``einsum``
-    over rows ``lo:hi`` of every block.  Rows that each read one block
+    probability, and the folded map's row for a single action.
+    ``values`` is the stopping cost on the stop set S and 0 on C, so
+    ``P_C @ values`` is ``P_CS J_S`` and the solve is ``(I - P_C[:, C])
+    J_C = pi_C + c(a_C) + P_C @ values``.  When C is an interval ``[lo,
+    hi)`` of a dense stack, a mixture is one ``einsum`` over rows
+    ``lo:hi`` of every block.  Rows that each read one block
     (an awake count, or a fold) are gathered up to column ``hi`` only,
     the columns past it entering the right-hand side at once, so no wider
     copy is held while the solver copies ``P_C[:, C]``; a private fold's
@@ -826,28 +817,25 @@ def _evaluate_policy(
         return values
     lo, hi = C[0], C[-1] + 1
     interval = hi - lo == C.size
-    if acts.refine:
-        w = _binomial_table(problem.n, best[C])
-        rhs = pts[C] + problem.costs.lambda_s * problem.n * best[C]
-    else:
-        # Unrefined action sets (awake counts, or one action) are sorted.
+    if acts.weights is None:
+        # Awake counts and a single action are sorted.  Columns from hi on
+        # are all in S.  A fold is one block: its continue rows are lo:hi.
         j = np.searchsorted(acts.actions, best[C])
-        w = None if acts.weights is None else acts.weights[j]
         rhs = pts[C] + acts.cost[j]
-    if w is None:
-        # Columns from hi on are all in S.  A fold is one block, so its
-        # continue rows are rows lo:hi.
         rows = slice(lo, hi) if acts.private and interval else j * g + C
         P = acts.stack[rows, :hi]
         rhs += acts.stack[rows, hi:] @ values[hi:]
-    elif interval and isinstance(acts.stack, np.ndarray):
-        P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
     else:
-        counts = w.shape[1]
-        cols = (C[:, None] + g * np.arange(counts)).ravel()
-        rows = np.arange(C.size).repeat(counts)
-        mix = sparse.csr_matrix((w.ravel(), (rows, cols)), shape=(C.size, acts.stack.shape[0]))
-        P = mix @ acts.stack
+        w = _binomial_table(problem.n, best[C])
+        rhs = pts[C] + problem.costs.lambda_s * problem.n * best[C]
+        if interval and isinstance(acts.stack, np.ndarray):
+            P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
+        else:
+            counts = w.shape[1]
+            cols = (C[:, None] + g * np.arange(counts)).ravel()
+            rows = np.arange(C.size).repeat(counts)
+            mix = sparse.csr_matrix((w.ravel(), (rows, cols)), shape=(C.size, acts.stack.shape[0]))
+            P = mix @ acts.stack
     if sparse.issparse(P):
         P = P.toarray()
     rhs += P @ values[:P.shape[1]]
@@ -872,7 +860,7 @@ def _policy_rounds(
     values = _evaluate_policy(problem, pts, acts, stop, best)
     deltas = []
     for _ in range(max_iters):
-        maps = _sweep(values, problem, pts, acts, decide=True)
+        maps = _sweep(values, problem, pts, acts)
         switch = maps.new_values < values - margin
         if not switch.any():
             deltas.append(0.0)
@@ -948,7 +936,6 @@ def value_iteration(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
-    acts = _fold(acts, grid.size)
     start = time.perf_counter()
     pts = grid.points
     stop = np.ones(grid.size, dtype=bool)
@@ -959,8 +946,8 @@ def value_iteration(
         cpts = coarse.grid.points
         coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m, q_grid, q_grid_size)
         _, stop, best, coarse_deltas, _ = _policy_rounds(
-            problem, cpts, _fold(coarse_acts, cpts.size),
-            np.ones(cpts.size, dtype=bool), np.zeros(cpts.size), max_iters,
+            problem, cpts, coarse_acts, np.ones(cpts.size, dtype=bool), np.zeros(cpts.size),
+            max_iters,
         )
         # Nearest coarse node; a fine node midway takes the lower one.
         hi = np.searchsorted(cpts, pts).clip(1, cpts.size - 1)
@@ -1013,7 +1000,6 @@ def solve_finite_horizon(
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator, method)
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
-    acts = _fold(acts, grid.size)
     values = problem.costs.lambda_f * (1.0 - grid.points)
     for _ in range(sweeps):
         values = _sweep(values, problem, grid.points, acts).new_values
@@ -1034,10 +1020,9 @@ def bellman_maps(
     """One sweep over the whole grid, exposing the per-point decisions.
 
     Policy extraction applies this to a converged value function to read
-    off the continuation values and minimizing actions.  A single
-    action's one-row mixture is swept over the whole stack, which costs
-    less than building its fold for one sweep.
+    off the continuation values and minimizing actions.  It sweeps the
+    same action set as the solves, so a single action builds its fold.
     """
     operator = _resolve_operator(problem, J.grid, operator)
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
-    return _sweep(J.values, problem, J.grid.points, acts, decide=True)
+    return _sweep(J.values, problem, J.grid.points, acts)

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import (
+    DEFAULT_Q_GRID_SIZE,
     STRATEGIES,
     TIE_BREAK,
     BeliefGrid,
     ExpectationOperator,
     ValueFunction,
     bellman_maps,
-    build_expectation_operator,
 )
 from .model import Problem
-
-THRESHOLD_BISECTION_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class Policy:
     awake_map: np.ndarray | None = None
     wake_prob_map: np.ndarray | None = None
     fixed_q: float | None = None
-    fixed_m: int | None = None
     awake_rule_mismatches: int = 0
 
     def __post_init__(self) -> None:
@@ -116,7 +113,10 @@ def _threshold_from_continuation(
     """Smallest belief at which stopping is optimal.
 
     Grid-brackets the crossing of the stopping cost and the continuation
-    value, then refines it by bisection on their linear interpolants.
+    value.  On the bracketing cell both are linear interpolants, so their
+    gap ``lambda_f * (1 - pi) - C(pi)`` is affine there and the threshold
+    is its root, read in closed form.  An upper node that stops only
+    within ``TIE_BREAK`` (a positive gap) is itself the threshold.
 
     Raises:
         ValueError: If stopping is nowhere optimal ("degenerate
@@ -136,20 +136,11 @@ def _threshold_from_continuation(
         )
     if first == 0:
         return 0.0
-    # C - H is positive on the continue side of the bracket and <= 0 on
-    # the stop side; bisect on the linear interpolants.
     lo, hi = pts[first - 1], pts[first]
-
-    def gap(x: float) -> float:
-        return lambda_f * (1.0 - x) - float(np.interp(x, pts, continue_values))
-
-    for _ in range(THRESHOLD_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    gap = stop_cost - continue_values
+    if gap[first] > 0.0:
+        return float(hi)
+    return float(lo + (hi - lo) * gap[first - 1] / (gap[first - 1] - gap[first]))
 
 
 def _differential_rule_map(B: np.ndarray, problem: Problem) -> np.ndarray:
@@ -169,7 +160,7 @@ def extract_policy(
     q: float | None = None,
     fixed_m: int | None = None,
     q_grid: np.ndarray | None = None,
-    q_grid_size: int = 101,
+    q_grid_size: int = DEFAULT_Q_GRID_SIZE,
 ) -> Policy:
     """Threshold plus action maps for ``strategy`` from a converged ``J``.
 
@@ -177,7 +168,6 @@ def extract_policy(
     the threshold where the marginal-value rule disagrees are tallied in
     ``awake_rule_mismatches``.
     """
-    operator = operator or build_expectation_operator(problem, J.grid)
     maps = bellman_maps(
         J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m,
         q_grid=q_grid, q_grid_size=q_grid_size,
@@ -193,7 +183,7 @@ def extract_policy(
     elif strategy == "open_loop":
         extra = {"fixed_q": float(q)}
     else:
-        extra = {"fixed_m": int(fixed_m), "awake_map": maps.best_action.astype(int)}
+        extra = {"awake_map": maps.best_action.astype(int)}
     return Policy(
         kind=strategy, gamma=gamma, grid=J.grid, n=problem.n, problem_key=problem.key(), **extra
     )

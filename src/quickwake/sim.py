@@ -12,8 +12,9 @@ independent streams and block ``b`` does not depend on how many blocks
 run beside it.  Within a block all still-active episodes advance one slot
 per iteration in numpy arrays, and episodes leave the arrays when they
 stop or reach the horizon cap.  An episode is therefore reproduced by
-``base_seed`` and its index, and ``run_episode`` is the one-episode call
-of the same engine on the caller's generator.
+``base_seed`` and its index.  ``run_episodes`` yields the episodes one
+object each and ``estimate_metrics`` aggregates the same episodes
+straight from the engine's arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from scipy.special import expit
 
 from .belief import EPS
 from .dp import (
-    ConvergenceError, ExpectationOperator, _resolve_grid, _resolve_operator, value_iteration,
+    DEFAULT_MAX_ITERS, DEFAULT_Q_GRID_SIZE, ConvergenceError, ExpectationOperator,
+    _resolve_grid, _resolve_operator, value_iteration,
 )
 from .model import ChangePrior, Problem, SensorModel
 from .policy import Policy, extract_policy
@@ -42,8 +44,8 @@ BLOCK_EPISODES = 1 << 14
 class EpisodeResult:
     """One simulated run of a policy against one drawn change time.
 
-    ``episode`` is the index within its run (``run_episodes``) or the
-    caller's label (``run_episode``).
+    ``episode`` is the index within its run; with ``base_seed`` it
+    reproduces the episode (see the module docstring).
     """
 
     episode: int
@@ -216,58 +218,6 @@ def _outcomes(problem: Problem, change, stop, sensed):
     return delay, false_alarm, obs_cost, total
 
 
-def _results(problem: Problem, run, labels, trace: list | None):
-    change, stop, sensed, final, truncated = run
-    delay, false_alarm, obs_cost, total = _outcomes(problem, change, stop, sensed)
-    for i, label in enumerate(labels):
-        yield EpisodeResult(
-            episode=label,
-            change_time=int(change[i]),
-            stop_time=int(stop[i]),
-            delay=int(delay[i]),
-            false_alarm=bool(false_alarm[i]),
-            obs_cost=float(obs_cost[i]),
-            total_cost=float(total[i]),
-            final_belief=float(final[i]),
-            truncated=bool(truncated[i]),
-            trace=tuple(trace) if trace is not None and i == 0 else None,
-        )
-
-
-def run_episode(
-    problem: Problem,
-    policy: Policy,
-    rng: np.random.Generator,
-    horizon_cap: int | None = None,
-    *,
-    seed: int = -1,
-    collect_trace: bool = False,
-) -> EpisodeResult:
-    """Run ``policy`` from belief rho until it stops or hits the cap.
-
-    This is the one-episode call of the engine behind ``run_episodes``,
-    on the caller's generator, so it follows the same draw order: the
-    change time (a uniform for the mass at zero, then a geometric), then
-    per slot the wake draw (a binomial for probability-based kinds) and
-    the slot's readings, drawn pre-change while the next slot index is
-    still below T.  Equal-variance Gaussian models draw one normal for
-    the sum of the awake readings; anything else draws all ``n`` sensors
-    and counts the first ``m``.
-
-    Args:
-        problem: Instance to simulate.
-        policy: Stationary rule; its grid resolves belief lookups.
-        rng: Generator owned by this episode.
-        horizon_cap: Slot budget; default 100/p.  Hitting it flags the
-            result truncated.
-        seed: Recorded as the result's ``episode``, for bookkeeping only.
-        collect_trace: Keep a per-slot (slot, belief, awake_count) log.
-    """
-    trace: list | None = [] if collect_trace else None
-    run = _run_block(problem, policy, rng, 1, horizon_cap, trace)
-    return next(_results(problem, run, [seed], trace))
-
-
 def _half_width(x: np.ndarray) -> float:
     if x.size < 2:
         return math.inf
@@ -290,8 +240,23 @@ def run_episodes(
     carries its per-slot (slot, belief, awake_count) trace.
     """
     trace: list = []
-    run = _simulate(problem, policy, replications, base_seed, horizon_cap, trace)
-    yield from _results(problem, run, range(replications), trace)
+    change, stop, sensed, final, truncated = _simulate(
+        problem, policy, replications, base_seed, horizon_cap, trace
+    )
+    delay, false_alarm, obs_cost, total = _outcomes(problem, change, stop, sensed)
+    for i in range(replications):
+        yield EpisodeResult(
+            episode=i,
+            change_time=int(change[i]),
+            stop_time=int(stop[i]),
+            delay=int(delay[i]),
+            false_alarm=bool(false_alarm[i]),
+            obs_cost=float(obs_cost[i]),
+            total_cost=float(total[i]),
+            final_belief=float(final[i]),
+            truncated=bool(truncated[i]),
+            trace=tuple(trace) if i == 0 else None,
+        )
 
 
 def _metrics(delay, false_alarm, obs_cost, total, truncated) -> Metrics:
@@ -379,7 +344,7 @@ def sweep_open_loop_q(
     grid=None,
     operator: ExpectationOperator | None = None,
     tolerance: float | None = None,
-    max_iters: int = 10_000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     replications: int = 0,
     base_seed: int = 0,
     horizon_cap: int | None = None,
@@ -441,8 +406,10 @@ def calibrate_lambda_f(
     horizon_cap: int | None = None,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid_size: int = 101,
+    q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
+    solver_tolerance: float | None = None,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CalibrationResult:
     """Bisect the false-alarm cost until simulated P_FA hits the target.
 
@@ -458,7 +425,8 @@ def calibrate_lambda_f(
         tolerance: Acceptable |P_FA - target|.
         lambda_lo: Lower bracket endpoint (high-alpha side).
         lambda_hi: Upper bracket endpoint (low-alpha side).
-        max_trials: Bisection budget including the two bracket probes.
+        max_trials: Trial budget, the bracket probes included; the
+            ``lambda_hi`` probe runs only while a trial is left.
         replications: Episodes per trial.
         base_seed: Shared across trials for common random numbers.
         grid: Belief grid for the per-trial solves.
@@ -469,12 +437,16 @@ def calibrate_lambda_f(
         operator: Prebuilt expectation maps on ``grid``, shared by every
             trial (lambda_f does not enter them); built with the default
             method when None.
+        solver_tolerance: Residual tolerance of each trial's solve
+            (``value_iteration``'s ``tolerance``).
+        max_iters: Policy-improvement round budget of each trial's solve.
 
     Raises:
         ValueError: If the target is outside (0, 1) or the bracket does
             not straddle it.
         ConvergenceError: If the trial budget runs out before tolerance
-            (carrying the trial count and the last |P_FA - target|).
+            (carrying the trial count and the last |P_FA - target|), or a
+            trial's solve does not converge.
     """
     if not 0.0 < target_alpha < 1.0:
         raise ValueError(f"target_alpha must lie in (0, 1), got {target_alpha!r}")
@@ -487,7 +459,7 @@ def calibrate_lambda_f(
     def alpha_at(lam: float) -> float:
         trial = replace(problem, costs=replace(problem.costs, lambda_f=lam))
         J, _ = value_iteration(
-            trial, strategy, grid, operator=operator,
+            trial, strategy, grid, solver_tolerance, max_iters, operator=operator,
             q=q, fixed_m=fixed_m, q_grid_size=q_grid_size,
         )
         pol = extract_policy(
@@ -501,14 +473,15 @@ def calibrate_lambda_f(
     a_lo = alpha_at(lambda_lo)
     if abs(a_lo - target_alpha) <= tolerance:
         return CalibrationResult(lambda_lo, a_lo, len(trace), tuple(trace))
-    a_hi = alpha_at(lambda_hi)
-    if abs(a_hi - target_alpha) <= tolerance:
-        return CalibrationResult(lambda_hi, a_hi, len(trace), tuple(trace))
-    if not (a_lo >= target_alpha >= a_hi):
-        raise ValueError(
-            f"bracket [{lambda_lo:g}, {lambda_hi:g}] gives P_FA "
-            f"[{a_lo:.4f}, {a_hi:.4f}], which does not straddle {target_alpha}"
-        )
+    if len(trace) < max_trials:
+        a_hi = alpha_at(lambda_hi)
+        if abs(a_hi - target_alpha) <= tolerance:
+            return CalibrationResult(lambda_hi, a_hi, len(trace), tuple(trace))
+        if not (a_lo >= target_alpha >= a_hi):
+            raise ValueError(
+                f"bracket [{lambda_lo:g}, {lambda_hi:g}] gives P_FA "
+                f"[{a_lo:.4f}, {a_hi:.4f}], which does not straddle {target_alpha}"
+            )
     lo, hi = lambda_lo, lambda_hi
     while len(trace) < max_trials:
         mid = math.sqrt(lo * hi)

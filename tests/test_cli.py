@@ -244,6 +244,10 @@ def test_simulate_requires_sibling_report(solved_run, tmp_path, capsys):
         ([1], "must be a JSON object"),
         ({"strategy": "control_m", "gamma": [1], "problem_key": make_benchmark_problem().key()},
          "field gamma in"),
+        ({"strategy": "open_loop", "gamma": 0.9, "open_loop_q": "x",
+          "problem_key": make_benchmark_problem().key()}, "field open_loop_q in"),
+        ({"strategy": "open_loop", "gamma": 0.9, "problem_key": make_benchmark_problem().key()},
+         "missing field open_loop_q in"),
     ],
 )
 def test_simulate_rejects_malformed_report(solved_run, tmp_path, capsys, report, fragment):
@@ -328,14 +332,33 @@ def test_calibrate_rejects_zero_replications(tmp_path, capsys):
 
 
 def test_calibrate_exit_code_when_trials_run_out(tmp_path, capsys):
-    # Both bracket probes run before the budget is read, so two trials
-    # cannot reach a tolerance this tight.
+    # Two trials are the two bracket probes, which cannot reach a
+    # tolerance this tight.
     cfg = write_config(
         tmp_path, {"calibrate.max_trials": 2, "calibrate.tolerance": 1e-9},
         out_dir=str(tmp_path / "x"),
     )
     assert main(["calibrate", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: calibration used 2 trials")
+
+
+def test_calibrate_honours_a_one_trial_budget(tmp_path, capsys):
+    # One trial is the lambda_lo probe alone; the lambda_hi probe is skipped.
+    cfg = write_config(
+        tmp_path, {"calibrate.max_trials": 1, "calibrate.tolerance": 1e-9},
+        out_dir=str(tmp_path / "x"),
+    )
+    assert main(["calibrate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: calibration used 1 trials")
+
+
+@pytest.mark.parametrize("solver", [{"solver.max_iters": 1}, {"solver.tolerance": 1e-300}])
+def test_calibrate_uses_the_solver_settings(tmp_path, capsys, solver):
+    # Each trial's solve gets the config's round budget and tolerance, as
+    # in solve, so either setting stops the first trial.
+    cfg = write_config(tmp_path, solver, out_dir=str(tmp_path / "x"))
+    assert main(["calibrate", "--config", cfg]) == 2
+    assert "did not reach tolerance" in capsys.readouterr().err
 
 
 def test_calibrate_uses_the_configured_method(tmp_path, capsys):

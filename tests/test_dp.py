@@ -39,12 +39,9 @@ from quickwake.dp import (
     _action_set,
     _binomial_table,
     _evaluate_policy,
-    _fold,
     _policy_rounds,
     _solve_identity_minus,
-    _sweep,
 )
-from quickwake.policy import _threshold_from_continuation
 from tests.conftest import make_benchmark_problem
 
 
@@ -644,9 +641,11 @@ def csr_operator201(problem, grid201, operator201):
     )
 
 
-def _unfolded_action_set(problem, operator, strategy, kw):
-    """The unfolded action set that a sweep of ``strategy`` sees."""
-    return _action_set(problem, operator, strategy, kw.get("q"), kw.get("fixed_m"), None, 101)
+def _strategy_action_set(problem, operator, strategy, kw):
+    """The action set that every sweep of ``strategy`` reads."""
+    return _action_set(
+        problem, operator, strategy, kw.get("q"), kw.get("fixed_m"), None, dp.DEFAULT_Q_GRID_SIZE
+    )
 
 
 def _dense(stack):
@@ -694,14 +693,12 @@ def test_policy_evaluation_matches_dense_reference(
         A = np.eye(g) - np.where(stop[:, None], 0.0, P)
         ref = np.linalg.solve(A, np.where(stop, lam_f * (1.0 - pts), pts + cost))
         for op in (operator201, csr_operator201):
-            # A single action is evaluated both folded and unfolded.
-            unfolded = _unfolded_action_set(problem, op, strategy, kw)
-            for acts in (unfolded, _fold(unfolded, g)):
-                before = _dense(acts.stack).copy()
-                J = _evaluate_policy(problem, pts, acts, stop, best)
-                np.testing.assert_allclose(J, ref, rtol=0, atol=1e-12)
-                # A private fold is worked in place and must come back unchanged.
-                assert np.array_equal(_dense(acts.stack), before)
+            acts = _strategy_action_set(problem, op, strategy, kw)
+            before = _dense(acts.stack).copy()
+            J = _evaluate_policy(problem, pts, acts, stop, best)
+            np.testing.assert_allclose(J, ref, rtol=0, atol=1e-12)
+            # A private fold is worked in place and must come back unchanged.
+            assert np.array_equal(_dense(acts.stack), before)
     J_dense, rep_dense = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
     J_csr, rep_csr = value_iteration(problem, strategy, grid201, operator=csr_operator201, **kw)
     np.testing.assert_allclose(J_csr.values, J_dense.values, rtol=0, atol=1e-12)
@@ -709,37 +706,26 @@ def test_policy_evaluation_matches_dense_reference(
 
 
 @pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
-def test_single_action_extraction_matches_folded_sweep(problem, grid201, operator201, strategy):
-    """One-off sweeps of a single action read the stack unfolded; they
-    must agree with the folded map the stationary solve sweeps."""
-    kw = STRATEGY_KW[strategy]
-    J, _ = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
-    pts = grid201.points
-    acts = _unfolded_action_set(problem, operator201, strategy, kw)
-    folded = _sweep(J.values, problem, pts, _fold(acts, grid201.size), decide=True)
-    maps = bellman_maps(J, problem, strategy, operator=operator201, **kw)
-    np.testing.assert_allclose(maps.continue_values, folded.continue_values, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(maps.best_action, folded.best_action)
-    np.testing.assert_array_equal(maps.expected_next, operator201.apply_all(J.values))
-    gamma = _threshold_from_continuation(grid201, folded.continue_values, problem.costs.lambda_f)
-    policy = extract_policy(J, problem, strategy, operator=operator201, **kw)
-    assert policy.gamma == pytest.approx(gamma, abs=1e-12)
-
-
-@pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
 def test_single_action_fold_matches_block_mixing(
     problem, grid201, operator201, csr_operator201, strategy
 ):
-    """A dense stack folds in one contraction, a CSR one by a block-mixing
-    product; both agree with mixing the dense blocks."""
+    """A single action's set is its fold: one contraction of a dense
+    stack, a block-mixing product of a CSR one; both agree with mixing
+    the dense blocks."""
     kw = STRATEGY_KW[strategy]
-    g = grid201.size
-    weights = _unfolded_action_set(problem, operator201, strategy, kw).weights
-    ref = sparse.kron(weights, sparse.identity(g), format="csr") @ operator201.stack
-    folds = [
-        _dense(_fold(_unfolded_action_set(problem, op, strategy, kw), g).stack)
-        for op in (operator201, csr_operator201)
-    ]
+    g, n = grid201.size, problem.n
+    if strategy == "open_loop":
+        weights = binomial_weights(n, kw["q"])
+    else:
+        weights = np.eye(n + 1)[kw["fixed_m"]]
+    blocks = operator201.stack.reshape(n + 1, g, g)
+    ref = sum(w * block for w, block in zip(weights, blocks))
+    folds = []
+    for op in (operator201, csr_operator201):
+        acts = _strategy_action_set(problem, op, strategy, kw)
+        assert acts.weights is None and acts.actions.size == 1
+        assert type(acts.stack) is type(op.stack)
+        folds.append(_dense(acts.stack))
     for fold in folds:
         assert np.abs(fold - ref).max() < 1e-14
     assert np.abs(folds[0] - folds[1]).max() < 1e-14
@@ -790,7 +776,7 @@ def test_coarse_start_matches_cold_start(
     g, pts = grid201.size, grid201.points
     J, report = value_iteration(prob, strategy, grid201, operator=op, **kw)
     assert report.coarse_iterations > 0
-    acts = _fold(_unfolded_action_set(prob, op, strategy, kw), g)
+    acts = _strategy_action_set(prob, op, strategy, kw)
     cold, _, _, deltas, residual = _policy_rounds(
         prob, pts, acts, np.ones(g, dtype=bool), np.zeros(g), dp.DEFAULT_MAX_ITERS
     )

@@ -9,6 +9,7 @@ from quickwake import (
     extract_policy,
     value_iteration,
 )
+from quickwake.dp import TIE_BREAK
 from quickwake.policy import _threshold_from_continuation
 
 
@@ -34,6 +35,25 @@ def test_threshold_refinement_is_consistent(problem, solved_control_m, operator)
     assert continue_cost == pytest.approx(stop_cost, abs=1e-6 * problem.costs.lambda_f)
 
 
+def _bisected_threshold(grid, continue_values, lambda_f, steps=60):
+    """The threshold by bisection on the linear interpolants of the
+    stopping cost and the continuation value, on the same bracketing cell
+    as the closed form."""
+    pts = grid.points
+    stop = lambda_f * (1.0 - pts) <= continue_values + TIE_BREAK
+    first = int(np.argmax(stop))
+    if first == 0:
+        return 0.0
+    lo, hi = pts[first - 1], pts[first]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if lambda_f * (1.0 - mid) - np.interp(mid, pts, continue_values) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def test_threshold_from_continuation_edge_cases():
     grid = BeliefGrid.uniform(5)
     # Continuation always cheaper: no stop node anywhere.
@@ -45,6 +65,28 @@ def test_threshold_from_continuation_edge_cases():
         _threshold_from_continuation(grid, broken, lambda_f=1.0)
     # Stopping optimal at node 0 already.
     assert _threshold_from_continuation(grid, np.full(5, 10.0), lambda_f=1.0) == 0.0
+    # An upper node that stops only within the tie margin, or exactly at
+    # the crossing, is itself the threshold, where a bisection ends too.
+    for upper_gap in (0.5 * TIE_BREAK, 0.0):
+        cont = 1.0 - grid.points - np.array([1.0, 1.0, upper_gap, -1.0, -1.0])
+        assert _threshold_from_continuation(grid, cont, lambda_f=1.0) == 0.5
+        assert _bisected_threshold(grid, cont, 1.0) == 0.5
+
+
+@pytest.mark.parametrize(
+    "strategy,kw",
+    [("control_m", {}), ("control_q", {}), ("open_loop", {"q": 0.03}), ("fixed_m", {"fixed_m": 1})],
+)
+def test_closed_form_threshold_matches_bisection(problem, grid201, operator201, strategy, kw):
+    """The root of the affine gap on the bracketing cell is where a long
+    bisection of the interpolants ends."""
+    J, _ = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
+    cont = bellman_maps(J, problem, strategy, operator=operator201, **kw).continue_values
+    lam_f = problem.costs.lambda_f
+    gamma = _threshold_from_continuation(grid201, cont, lam_f)
+    assert 0.0 < gamma < 1.0
+    assert abs(gamma - _bisected_threshold(grid201, cont, lam_f)) <= 1e-15
+    assert extract_policy(J, problem, strategy, operator=operator201, **kw).gamma == gamma
 
 
 def test_fixed_two_stops_everywhere(problem, grid1001, operator):

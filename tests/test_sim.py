@@ -15,7 +15,6 @@ from quickwake import (
     estimate_metrics,
     extract_policy,
     metrics_from_episodes,
-    run_episode,
     run_episodes,
     sweep_open_loop_q,
     value_iteration,
@@ -42,21 +41,22 @@ def test_change_time_distribution(problem, grid201):
 
 
 def test_run_episode_is_deterministic(problem, policy_control_m):
-    a = run_episode(problem, policy_control_m, np.random.default_rng(99), seed=99)
-    b = run_episode(problem, policy_control_m, np.random.default_rng(99), seed=99)
+    """The same base seed gives the same episodes, each costed from its
+    own change and stopping times."""
+    a = list(run_episodes(problem, policy_control_m, 8, 99))
+    b = list(run_episodes(problem, policy_control_m, 8, 99))
     assert a == b
-    assert a.delay == max(0, a.stop_time - a.change_time)
-    assert a.false_alarm == (a.stop_time < a.change_time)
-    expected_total = (
-        problem.costs.lambda_f * a.false_alarm + a.delay + a.obs_cost
-    )
-    assert a.total_cost == pytest.approx(expected_total)
+    for i, ep in enumerate(a):
+        assert ep.episode == i
+        assert ep.delay == max(0, ep.stop_time - ep.change_time)
+        assert ep.false_alarm == (ep.stop_time < ep.change_time)
+        expected_total = problem.costs.lambda_f * ep.false_alarm + ep.delay + ep.obs_cost
+        assert ep.total_cost == pytest.approx(expected_total)
 
 
 def test_run_episode_trace_accounts_costs(problem, policy_control_m):
-    ep = run_episode(
-        problem, policy_control_m, np.random.default_rng(5), seed=5, collect_trace=True
-    )
+    """Episode 0 carries its per-slot trace, which accounts its sensing."""
+    ep = next(run_episodes(problem, policy_control_m, 1, 5))
     assert len(ep.trace) == ep.stop_time
     ks, pis, ms = zip(*ep.trace)
     assert ks == tuple(range(ep.stop_time))
@@ -173,7 +173,7 @@ def test_policy_problem_mismatch_rejected(problem, policy_control_m):
         model=problem.model, prior=problem.prior, costs=problem.costs, n=4
     )
     with pytest.raises(ValueError, match="n="):
-        run_episode(other, policy_control_m, np.random.default_rng(0))
+        next(run_episodes(other, policy_control_m, 1))
 
 
 def test_sweep_open_loop_rows(problem, grid201, operator201):
