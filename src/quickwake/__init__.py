@@ -7,13 +7,6 @@ false alarms.  This package solves the resulting belief-state dynamic
 programs, extracts threshold policies, and simulates them.
 """
 
-from .belief import (
-    TERMINAL,
-    logit,
-    posterior_update,
-    sigmoid,
-    sufficient_statistic_update,
-)
 from .dp import (
     BeliefGrid,
     ConvergenceError,
@@ -69,7 +62,6 @@ __all__ = [
     "SensorModel",
     "SolveReport",
     "SweepResult",
-    "TERMINAL",
     "ValueFunction",
     "bellman_maps",
     "binomial_weights",
@@ -80,16 +72,12 @@ __all__ = [
     "estimate_metrics",
     "extract_policy",
     "likelihood_atoms",
-    "logit",
     "metrics_from_episodes",
     "monte_carlo_atoms",
     "operator_from_atoms",
-    "posterior_update",
     "prior_mass",
     "run_episodes",
-    "sigmoid",
     "solve_finite_horizon",
-    "sufficient_statistic_update",
     "sweep_open_loop_q",
     "value_iteration",
 ]

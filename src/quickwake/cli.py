@@ -90,7 +90,7 @@ _FIELDS = (
     ("solver.q_grid_size", int, DEFAULT_Q_GRID_SIZE, _at_least(1)),
     ("solver.method", str, "exact", None),
     ("sim.replications", int, 1000, _at_least(0)),
-    ("sim.base_seed", int, 0, None),
+    ("sim.base_seed", int, 0, _at_least(0)),
     ("sim.horizon_cap", int, None, _at_least(1)),
     ("sweep.q_values", list, None, None),
     ("calibrate.target_alpha", float, 0.04, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
@@ -211,11 +211,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         )
     values["method"] = METHOD_NAMES[values["method"]]
     if values["sweep_q_values"] is not None:
-        try:
-            q_values = np.asarray([float(v) for v in values["sweep_q_values"]], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("field sweep.q_values must be a list of numbers") from exc
-        if q_values.size == 0 or np.any((q_values < 0) | (q_values > 1)):
+        q_values = np.array([_typed(v, float, "sweep.q_values") for v in values["sweep_q_values"]])
+        if q_values.size == 0 or not np.all((q_values >= 0) & (q_values <= 1)):
             raise ConfigError("field sweep.q_values must be nonempty values in [0, 1]")
         values["sweep_q_values"] = q_values
     if not values["lambda_lo"] < values["lambda_hi"]:
@@ -301,7 +298,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         "value_at_start": float(J(cfg.problem.prior.rho)),
         "iterations": report.iterations,
         "coarse_iterations": report.coarse_iterations,
-        "final_sup_norm_delta": report.final_sup_norm_delta,
         "bellman_residual": report.bellman_residual,
         "wall_seconds": report.wall_seconds,
         "operator_build_seconds": build_seconds,
@@ -337,8 +333,10 @@ def load_policy(policy_path, problem: Problem) -> Policy:
 
     Raises:
         ConfigError: On a missing or malformed report, an unreadable
-            policy file or a problem-fingerprint mismatch (the policy was
-            solved for a different instance).
+            policy file, nodes or actions that do not make a valid policy
+            (a non-number, a fractional awake count, a wake probability
+            outside [0, 1]) or a problem-fingerprint mismatch (the policy
+            was solved for a different instance).
     """
     policy_path = Path(policy_path)
     report_path = policy_path.parent / "report.json"
@@ -357,31 +355,29 @@ def load_policy(policy_path, problem: Problem) -> Policy:
             f"field strategy in {report_path} must be one of {STRATEGIES}, got {kind!r}"
         )
     gamma = _typed(report["gamma"], float, f"gamma in {report_path}")
-    pis, values = [], []
+    fixed_q = None
+    if kind == "open_loop":
+        if report.get("open_loop_q") is None:
+            raise ConfigError(f"missing field open_loop_q in {report_path}")
+        fixed_q = _typed(report["open_loop_q"], float, f"open_loop_q in {report_path}")
     try:
         with open(policy_path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != ["pi", "action", "m_or_q"]:
                 raise ConfigError(f"{policy_path.name} must have columns pi,action,m_or_q")
-            for row in reader:
-                pis.append(float(row["pi"]))
-                values.append(row["m_or_q"])
+            rows = [(row["pi"], row["m_or_q"]) for row in reader]
     except OSError as exc:
         raise ConfigError(f"cannot read {policy_path}: {exc}") from exc
-    awake_map = wake_prob_map = fixed_q = None
-    if kind in ("control_m", "fixed_m"):
-        awake_map = np.array([int(v) if v else 0 for v in values])
-    if kind == "control_q":
-        wake_prob_map = np.array([float(v) if v else 0.0 for v in values])
-    if kind == "open_loop":
-        if report.get("open_loop_q") is None:
-            raise ConfigError(f"missing field open_loop_q in {report_path}")
-        fixed_q = _typed(report["open_loop_q"], float, f"open_loop_q in {report_path}")
-    return Policy(
-        kind=kind, gamma=gamma, grid=BeliefGrid(np.asarray(pis)),
-        n=problem.n, problem_key=report["problem_key"],
-        awake_map=awake_map, wake_prob_map=wake_prob_map, fixed_q=fixed_q,
-    )
+    try:
+        pis = np.array([float(pi) for pi, _ in rows])
+        actions = np.array([float(v) if v else 0.0 for _, v in rows])  # empty on stop rows
+        return Policy(
+            kind=kind, gamma=gamma, grid=BeliefGrid(pis), n=problem.n,
+            awake_map=actions if kind in ("control_m", "fixed_m") else None,
+            wake_prob_map=actions if kind == "control_q" else None, fixed_q=fixed_q,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid policy in {policy_path}: {exc}") from exc
 
 
 def cmd_simulate(cfg: RunConfig, policy_path, trace: bool) -> int:

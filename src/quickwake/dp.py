@@ -47,7 +47,10 @@ closed form, with no integration parameter at all: a piecewise-linear
 value function integrates against each mixture component as Gaussian
 masses between the preimages of the grid nodes.  Adjacent segments share
 a boundary, so each boundary costs one small-tail CDF per regime, built
-for a block of belief rows at a time.
+for a block of belief rows at a time.  The clamped log-odds
+(``_logit_array``) and the slot's log likelihood ratio as an affine map
+of the sum (``_llr_coefficients``) are the same helpers the simulator's
+posterior update uses.
 
 ``monte_carlo`` covers density pairs with no scalar sufficient statistic
 (seeded, 10^5 draws, compressed to a histogram of the joint likelihood
@@ -80,7 +83,6 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, ndtr
 
-from .belief import EPS
 from .model import Problem, SensorModel
 
 DEFAULT_GRID_SIZE = 1001
@@ -191,14 +193,13 @@ class SolveReport:
     counts the rounds of the coarse solve that gave their starting
     policy (0 when the grid has no coarse level).  ``sup_norm_deltas``
     holds the sup-norm change of J in each fine round (0 in that last
-    round, so ``final_sup_norm_delta`` is 0 on success).
+    round).
     ``bellman_residual`` is ``||TJ - J||_inf`` of the returned J, the
     error that the ``tolerance`` check is applied to.
     """
 
     strategy: str
     iterations: int
-    final_sup_norm_delta: float
     wall_seconds: float
     grid_size: int
     tolerance: float
@@ -231,13 +232,20 @@ class LikelihoodAtoms:
                 raise ValueError(f"{name} must have n + 1 = {self.n + 1} entries")
 
 
+# Clamp bound applied to beliefs before log-odds arithmetic only. Stored
+# beliefs are never clamped.
+EPS = 1e-15
+
+
 def _logit_array(x: np.ndarray) -> np.ndarray:
+    """Log-odds of ``x``, clamped to +/- logit(1 - EPS) at the endpoints."""
     xc = np.clip(x, EPS, 1.0 - EPS)
     return np.log(xc) - np.log1p(-xc)
 
 
-def _llr_coefficients(model: SensorModel, m: int) -> tuple[float, float]:
-    """Joint log likelihood ratio of an m-sensor slot as a*s + b."""
+def _llr_coefficients(model: SensorModel, m):
+    """Joint log likelihood ratio of an m-sensor slot as a*s + b, where s
+    is the sum of the readings; an array of counts gives an array of b."""
     var = model.sigma0 * model.sigma0
     a = (model.mu1 - model.mu0) / var
     b = -m * (model.mu1**2 - model.mu0**2) / (2.0 * var)
@@ -325,11 +333,10 @@ class ExpectationOperator:
     depend on the worker count.
     """
 
-    def __init__(self, grid: BeliefGrid, p: float, n: int, method: str, stack):
+    def __init__(self, grid: BeliefGrid, p: float, n: int, stack):
         self.grid = grid
         self.p = p
         self.n = n
-        self.method = method
         self.stack = stack
         self.predicted = grid.points + (1.0 - grid.points) * p
 
@@ -355,7 +362,7 @@ class ExpectationOperator:
             stack = np.empty(((self.n + 1) * keep.size, keep.size))
             for rows, block in zip(np.split(stack, self.n + 1), blocks):
                 rows[...] = block
-        return ExpectationOperator(grid, self.p, self.n, self.method, stack)
+        return ExpectationOperator(grid, self.p, self.n, stack)
 
 
 def _segment_shares(
@@ -423,10 +430,11 @@ def _fill_blocks(make_fill, n: int) -> None:
         future.result()
 
 
-def _operator_from_atoms(
-    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, method: str
+def operator_from_atoms(
+    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float
 ) -> ExpectationOperator:
-    """Atom-weighted interpolation, dense by segment sums or CSR by pairs.
+    """Expectation maps from likelihood-ratio atoms: atom-weighted
+    interpolation, dense by segment sums or CSR by pairs.
 
     The storage is fixed by the atom counts before anything is allocated.
     Each atom puts two entries in a row, so once twice the largest
@@ -459,7 +467,7 @@ def _operator_from_atoms(
                         grid, expit(l0[r, None] + atoms.llr0[m]), (1.0 - t[r, None]) * atoms.w0[m]
                     )
                 )
-        return ExpectationOperator(grid, p, atoms.n, method, sparse.vstack(blocks, format="csr"))
+        return ExpectationOperator(grid, p, atoms.n, sparse.vstack(blocks, format="csr"))
     stack = np.empty(((atoms.n + 1) * g, g))
     stack[:g] = _interp_matrix(grid, t).toarray()
     interior = _logit_array(pts[1:-1])
@@ -522,7 +530,7 @@ def _operator_from_atoms(
             _segment_shares(block[r], sums.real, sums.imag, pts, step)
 
     _fill_blocks(make_fill, atoms.n)
-    return ExpectationOperator(grid, p, atoms.n, method, stack)
+    return ExpectationOperator(grid, p, atoms.n, stack)
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:
@@ -591,7 +599,7 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
             _segment_shares(block[r], d0, d1, pts, step)
 
     _fill_blocks(make_fill, n)
-    return ExpectationOperator(grid, p, n, "exact", stack)
+    return ExpectationOperator(grid, p, n, stack)
 
 
 def build_expectation_operator(
@@ -613,15 +621,8 @@ def build_expectation_operator(
         return _exact_operator(model, problem.n, grid, problem.prior.p)
     if method == "monte_carlo":
         atoms = monte_carlo_atoms(model, problem.n)
-        return _operator_from_atoms(atoms, grid, problem.prior.p, "monte_carlo")
+        return operator_from_atoms(atoms, grid, problem.prior.p)
     raise ValueError(f"unknown expectation method {method!r}")
-
-
-def operator_from_atoms(
-    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float
-) -> ExpectationOperator:
-    """Expectation maps from externally supplied likelihood-ratio atoms."""
-    return _operator_from_atoms(atoms, grid, p, "atoms")
 
 
 def _refine_q(
@@ -708,13 +709,13 @@ def _action_set(
     strategy: str,
     q: float | None,
     fixed_m: int | None,
-    q_grid: np.ndarray | None,
     q_grid_size: int,
 ) -> _ActionSet:
-    """The one action set every sweep of ``strategy`` reads.  open_loop
-    and fixed_m fold their mixture into one ``g x g`` map here: a dense
-    stack in one BLAS contraction over its blocks, viewed as rows of
-    ``g * g``, a CSR one through a block-mixing matrix."""
+    """The one action set every sweep of ``strategy`` reads.  control_q
+    searches ``q_grid_size`` uniform wake probabilities on [0, 1].
+    open_loop and fixed_m fold their mixture into one ``g x g`` map here:
+    a dense stack in one BLAS contraction over its blocks, viewed as rows
+    of ``g * g``, a CSR one through a block-mixing matrix."""
     n = problem.n
     lam_s = problem.costs.lambda_s
     stack = operator.stack
@@ -722,13 +723,9 @@ def _action_set(
         counts = np.arange(n + 1)
         return _ActionSet(stack, None, lam_s * counts, counts)
     if strategy == "control_q":
-        if q_grid is None:
-            q_grid = np.linspace(0.0, 1.0, q_grid_size)
-        q_grid = np.asarray(q_grid, dtype=float)
-        if q_grid.size == 0:
-            raise ValueError("q_grid must not be empty")
-        if not np.all((q_grid >= 0.0) & (q_grid <= 1.0)):
-            raise ValueError("q_grid values must lie in [0, 1]")
+        if q_grid_size < 1:
+            raise ValueError(f"q_grid_size must be >= 1, got {q_grid_size!r}")
+        q_grid = np.linspace(0.0, 1.0, q_grid_size)
         return _ActionSet(stack, _binomial_table(n, q_grid), lam_s * n * q_grid, q_grid)
     if strategy == "open_loop":
         if q is None or not 0.0 <= q <= 1.0:
@@ -882,7 +879,6 @@ def value_iteration(
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid: np.ndarray | None = None,
     q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
     method: str | None = None,
@@ -913,8 +909,7 @@ def value_iteration(
         max_iters: Policy-improvement round budget of each level.
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
-        q_grid: Wake probability search grid (control_q; default 101 uniform).
-        q_grid_size: Size of the default control_q search grid.
+        q_grid_size: Size of the uniform control_q search grid on [0, 1].
         operator: Prebuilt expectation maps to reuse across solves; its
             coarse level is built on first use and kept with it.
         method: Expectation construction when building the operator here.
@@ -935,7 +930,7 @@ def value_iteration(
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid_size)
     start = time.perf_counter()
     pts = grid.points
     stop = np.ones(grid.size, dtype=bool)
@@ -944,7 +939,7 @@ def value_iteration(
     coarse = operator.coarse
     if coarse is not None:
         cpts = coarse.grid.points
-        coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m, q_grid, q_grid_size)
+        coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m, q_grid_size)
         _, stop, best, coarse_deltas, _ = _policy_rounds(
             problem, cpts, coarse_acts, np.ones(cpts.size, dtype=bool), np.zeros(cpts.size),
             max_iters,
@@ -966,7 +961,6 @@ def value_iteration(
     report = SolveReport(
         strategy=strategy,
         iterations=len(deltas),
-        final_sup_norm_delta=0.0,
         wall_seconds=time.perf_counter() - start,
         grid_size=grid.size,
         tolerance=tolerance,
@@ -985,7 +979,6 @@ def solve_finite_horizon(
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid: np.ndarray | None = None,
     q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
     method: str | None = None,
@@ -999,7 +992,7 @@ def solve_finite_horizon(
         raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator, method)
-    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid_size)
     values = problem.costs.lambda_f * (1.0 - grid.points)
     for _ in range(sweeps):
         values = _sweep(values, problem, grid.points, acts).new_values
@@ -1013,7 +1006,6 @@ def bellman_maps(
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid: np.ndarray | None = None,
     q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
 ) -> BellmanMaps:
@@ -1024,5 +1016,5 @@ def bellman_maps(
     same action set as the solves, so a single action builds its fold.
     """
     operator = _resolve_operator(problem, J.grid, operator)
-    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid, q_grid_size)
+    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid_size)
     return _sweep(J.values, problem, J.grid.points, acts)

@@ -35,14 +35,14 @@ class Policy:
     inspection but never executed).  ``awake_rule_mismatches`` counts
     grid nodes below the threshold where the marginal-value threshold
     rule disagrees with the enumeration argmin; the argmin is
-    authoritative, the counter is diagnostic.
+    authoritative, the counter is diagnostic.  The simulator reads a
+    map at a belief through ``_continue_indices``.
     """
 
     kind: str
     gamma: float
     grid: BeliefGrid
     n: int
-    problem_key: str
     awake_map: np.ndarray | None = None
     wake_prob_map: np.ndarray | None = None
     fixed_q: float | None = None
@@ -56,23 +56,20 @@ class Policy:
         if self.kind in ("control_m", "fixed_m"):
             if self.awake_map is None or len(self.awake_map) != self.grid.size:
                 raise ValueError("awake_map must cover every grid node")
-            amap = np.asarray(self.awake_map, dtype=int)
-            if np.any((amap < 0) | (amap > self.n)):
-                raise ValueError(f"awake_map entries must lie in 0..{self.n}")
-            object.__setattr__(self, "awake_map", amap)
+            amap = np.asarray(self.awake_map, dtype=float)
+            if not np.all((amap >= 0) & (amap <= self.n) & (amap == np.round(amap))):
+                raise ValueError(f"awake_map entries must be integers in 0..{self.n}")
+            object.__setattr__(self, "awake_map", amap.astype(int))
         if self.kind == "control_q":
             if self.wake_prob_map is None or len(self.wake_prob_map) != self.grid.size:
                 raise ValueError("wake_prob_map must cover every grid node")
             qmap = np.asarray(self.wake_prob_map, dtype=float)
-            if np.any((qmap < 0.0) | (qmap > 1.0)):
+            if not np.all((qmap >= 0.0) & (qmap <= 1.0)):  # NaN fails too
                 raise ValueError("wake_prob_map entries must lie in [0, 1]")
             object.__setattr__(self, "wake_prob_map", qmap)
         if self.kind == "open_loop":
             if self.fixed_q is None or not 0.0 <= self.fixed_q <= 1.0:
                 raise ValueError(f"open_loop needs fixed_q in [0, 1], got {self.fixed_q!r}")
-
-    def should_stop(self, pi: float) -> bool:
-        return pi >= self.gamma
 
     def _continue_indices(self, pi) -> np.ndarray:
         """Nearest grid node to each belief, clamped below the threshold.
@@ -89,22 +86,6 @@ class Policy:
         upper = np.clip(np.searchsorted(pts, pi), 1, pts.size - 1)
         idx = np.where(pi - pts[upper - 1] <= pts[upper] - pi, upper - 1, upper)
         return np.minimum(idx, end)
-
-    def _continue_index(self, pi: float) -> int:
-        return int(self._continue_indices(pi))
-
-    def awake_count_at(self, pi: float) -> int:
-        """Continue-region awake count at the nearest continue-region node."""
-        if self.awake_map is None:
-            raise ValueError(f"{self.kind} policy has no awake-count map")
-        return int(self.awake_map[self._continue_index(pi)])
-
-    def wake_prob_at(self, pi: float) -> float:
-        if self.kind == "open_loop":
-            return float(self.fixed_q)
-        if self.wake_prob_map is None:
-            raise ValueError(f"{self.kind} policy has no wake-probability map")
-        return float(self.wake_prob_map[self._continue_index(pi)])
 
 
 def _threshold_from_continuation(
@@ -159,7 +140,6 @@ def extract_policy(
     operator: ExpectationOperator | None = None,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid: np.ndarray | None = None,
     q_grid_size: int = DEFAULT_Q_GRID_SIZE,
 ) -> Policy:
     """Threshold plus action maps for ``strategy`` from a converged ``J``.
@@ -169,8 +149,7 @@ def extract_policy(
     ``awake_rule_mismatches``.
     """
     maps = bellman_maps(
-        J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m,
-        q_grid=q_grid, q_grid_size=q_grid_size,
+        J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m, q_grid_size=q_grid_size,
     )
     gamma = _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
     if strategy == "control_m":
@@ -184,6 +163,4 @@ def extract_policy(
         extra = {"fixed_q": float(q)}
     else:
         extra = {"awake_map": maps.best_action.astype(int)}
-    return Policy(
-        kind=strategy, gamma=gamma, grid=J.grid, n=problem.n, problem_key=problem.key(), **extra
-    )
+    return Policy(kind=strategy, gamma=gamma, grid=J.grid, n=problem.n, **extra)

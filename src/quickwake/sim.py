@@ -10,9 +10,10 @@ One engine runs every episode.  Replications are cut into blocks of
 child ``b`` of ``SeedSequence(base_seed)``, so different base seeds give
 independent streams and block ``b`` does not depend on how many blocks
 run beside it.  Within a block all still-active episodes advance one slot
-per iteration in numpy arrays, and episodes leave the arrays when they
-stop or reach the horizon cap.  An episode is therefore reproduced by
-``base_seed`` and its index.  ``run_episodes`` yields the episodes one
+per iteration in numpy arrays, their beliefs by ``_belief_step``, the
+package's one posterior recursion, and episodes leave the arrays when
+they stop or reach the horizon cap.  An episode is therefore reproduced
+by ``base_seed`` and its index.  ``run_episodes`` yields the episodes one
 object each and ``estimate_metrics`` aggregates the same episodes
 straight from the engine's arrays.
 """
@@ -25,10 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .belief import EPS
 from .dp import (
     DEFAULT_MAX_ITERS, DEFAULT_Q_GRID_SIZE, ConvergenceError, ExpectationOperator,
-    _resolve_grid, _resolve_operator, value_iteration,
+    _llr_coefficients, _logit_array, _resolve_grid, _resolve_operator, value_iteration,
 )
 from .model import ChangePrior, Problem, SensorModel
 from .policy import Policy, extract_policy
@@ -86,24 +86,32 @@ def default_horizon_cap(prior: ChangePrior) -> int:
 
 
 def _belief_step(model, pi, p: float, m, obs):
-    """One slot of the belief recursion for a batch of episodes.
+    """One slot of the posterior recursion for a batch of episodes.
 
-    The array form of ``posterior_update`` (``obs`` of shape
-    (episodes, n), of which the first ``m[i]`` readings of row i count)
-    and of ``sufficient_statistic_update`` (``obs`` of shape (episodes,),
-    the sum of the ``m[i]`` readings).  Rows with ``m = 0`` only predict; a
-    predicted belief of 1 is absorbing and one of 0 stays at 0.
+    The belief ``pi = P(change by now | data)`` is first predicted one
+    slot ahead, ``t = pi + (1 - pi) * p``, then conditioned on the awake
+    sensors' readings.  Their likelihood ratios multiply in, so in logit
+    form
+
+        logit(pi') = logit(t) + sum_i llr(x_i)
+
+    which is how the update is computed, since products of far-tail
+    densities underflow long before their log-odds do.  ``obs`` has shape
+    (episodes, n), of which the first ``m[i]`` readings of row i count;
+    for equal-variance Gaussians it may instead have shape (episodes,),
+    the sum of the ``m[i]`` readings, whose joint log likelihood ratio is
+    affine in the sum.  Rows with ``m = 0`` only predict.  A predicted
+    belief of 1 is absorbing whatever is observed, since once the change
+    has surely happened no reading can undo it; one of 0 stays at 0.
     """
     if obs.ndim == 1:
-        llr = (
-            (model.mu1 - model.mu0) * obs - m * (model.mu1**2 - model.mu0**2) / 2.0
-        ) / (model.sigma0 * model.sigma0)
+        a, b = _llr_coefficients(model, m)
+        llr = a * obs + b
     else:
         counted = np.arange(obs.shape[1]) < m[:, None]
         llr = np.where(counted, model.log_likelihood_ratio(obs), 0.0).sum(axis=1)
     t = pi + (1.0 - pi) * p
-    c = np.clip(t, EPS, 1.0 - EPS)
-    moved = expit(np.log(c) - np.log1p(-c) + llr)
+    moved = expit(_logit_array(t) + llr)
     moved = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, moved))
     return np.where(m == 0, t, moved)
 

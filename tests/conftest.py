@@ -120,7 +120,7 @@ def constant_count_policy(problem, grid, gamma: float, m: int) -> Policy:
     """m sensors awake every slot below an externally chosen threshold."""
     return Policy(
         kind="fixed_m", gamma=gamma, grid=grid, n=problem.n,
-        problem_key=problem.key(), awake_map=np.full(grid.size, m, dtype=int),
+        awake_map=np.full(grid.size, m, dtype=int),
     )
 
 

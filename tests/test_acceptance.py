@@ -29,11 +29,11 @@ from quickwake import (
     extract_policy,
     likelihood_atoms,
     operator_from_atoms,
-    posterior_update,
     solve_finite_horizon,
     sweep_open_loop_q,
     value_iteration,
 )
+from quickwake.sim import _belief_step
 
 from conftest import ACCEPTANCE_LINES
 
@@ -222,21 +222,31 @@ def test_criterion_7_property_suite(
         np.abs(operator.apply_all(grid1001.points) - operator.predicted[None, :]).max()
     )
     mart_ok = drift <= 1e-6
-    # (e) posterior invariants under randomized inputs
+    # (e) posterior invariants of the simulator's update under randomized
+    # inputs: row i holds the m[i] readings of draw i, zero-padded
     rng = np.random.default_rng(20260818)
-    inv_ok = True
-    model = problem.model
-    for _ in range(10_000):
-        pi = float(rng.uniform(0.0, 1.0))
-        xs = rng.normal(rng.uniform(-1, 2), 1.0, size=int(rng.integers(1, 5)))
-        out = posterior_update(pi, problem.prior.p, xs, model)
-        inv_ok &= 0.0 <= out <= 1.0
-        perm = posterior_update(pi, problem.prior.p, xs[::-1], model)
-        inv_ok &= abs(out - perm) <= 1e-12
-        inv_ok &= posterior_update(1.0, problem.prior.p, xs, model) == 1.0
-        inv_ok &= posterior_update(0.0, 0.0, xs, model) == 0.0
-        if not inv_ok:
-            break
+    draws = 10_000
+    pi = np.empty(draws)
+    m = np.empty(draws, dtype=np.int64)
+    xs = np.zeros((draws, 4))
+    for i in range(draws):
+        pi[i] = rng.uniform(0.0, 1.0)
+        x = rng.normal(rng.uniform(-1, 2), 1.0, size=int(rng.integers(1, 5)))
+        m[i] = x.size
+        xs[i, :x.size] = x
+    # The first m[i] readings of each row in reverse order.
+    cols = np.arange(xs.shape[1])
+    order = np.where(cols < m[:, None], m[:, None] - 1 - cols, cols)
+    reversed_xs = np.take_along_axis(xs, order, axis=1)
+    model, p = problem.model, problem.prior.p
+    out = _belief_step(model, pi, p, m, xs)
+    perm = _belief_step(model, pi, p, m, reversed_xs)
+    inv_ok = bool(
+        np.all((0.0 <= out) & (out <= 1.0))
+        and np.all(np.abs(out - perm) <= 1e-12)
+        and np.all(_belief_step(model, np.ones(draws), p, m, xs) == 1.0)
+        and np.all(_belief_step(model, np.zeros(draws), 0.0, m, xs) == 0.0)
+    )
     ok = concave_ok and b_ok and cross_ok and mart_ok and inv_ok
     verdict(
         "7",

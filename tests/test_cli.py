@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quickwake
+from quickwake import cli
 from quickwake.cli import ConfigError, load_config, load_policy, main
 from tests.conftest import make_benchmark_problem
 
@@ -83,6 +84,9 @@ def test_load_config_defaults(tmp_path):
         ({"calibrate.tolerance": 0.0}, "field calibrate.tolerance must be > 0"),
         ({"calibrate.lambda_lo": 500.0, "calibrate.lambda_hi": 10.0},
          "field calibrate.lambda_hi must be > calibrate.lambda_lo"),
+        ({"sweep.q_values": ["0.1", True]}, "field sweep.q_values must be a float"),
+        ({"sweep.q_values": [0.1, True]}, "field sweep.q_values must be a float"),
+        ({"sim.base_seed": -1}, "field sim.base_seed must be >= 0"),
     ],
 )
 def test_load_config_rejections(tmp_path, overrides, fragment):
@@ -280,8 +284,55 @@ def test_load_policy_round_trip(solved_run):
     report = json.loads((out / "report.json").read_text())
     assert reloaded.gamma == report["gamma"]
     assert reloaded.kind == "control_m"
-    for pi in np.linspace(0.0, reloaded.gamma - 1e-6, 17):
-        assert isinstance(reloaded.awake_count_at(float(pi)), int)
+    pis = np.linspace(0.0, reloaded.gamma - 1e-6, 17)
+    assert reloaded.awake_map[reloaded._continue_indices(pis)].dtype.kind == "i"
+
+
+@pytest.mark.parametrize(
+    "strategy,extra",
+    [("control-m", {}), ("control-q", {}), ("open-loop", {"open_loop_q": 0.03}),
+     ("fixed-m", {"fixed_m": 1})],
+)
+def test_load_policy_round_trip_every_strategy(tmp_path, strategy, extra):
+    """The reloaded policy acts as the solved one on every continue node;
+    policy.csv holds wake probabilities to 12 significant digits."""
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"strategy": strategy, **extra}, out_dir=str(out))
+    assert main(["solve", "--config", path]) == 0
+    cfg = load_config(path)
+    _, _, solved = cli._solve(cfg, cli._operator(cfg))
+    reloaded = load_policy(out / "policy.csv", cfg.problem)
+    assert (reloaded.kind, reloaded.gamma) == (solved.kind, solved.gamma)
+    below = np.flatnonzero(solved.grid.points < solved.gamma)
+    assert below.size > 0
+    assert reloaded._continue_indices(solved.grid.points[below]).tolist() == below.tolist()
+    if solved.kind == "control_q":
+        np.testing.assert_allclose(
+            reloaded.wake_prob_map[below], solved.wake_prob_map[below], rtol=1e-12, atol=0.0
+        )
+    elif solved.kind == "open_loop":
+        assert reloaded.fixed_q == solved.fixed_q == 0.03
+    else:
+        assert reloaded.awake_map[below].tolist() == solved.awake_map[below].tolist()
+
+
+@pytest.mark.parametrize(
+    "strategy,bad", [("control-q", "nan"), ("control-q", "x"), ("control-m", "1.7")]
+)
+def test_simulate_rejects_malformed_policy(tmp_path, capsys, strategy, bad):
+    """A continue row whose action is no wake probability or awake count
+    is named as a policy.csv error before any episode runs."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"strategy": strategy}, out_dir=str(out))
+    assert main(["solve", "--config", cfg]) == 0
+    rows = [row[:2] + [bad] if row[1] == "continue" else row
+            for row in read_csv(out / "policy.csv")]
+    with open(out / "policy.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["simulate", "--config", cfg, "--policy", str(out / "policy.csv"),
+                 "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid policy in ") and "policy.csv" in err
 
 
 # --- sweep-q / calibrate / figures -------------------------------------------

@@ -23,19 +23,17 @@ from quickwake import (
     build_expectation_operator,
     extract_policy,
     likelihood_atoms,
-    logit,
     monte_carlo_atoms,
     operator_from_atoms,
     prior_mass,
-    sigmoid,
     solve_finite_horizon,
     value_iteration,
 )
 
 
 from quickwake import dp
-from quickwake.belief import EPS
 from quickwake.dp import (
+    EPS,
     _action_set,
     _binomial_table,
     _evaluate_policy,
@@ -43,6 +41,8 @@ from quickwake.dp import (
     _solve_identity_minus,
 )
 from tests.conftest import make_benchmark_problem
+
+from bayes_reference import logit, sigmoid
 
 
 def gauss_legendre_atoms(model, n, num_nodes=129, span=8.0):
@@ -450,7 +450,9 @@ def test_unequal_variance_requires_monte_carlo():
     with pytest.raises(ValueError, match="sufficient statistic"):
         build_expectation_operator(prob, grid, "exact")
     op = build_expectation_operator(prob, grid)  # defaults to monte_carlo
-    assert op.method == "monte_carlo"
+    np.testing.assert_array_equal(
+        _dense(op.stack), _dense(build_expectation_operator(prob, grid, "monte_carlo").stack)
+    )
     assert np.abs(op.apply_all(np.ones(101)) - 1.0).max() < 1e-12
 
 
@@ -479,31 +481,40 @@ def test_bellman_control_m_matches_vectorized_maps(problem, solved_control_m, op
 
 def test_bellman_control_q_refinement_never_hurts(problem, solved_control_q, operator):
     J, _ = solved_control_q
-    rough = bellman_maps(J, problem, "control_q", q_grid=np.linspace(0, 1, 11), operator=operator)
-    fine = bellman_maps(J, problem, "control_q", q_grid=np.linspace(0, 1, 101), operator=operator)
+    rough = bellman_maps(J, problem, "control_q", q_grid_size=11, operator=operator)
+    fine = bellman_maps(J, problem, "control_q", q_grid_size=101, operator=operator)
     assert np.all(fine.new_values <= rough.new_values + 1e-9)
     assert np.all((rough.best_action >= 0.0) & (rough.best_action <= 1.0))
     with pytest.raises(ValueError):
-        bellman_maps(J, problem, "control_q", q_grid=np.array([]), operator=operator)
+        bellman_maps(J, problem, "control_q", q_grid_size=0, operator=operator)
 
 
-def test_q_grid_range_checked_on_every_entry_point(problem, grid201, operator201):
-    """A wake probability outside [0, 1] would give negative binomial weights."""
+def test_q_grid_size_checked_on_every_entry_point(problem, grid201, operator201):
+    """An empty control_q search grid leaves no action to take."""
     J = solve_finite_horizon(problem, 2, "control_m", grid201, operator=operator201)
-    for bad in ([0.5, 1.4], [-0.2, 0.5], [np.nan]):
-        with pytest.raises(ValueError, match="q_grid"):
-            value_iteration(problem, "control_q", grid201, q_grid=bad, operator=operator201)
-        with pytest.raises(ValueError, match="q_grid"):
-            bellman_maps(J, problem, "control_q", q_grid=bad, operator=operator201)
-        with pytest.raises(ValueError, match="q_grid"):
-            extract_policy(J, problem, "control_q", q_grid=bad, operator=operator201)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="q_grid_size"):
+            value_iteration(problem, "control_q", grid201, q_grid_size=bad, operator=operator201)
+        with pytest.raises(ValueError, match="q_grid_size"):
+            solve_finite_horizon(
+                problem, 2, "control_q", grid201, q_grid_size=bad, operator=operator201
+            )
+        with pytest.raises(ValueError, match="q_grid_size"):
+            bellman_maps(J, problem, "control_q", q_grid_size=bad, operator=operator201)
+        with pytest.raises(ValueError, match="q_grid_size"):
+            extract_policy(J, problem, "control_q", q_grid_size=bad, operator=operator201)
 
 
 def test_bellman_open_loop_is_control_q_at_fixed_q(problem, solved_open_loop, operator):
-    """open_loop's one-row sweep against control_q's sweep over that one q."""
+    """open_loop's one-row sweep against a control_q action set of that one q."""
     J, _ = solved_open_loop
     folded = bellman_maps(J, problem, "open_loop", q=0.03, operator=operator)
-    mixed = bellman_maps(J, problem, "control_q", q_grid=np.array([0.03]), operator=operator)
+    q = np.array([0.03])
+    acts = dp._ActionSet(
+        operator.stack, _binomial_table(problem.n, q),
+        problem.costs.lambda_s * problem.n * q, q,
+    )
+    mixed = dp._sweep(J.values, problem, J.grid.points, acts)
     np.testing.assert_allclose(folded.new_values, mixed.new_values, atol=1e-12)
     np.testing.assert_allclose(folded.continue_values, mixed.continue_values, atol=1e-12)
 
@@ -518,7 +529,7 @@ def test_value_iteration_report(problem, solved_control_m):
     assert report.bellman_residual <= 1e-10
     # One J change per round; the last round finds the policy unchanged.
     assert report.iterations == len(report.sup_norm_deltas)
-    assert report.final_sup_norm_delta == report.sup_norm_deltas[-1] == 0.0
+    assert report.sup_norm_deltas[-1] == 0.0
     assert all(d > 0 for d in report.sup_norm_deltas[:-1])
     assert report.iterations < 50
     # J is bracketed by 0 and the stopping cost, and stopping at 1 is free.
@@ -637,14 +648,14 @@ STRATEGY_KW = {
 def csr_operator201(problem, grid201, operator201):
     """The grid-201 exact stack stored as CSR, to drive the sparse paths."""
     return ExpectationOperator(
-        grid201, problem.prior.p, problem.n, "exact", sparse.csr_matrix(operator201.stack)
+        grid201, problem.prior.p, problem.n, sparse.csr_matrix(operator201.stack)
     )
 
 
 def _strategy_action_set(problem, operator, strategy, kw):
     """The action set that every sweep of ``strategy`` reads."""
     return _action_set(
-        problem, operator, strategy, kw.get("q"), kw.get("fixed_m"), None, dp.DEFAULT_Q_GRID_SIZE
+        problem, operator, strategy, kw.get("q"), kw.get("fixed_m"), dp.DEFAULT_Q_GRID_SIZE
     )
 
 

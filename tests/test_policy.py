@@ -96,7 +96,7 @@ def test_fixed_two_stops_everywhere(problem, grid1001, operator):
     pol = extract_policy(J, problem, "fixed_m", fixed_m=2, operator=operator)
     assert pol.gamma == 0.0
     with pytest.raises(ValueError, match="stops everywhere"):
-        pol.awake_count_at(0.0)
+        pol._continue_indices(0.0)
 
 
 def test_optimal_awake_count_agrees_with_policy_map(
@@ -110,7 +110,8 @@ def test_optimal_awake_count_agrees_with_policy_map(
     for pi in (0.0, 0.2, 0.45, 0.6, 0.85):
         assert pi < policy_control_m.gamma
         i = J.grid.nearest_index(pi)
-        assert policy_control_m.awake_count_at(pi) == int(np.argmin(cost[:, i]))
+        count = policy_control_m.awake_map[policy_control_m._continue_indices(pi)]
+        assert count == int(np.argmin(cost[:, i]))
 
 
 def test_differential_cost_basics(problem, solved_control_m, operator):
@@ -136,7 +137,7 @@ def test_differential_rule_is_a_view_not_the_argmin(
         d = B[:-1, i] - B[1:, i]
         rule = max([m for m in range(1, problem.n + 1) if d[m - 1] >= problem.costs.lambda_s],
                    default=0)
-        agreements += rule == policy_control_m.awake_count_at(pi)
+        agreements += rule == policy_control_m.awake_map[policy_control_m._continue_indices(pi)]
     assert agreements >= 3  # d is non-monotone at some beliefs; see ledger
     # The mismatch tally, read off the sweep's own block product, equals
     # one recomputed from a fresh stack product.
@@ -155,7 +156,7 @@ def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q,
     lam_s, n = problem.costs.lambda_s, problem.n
     for pi in (0.1, 0.4, 0.63):
         i = J.grid.nearest_index(pi)
-        q = policy_control_q.wake_prob_at(pi)
+        q = policy_control_q.wake_prob_map[policy_control_q._continue_indices(pi)]
         assert 0.0 <= q <= 1.0
         chosen = lam_s * n * q + binomial_weights(n, q) @ B[:, i]
         coarse = min(
@@ -167,23 +168,27 @@ def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q,
 def test_policy_validation():
     grid = BeliefGrid.uniform(11)
     with pytest.raises(ValueError, match="kind"):
-        Policy(kind="bandit", gamma=0.5, grid=grid, n=3, problem_key="x")
+        Policy(kind="bandit", gamma=0.5, grid=grid, n=3)
     with pytest.raises(ValueError, match="awake_map"):
-        Policy(kind="control_m", gamma=0.5, grid=grid, n=3, problem_key="x")
+        Policy(kind="control_m", gamma=0.5, grid=grid, n=3)
     with pytest.raises(ValueError, match="awake_map"):
         Policy(
-            kind="control_m", gamma=0.5, grid=grid, n=3, problem_key="x",
+            kind="control_m", gamma=0.5, grid=grid, n=3,
             awake_map=np.array([1, 2]),
         )
-    with pytest.raises(ValueError, match="0..3"):
-        Policy(
-            kind="control_m", gamma=0.5, grid=grid, n=3, problem_key="x",
-            awake_map=np.full(11, 7),
-        )
+    for bad in (7, -1, 1.7, np.nan):
+        with pytest.raises(ValueError, match="integers in 0..3"):
+            Policy(
+                kind="control_m", gamma=0.5, grid=grid, n=3,
+                awake_map=np.full(11, bad),
+            )
     with pytest.raises(ValueError, match="wake_prob_map"):
-        Policy(kind="control_q", gamma=0.5, grid=grid, n=3, problem_key="x")
+        Policy(kind="control_q", gamma=0.5, grid=grid, n=3)
+    for bad in (1.5, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="wake_prob_map entries"):
+            Policy(kind="control_q", gamma=0.5, grid=grid, n=3, wake_prob_map=np.full(11, bad))
     with pytest.raises(ValueError, match="fixed_q"):
-        Policy(kind="open_loop", gamma=0.5, grid=grid, n=3, problem_key="x")
+        Policy(kind="open_loop", gamma=0.5, grid=grid, n=3)
 
 
 def test_action_lookup_clamps_to_continue_region():
@@ -191,13 +196,12 @@ def test_action_lookup_clamps_to_continue_region():
     # even when simple rounding would land on a stop node.
     grid = BeliefGrid.uniform(11)
     pol = Policy(
-        kind="control_m", gamma=0.58, grid=grid, n=5, problem_key="x",
+        kind="control_m", gamma=0.58, grid=grid, n=5,
         awake_map=np.array([1, 1, 2, 3, 3, 2, 0, 0, 0, 0, 0]),
     )
-    assert pol.awake_count_at(0.575) == 2  # nearest node 0.6 is a stop node
-    assert pol.awake_count_at(0.31) == 3
-    assert pol.should_stop(0.58)
-    assert not pol.should_stop(0.579)
+    assert pol._continue_indices(0.575) == 5  # nearest node 0.6 is a stop node
+    assert pol.awake_map[pol._continue_indices(0.575)] == 2
+    assert pol.awake_map[pol._continue_indices(0.31)] == 3
 
 
 def test_array_lookup_matches_scalar_lookup(policy_control_m, policy_control_q):
@@ -209,14 +213,10 @@ def test_array_lookup_matches_scalar_lookup(policy_control_m, policy_control_q):
         below = np.nextafter(pol.gamma, 0.0)
         probes = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]), [below, pol.gamma]])
         batched = pol._continue_indices(probes)
-        scalar = [pol._continue_index(float(pi)) for pi in probes]
+        scalar = [int(pol._continue_indices(float(pi))) for pi in probes]
         nearest = [min(pol.grid.nearest_index(float(pi)), end) for pi in probes]
         assert batched.tolist() == scalar == nearest
         assert batched[-2] == end
-        if pol.kind == "control_m":
-            assert pol.awake_map[batched].tolist() == [pol.awake_count_at(pi) for pi in probes]
-        else:
-            assert pol.wake_prob_map[batched].tolist() == [pol.wake_prob_at(pi) for pi in probes]
 
 
 def test_extract_policy_open_loop_carries_q(problem, solved_open_loop, operator):
@@ -224,8 +224,6 @@ def test_extract_policy_open_loop_carries_q(problem, solved_open_loop, operator)
     pol = extract_policy(J, problem, "open_loop", q=0.03, operator=operator)
     assert pol.kind == "open_loop"
     assert pol.fixed_q == 0.03
-    assert pol.wake_prob_at(0.2) == 0.03
-    assert pol.problem_key == problem.key()
 
 
 def test_extract_policy_control_q_map_peaks_inside(problem, solved_control_q, operator):
