@@ -246,15 +246,11 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _policy_rows(policy: Policy):
     """Per-node (pi, action, m_or_q); m_or_q is empty on stop rows."""
-    for i, pi in enumerate(policy.grid.points):
+    for pi, action in zip(policy.grid.points, policy.actions.tolist()):
         if pi >= policy.gamma:
             yield pi, "stop", ""
-        elif policy.kind == "control_q":
-            yield pi, "continue", policy.wake_prob_map[i]
-        elif policy.kind == "open_loop":
-            yield pi, "continue", policy.fixed_q
         else:
-            yield pi, "continue", int(policy.awake_map[i])
+            yield pi, "continue", action
 
 
 def _write_policy(path: Path, policy: Policy) -> None:
@@ -329,7 +325,9 @@ def load_policy(policy_path, problem: Problem) -> Policy:
 
     The report carries the refined threshold, the strategy kind, the
     problem fingerprint and an open-loop policy's wake probability; the
-    CSV carries the action maps.
+    CSV carries every other kind's action map.  The open-loop map is
+    filled from the report, because the CSV's 12 digits do not always
+    reproduce the configured ``open_loop_q``.
 
     Raises:
         ConfigError: On a missing or malformed report, an unreadable
@@ -355,11 +353,10 @@ def load_policy(policy_path, problem: Problem) -> Policy:
             f"field strategy in {report_path} must be one of {STRATEGIES}, got {kind!r}"
         )
     gamma = _typed(report["gamma"], float, f"gamma in {report_path}")
-    fixed_q = None
     if kind == "open_loop":
         if report.get("open_loop_q") is None:
             raise ConfigError(f"missing field open_loop_q in {report_path}")
-        fixed_q = _typed(report["open_loop_q"], float, f"open_loop_q in {report_path}")
+        q = _typed(report["open_loop_q"], float, f"open_loop_q in {report_path}")
     try:
         with open(policy_path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -371,11 +368,9 @@ def load_policy(policy_path, problem: Problem) -> Policy:
     try:
         pis = np.array([float(pi) for pi, _ in rows])
         actions = np.array([float(v) if v else 0.0 for _, v in rows])  # empty on stop rows
-        return Policy(
-            kind=kind, gamma=gamma, grid=BeliefGrid(pis), n=problem.n,
-            awake_map=actions if kind in ("control_m", "fixed_m") else None,
-            wake_prob_map=actions if kind == "control_q" else None, fixed_q=fixed_q,
-        )
+        if kind == "open_loop":
+            actions = np.full(actions.size, q)
+        return Policy(kind=kind, gamma=gamma, grid=BeliefGrid(pis), n=problem.n, actions=actions)
     except ValueError as exc:
         raise ConfigError(f"invalid policy in {policy_path}: {exc}") from exc
 
@@ -435,12 +430,10 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
 def cmd_calibrate(cfg: RunConfig) -> int:
     operator = _operator(cfg)
     result = calibrate_lambda_f(
-        cfg.problem, cfg.strategy, cfg.target_alpha, cfg.calibrate_tolerance,
+        cfg.problem, lambda trial: _solve(replace(cfg, problem=trial), operator)[2],
+        cfg.target_alpha, cfg.calibrate_tolerance,
         lambda_lo=cfg.lambda_lo, lambda_hi=cfg.lambda_hi, max_trials=cfg.max_trials,
-        replications=cfg.replications, base_seed=cfg.base_seed,
-        grid=operator.grid, horizon_cap=cfg.horizon_cap,
-        q=cfg.open_loop_q, fixed_m=cfg.fixed_m, q_grid_size=cfg.q_grid_size,
-        operator=operator, solver_tolerance=cfg.tolerance, max_iters=cfg.max_iters,
+        replications=cfg.replications, base_seed=cfg.base_seed, horizon_cap=cfg.horizon_cap,
     )
     _write_json(cfg.out_dir / "calibration.json", {
         "schema": SCHEMA_VERSION,

@@ -271,30 +271,26 @@ def _binomial_table(n: int, q: np.ndarray) -> np.ndarray:
     return table
 
 
-def monte_carlo_atoms(
-    model,
-    n: int,
-    draws: int = MC_DRAWS,
-    bins: int = MC_BINS,
-    seed: int = 0,
-) -> LikelihoodAtoms:
+def monte_carlo_atoms(model, n: int) -> LikelihoodAtoms:
     """Sampled law of the joint log likelihood ratio, histogram-compressed.
 
-    The fallback for density pairs with no scalar sufficient statistic.
-    ``model`` only needs ``sample(regime, size, rng)`` and
-    ``log_likelihood_ratio(x)``.  Deterministic for a given seed.
+    The fallback for density pairs with no scalar sufficient statistic:
+    ``MC_DRAWS`` draws per awake count and regime, binned into
+    ``MC_BINS`` cells, from a generator seeded with 0, so the atoms are
+    deterministic.  ``model`` only needs ``sample(regime, size, rng)``
+    and ``log_likelihood_ratio(x)``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     llr0, w0, llr1, w1 = [np.empty(0)], [np.empty(0)], [np.empty(0)], [np.empty(0)]
     for m in range(1, n + 1):
         for regime, llrs, wts in (("pre", llr0, w0), ("post", llr1, w1)):
-            x = np.asarray(model.sample(regime, draws * m, rng)).reshape(draws, m)
+            x = np.asarray(model.sample(regime, MC_DRAWS * m, rng)).reshape(MC_DRAWS, m)
             totals = np.sum(model.log_likelihood_ratio(x), axis=1)
-            counts, edges = np.histogram(totals, bins=bins)
+            counts, edges = np.histogram(totals, bins=MC_BINS)
             centers = 0.5 * (edges[:-1] + edges[1:])
             keep = counts > 0
             llrs.append(centers[keep])
-            wts.append(counts[keep] / float(draws))
+            wts.append(counts[keep] / float(MC_DRAWS))
     return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
 
 
@@ -338,7 +334,6 @@ class ExpectationOperator:
         self.p = p
         self.n = n
         self.stack = stack
-        self.predicted = grid.points + (1.0 - grid.points) * p
 
     def apply_all(self, values: np.ndarray) -> np.ndarray:
         """E[J(next belief)] per awake count (rows) and grid belief (columns)."""
@@ -747,10 +742,10 @@ def _action_set(
 
 
 def _resolve_operator(
-    problem: Problem, grid: BeliefGrid, operator: ExpectationOperator | None, method=None
+    problem: Problem, grid: BeliefGrid, operator: ExpectationOperator | None
 ) -> ExpectationOperator:
     if operator is None:
-        return build_expectation_operator(problem, grid, method)
+        return build_expectation_operator(problem, grid)
     if operator.grid.size != grid.size or operator.n != problem.n:
         raise ValueError("operator does not match the grid or n")
     return operator
@@ -881,7 +876,6 @@ def value_iteration(
     fixed_m: int | None = None,
     q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
-    method: str | None = None,
 ) -> tuple[ValueFunction, SolveReport]:
     """Solve the stationary Bellman equation on a belief grid exactly.
 
@@ -911,8 +905,8 @@ def value_iteration(
         fixed_m: Constant awake count (fixed_m only).
         q_grid_size: Size of the uniform control_q search grid on [0, 1].
         operator: Prebuilt expectation maps to reuse across solves; its
-            coarse level is built on first use and kept with it.
-        method: Expectation construction when building the operator here.
+            coarse level is built on first use and kept with it.  Built
+            with the default method when None.
 
     Returns:
         The converged ValueFunction and a SolveReport.
@@ -923,7 +917,7 @@ def value_iteration(
             residual exceeds tolerance (carrying the residual).
     """
     grid = _resolve_grid(grid)
-    operator = _resolve_operator(problem, grid, operator, method)
+    operator = _resolve_operator(problem, grid, operator)
     if tolerance is None:
         tolerance = TOLERANCE_SCALE * problem.costs.lambda_f
     if not tolerance > 0:
@@ -981,7 +975,6 @@ def solve_finite_horizon(
     fixed_m: int | None = None,
     q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
-    method: str | None = None,
 ) -> ValueFunction:
     """Exactly ``sweeps`` Bellman applications to the stopping cost.
 
@@ -991,7 +984,7 @@ def solve_finite_horizon(
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
     grid = _resolve_grid(grid)
-    operator = _resolve_operator(problem, grid, operator, method)
+    operator = _resolve_operator(problem, grid, operator)
     acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid_size)
     values = problem.costs.lambda_f * (1.0 - grid.points)
     for _ in range(sweeps):

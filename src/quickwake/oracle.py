@@ -17,6 +17,7 @@ from itertools import product
 import numpy as np
 
 from .dp import LikelihoodAtoms
+from .model import ChangePrior, Costs
 
 MAX_HORIZON = 4
 MAX_SENSORS = 2
@@ -51,20 +52,15 @@ class DiscreteInstance:
                 f"enumeration bound exceeded: n must be 1..{MAX_SENSORS}, got {self.n!r}"
             )
         for name, pmf in (("g0", self.g0), ("g1", self.g1)):
-            if len(pmf) != 2 or any(v < 0 for v in pmf):
-                raise ValueError(f"{name} must be two nonnegative masses")
+            if len(pmf) != 2 or not all(0.0 <= v <= 1.0 for v in pmf):  # NaN fails too
+                raise ValueError(f"{name} must be two masses in [0, 1]")
             if abs(sum(pmf) - 1.0) > PMF_TOLERANCE:
                 raise ValueError(f"{name} must sum to 1, got {sum(pmf)!r}")
         if self.g0 == self.g1:
             raise ValueError("g0 and g1 are identical; the change would be invisible")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
-        if self.lambda_s < 0:
-            raise ValueError(f"lambda_s must be >= 0, got {self.lambda_s!r}")
-        if self.lambda_f <= 0:
-            raise ValueError(f"lambda_f must be > 0, got {self.lambda_f!r}")
+        # The prior and the costs take a Problem's checks.
+        ChangePrior(self.rho, self.p)
+        Costs(self.lambda_s, self.lambda_f)
 
 
 def brute_force_value(instance: DiscreteInstance, pi0: float) -> float:

@@ -29,23 +29,25 @@ from .model import Problem
 class Policy:
     """Stationary detection-and-scheduling rule on a belief grid.
 
-    ``gamma`` is the stopping threshold; the action maps give the
-    continue-region decision at each grid node (entries at and above the
+    ``gamma`` is the stopping threshold.  ``actions`` holds the
+    continue-region decision at each grid node, in the strategy's own
+    action set: an awake count for control_m and fixed_m, a wake
+    probability for control_q and open_loop.  Entries at and above the
     threshold are the argmin of the continuation cost there, kept for
-    inspection but never executed).  ``awake_rule_mismatches`` counts
-    grid nodes below the threshold where the marginal-value threshold
-    rule disagrees with the enumeration argmin; the argmin is
-    authoritative, the counter is diagnostic.  The simulator reads a
-    map at a belief through ``_continue_indices``.
+    inspection but never executed.  An open_loop map holds its one wake
+    probability at every node, which the simulator draws as a scalar.
+    ``awake_rule_mismatches`` counts grid nodes below the threshold
+    where the marginal-value threshold rule disagrees with control_m's
+    enumeration argmin; the argmin is authoritative, the counter is
+    diagnostic.  The simulator reads the map at a belief through
+    ``_continue_indices``.
     """
 
     kind: str
     gamma: float
     grid: BeliefGrid
     n: int
-    awake_map: np.ndarray | None = None
-    wake_prob_map: np.ndarray | None = None
-    fixed_q: float | None = None
+    actions: np.ndarray
     awake_rule_mismatches: int = 0
 
     def __post_init__(self) -> None:
@@ -53,23 +55,18 @@ class Policy:
             raise ValueError(f"kind must be one of {STRATEGIES}, got {self.kind!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.gamma!r}")
+        actions = np.asarray(self.actions, dtype=float)
+        if actions.shape != (self.grid.size,):
+            raise ValueError("actions must hold one entry per grid node")
         if self.kind in ("control_m", "fixed_m"):
-            if self.awake_map is None or len(self.awake_map) != self.grid.size:
-                raise ValueError("awake_map must cover every grid node")
-            amap = np.asarray(self.awake_map, dtype=float)
-            if not np.all((amap >= 0) & (amap <= self.n) & (amap == np.round(amap))):
-                raise ValueError(f"awake_map entries must be integers in 0..{self.n}")
-            object.__setattr__(self, "awake_map", amap.astype(int))
-        if self.kind == "control_q":
-            if self.wake_prob_map is None or len(self.wake_prob_map) != self.grid.size:
-                raise ValueError("wake_prob_map must cover every grid node")
-            qmap = np.asarray(self.wake_prob_map, dtype=float)
-            if not np.all((qmap >= 0.0) & (qmap <= 1.0)):  # NaN fails too
-                raise ValueError("wake_prob_map entries must lie in [0, 1]")
-            object.__setattr__(self, "wake_prob_map", qmap)
-        if self.kind == "open_loop":
-            if self.fixed_q is None or not 0.0 <= self.fixed_q <= 1.0:
-                raise ValueError(f"open_loop needs fixed_q in [0, 1], got {self.fixed_q!r}")
+            if not np.all((actions >= 0) & (actions <= self.n) & (actions == np.round(actions))):
+                raise ValueError(f"awake counts must be integers in 0..{self.n}")
+            actions = actions.astype(int)
+        elif not np.all((actions >= 0.0) & (actions <= 1.0)):  # NaN fails too
+            raise ValueError("wake probabilities must lie in [0, 1]")
+        elif self.kind == "open_loop" and np.any(actions != actions[0]):
+            raise ValueError("open_loop actions must hold one wake probability")
+        object.__setattr__(self, "actions", actions)
 
     def _continue_indices(self, pi) -> np.ndarray:
         """Nearest grid node to each belief, clamped below the threshold.
@@ -142,25 +139,23 @@ def extract_policy(
     fixed_m: int | None = None,
     q_grid_size: int = DEFAULT_Q_GRID_SIZE,
 ) -> Policy:
-    """Threshold plus action maps for ``strategy`` from a converged ``J``.
+    """Threshold plus action map for ``strategy`` from a converged ``J``.
 
-    For control_m the awake map is the enumeration argmin; nodes below
-    the threshold where the marginal-value rule disagrees are tallied in
+    The action map is the sweep's argmin action at every node, for every
+    strategy.  For control_m, nodes below the threshold where the
+    marginal-value rule disagrees with it are tallied in
     ``awake_rule_mismatches``.
     """
     maps = bellman_maps(
         J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m, q_grid_size=q_grid_size,
     )
     gamma = _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
+    mismatches = 0
     if strategy == "control_m":
-        awake = maps.best_action.astype(int)
         rule = _differential_rule_map(maps.expected_next, problem)
         below = J.grid.points < gamma
-        extra = {"awake_map": awake, "awake_rule_mismatches": int(np.sum((rule != awake) & below))}
-    elif strategy == "control_q":
-        extra = {"wake_prob_map": maps.best_action.astype(float)}
-    elif strategy == "open_loop":
-        extra = {"fixed_q": float(q)}
-    else:
-        extra = {"awake_map": maps.best_action.astype(int)}
-    return Policy(kind=strategy, gamma=gamma, grid=J.grid, n=problem.n, **extra)
+        mismatches = int(np.sum((rule != maps.best_action) & below))
+    return Policy(
+        kind=strategy, gamma=gamma, grid=J.grid, n=problem.n, actions=maps.best_action,
+        awake_rule_mismatches=mismatches,
+    )

@@ -16,19 +16,28 @@ they stop or reach the horizon cap.  An episode is therefore reproduced
 by ``base_seed`` and its index.  ``run_episodes`` yields the episodes one
 object each and ``estimate_metrics`` aggregates the same episodes
 straight from the engine's arrays.
+
+Each slot an active episode reads its policy's one action map at its
+belief (``Policy._continue_indices``): an awake count is played as it
+is, a wake probability q is drawn as a Binomial(n, q) count.  An
+open-loop map holds one q everywhere, so its draws take that scalar for
+every active episode at once, with no lookup.  ``calibrate_lambda_f``
+runs the engine once per trial on the policy the caller's ``policy_at``
+solves for that trial's ``lambda_f``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .dp import (
-    DEFAULT_MAX_ITERS, DEFAULT_Q_GRID_SIZE, ConvergenceError, ExpectationOperator,
-    _llr_coefficients, _logit_array, _resolve_grid, _resolve_operator, value_iteration,
+    DEFAULT_MAX_ITERS, ConvergenceError, ExpectationOperator, _llr_coefficients, _logit_array,
+    _resolve_grid, _resolve_operator, value_iteration,
 )
 from .model import ChangePrior, Problem, SensorModel
 from .policy import Policy, extract_policy
@@ -171,12 +180,12 @@ def _run_block(
             idx, pi, T, awake = idx[keep], pi[keep], T[keep], awake[keep]
             if idx.size == 0:
                 break
-        if policy.kind == "open_loop":
-            m = rng.binomial(n, policy.fixed_q, idx.size)
+        if policy.kind == "open_loop":  # one q everywhere: no per-belief lookup
+            m = rng.binomial(n, policy.actions[0], idx.size)
         elif policy.kind == "control_q":
-            m = rng.binomial(n, policy.wake_prob_map[policy._continue_indices(pi)])
+            m = rng.binomial(n, policy.actions[policy._continue_indices(pi)])
         else:
-            m = policy.awake_map[policy._continue_indices(pi)]
+            m = policy.actions[policy._continue_indices(pi)]
         if trace is not None and idx[0] == 0:
             trace.append((k, float(pi[0]), int(m[0])))
         awake += m
@@ -401,7 +410,7 @@ class CalibrationResult:
 
 def calibrate_lambda_f(
     problem: Problem,
-    strategy: str,
+    policy_at: Callable[[Problem], Policy],
     target_alpha: float,
     tolerance: float = 0.005,
     *,
@@ -410,71 +419,55 @@ def calibrate_lambda_f(
     max_trials: int = 40,
     replications: int = 2000,
     base_seed: int = 0,
-    grid=None,
     horizon_cap: int | None = None,
-    q: float | None = None,
-    fixed_m: int | None = None,
-    q_grid_size: int = DEFAULT_Q_GRID_SIZE,
-    operator: ExpectationOperator | None = None,
-    solver_tolerance: float | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CalibrationResult:
     """Bisect the false-alarm cost until simulated P_FA hits the target.
 
-    Each trial re-solves the DP at the candidate ``lambda_f`` and
-    simulates the extracted policy with common random numbers (the same
+    Each trial solves for a policy at the candidate ``lambda_f`` through
+    ``policy_at`` and simulates it with common random numbers (the same
     ``base_seed``), which makes the estimated P_FA monotone along the
     bisection and the search well-posed despite sampling noise.
 
     Args:
         problem: Template instance; its lambda_f is overridden per trial.
-        strategy: Solve strategy for each trial.
+        policy_at: Maps a trial's instance to the policy to simulate,
+            typically ``value_iteration`` then ``extract_policy`` on an
+            operator shared by every trial (lambda_f does not enter it).
         target_alpha: Desired false-alarm probability in (0, 1).
-        tolerance: Acceptable |P_FA - target|.
+        tolerance: Acceptable |P_FA - target|, > 0.
         lambda_lo: Lower bracket endpoint (high-alpha side).
         lambda_hi: Upper bracket endpoint (low-alpha side).
-        max_trials: Trial budget, the bracket probes included; the
-            ``lambda_hi`` probe runs only while a trial is left.
-        replications: Episodes per trial.
+        max_trials: Trial budget (>= 1), the bracket probes included;
+            the ``lambda_hi`` probe runs only while a trial is left.
+        replications: Episodes per trial (>= 1).
         base_seed: Shared across trials for common random numbers.
-        grid: Belief grid for the per-trial solves.
         horizon_cap: Per-episode slot budget.
-        q: Wake probability when strategy is open_loop.
-        fixed_m: Awake count when strategy is fixed_m.
-        q_grid_size: Search grid size for control_q trials.
-        operator: Prebuilt expectation maps on ``grid``, shared by every
-            trial (lambda_f does not enter them); built with the default
-            method when None.
-        solver_tolerance: Residual tolerance of each trial's solve
-            (``value_iteration``'s ``tolerance``).
-        max_iters: Policy-improvement round budget of each trial's solve.
 
     Raises:
-        ValueError: If the target is outside (0, 1) or the bracket does
-            not straddle it.
+        ValueError: Before any trial, if the target, tolerance, budget,
+            replications or bracket is out of range; after the probes, if
+            the bracket does not straddle the target.
         ConvergenceError: If the trial budget runs out before tolerance
             (carrying the trial count and the last |P_FA - target|), or a
             trial's solve does not converge.
     """
     if not 0.0 < target_alpha < 1.0:
         raise ValueError(f"target_alpha must lie in (0, 1), got {target_alpha!r}")
+    if not tolerance > 0.0:  # NaN fails too
+        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
+    if max_trials < 1:
+        raise ValueError(f"max_trials must be >= 1, got {max_trials!r}")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications!r}")
     if not 0.0 < lambda_lo < lambda_hi:
         raise ValueError(f"need 0 < lambda_lo < lambda_hi, got {lambda_lo!r}, {lambda_hi!r}")
-    grid = _resolve_grid(grid)
-    operator = _resolve_operator(problem, grid, operator)
     trace: list = []
 
     def alpha_at(lam: float) -> float:
         trial = replace(problem, costs=replace(problem.costs, lambda_f=lam))
-        J, _ = value_iteration(
-            trial, strategy, grid, solver_tolerance, max_iters, operator=operator,
-            q=q, fixed_m=fixed_m, q_grid_size=q_grid_size,
+        met = estimate_metrics(
+            trial, policy_at(trial), replications, base_seed, horizon_cap=horizon_cap
         )
-        pol = extract_policy(
-            J, trial, strategy, operator=operator, q=q, fixed_m=fixed_m,
-            q_grid_size=q_grid_size,
-        )
-        met = estimate_metrics(trial, pol, replications, base_seed, horizon_cap=horizon_cap)
         trace.append((lam, met.prob_false_alarm))
         return met.prob_false_alarm
 

@@ -104,7 +104,7 @@ def test_criterion_2_fixed_count_thresholds(problem, grid1001, operator, solved_
 def test_criterion_3_awake_policy_shape(policy_control_m):
     pol = policy_control_m
     below = pol.grid.points < pol.gamma
-    counts = pol.awake_map[below]
+    counts = pol.actions[below]
     pts = pol.grid.points[below]
     max_ok = counts.max() == 3
     low_band = counts[pts <= 0.3]
@@ -218,9 +218,8 @@ def test_criterion_7_property_suite(
         flips = np.flatnonzero(np.diff(stop.astype(int)))
         cross_ok &= flips.size == 1
     # (d) conditional-expectation identity for the next belief
-    drift = float(
-        np.abs(operator.apply_all(grid1001.points) - operator.predicted[None, :]).max()
-    )
+    predicted = grid1001.points + (1.0 - grid1001.points) * operator.p
+    drift = float(np.abs(operator.apply_all(grid1001.points) - predicted[None, :]).max())
     mart_ok = drift <= 1e-6
     # (e) posterior invariants of the simulator's update under randomized
     # inputs: row i holds the m[i] readings of draw i, zero-padded

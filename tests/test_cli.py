@@ -285,17 +285,22 @@ def test_load_policy_round_trip(solved_run):
     assert reloaded.gamma == report["gamma"]
     assert reloaded.kind == "control_m"
     pis = np.linspace(0.0, reloaded.gamma - 1e-6, 17)
-    assert reloaded.awake_map[reloaded._continue_indices(pis)].dtype.kind == "i"
+    assert reloaded.actions[reloaded._continue_indices(pis)].dtype.kind == "i"
+
+
+# More digits than policy.csv keeps: the open-loop map comes from report.json.
+OPEN_LOOP_Q = 0.123456789012345
 
 
 @pytest.mark.parametrize(
     "strategy,extra",
-    [("control-m", {}), ("control-q", {}), ("open-loop", {"open_loop_q": 0.03}),
+    [("control-m", {}), ("control-q", {}), ("open-loop", {"open_loop_q": OPEN_LOOP_Q}),
      ("fixed-m", {"fixed_m": 1})],
 )
 def test_load_policy_round_trip_every_strategy(tmp_path, strategy, extra):
-    """The reloaded policy acts as the solved one on every continue node;
-    policy.csv holds wake probabilities to 12 significant digits."""
+    """The reloaded policy acts as the solved one on every continue node
+    and simulates the same episodes; policy.csv holds wake probabilities
+    to 12 significant digits."""
     out = tmp_path / "run"
     path = write_config(tmp_path, {"strategy": strategy, **extra}, out_dir=str(out))
     assert main(["solve", "--config", path]) == 0
@@ -306,14 +311,21 @@ def test_load_policy_round_trip_every_strategy(tmp_path, strategy, extra):
     below = np.flatnonzero(solved.grid.points < solved.gamma)
     assert below.size > 0
     assert reloaded._continue_indices(solved.grid.points[below]).tolist() == below.tolist()
+    assert reloaded.actions.dtype == solved.actions.dtype
     if solved.kind == "control_q":
         np.testing.assert_allclose(
-            reloaded.wake_prob_map[below], solved.wake_prob_map[below], rtol=1e-12, atol=0.0
+            reloaded.actions[below], solved.actions[below], rtol=1e-12, atol=0.0
         )
     elif solved.kind == "open_loop":
-        assert reloaded.fixed_q == solved.fixed_q == 0.03
+        assert reloaded.actions.tolist() == solved.actions.tolist()
+        assert set(reloaded.actions.tolist()) == {OPEN_LOOP_Q}
     else:
-        assert reloaded.awake_map[below].tolist() == solved.awake_map[below].tolist()
+        assert reloaded.actions[below].tolist() == solved.actions[below].tolist()
+    episodes = [
+        list(quickwake.run_episodes(cfg.problem, policy, 200, cfg.base_seed))
+        for policy in (solved, reloaded)
+    ]
+    assert episodes[0] == episodes[1]
 
 
 @pytest.mark.parametrize(

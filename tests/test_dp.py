@@ -276,12 +276,17 @@ def test_value_function_requires_free_stop_at_one():
 # --- expectation operator backends -----------------------------------------
 
 
+def _predicted(op):
+    """The belief one slot ahead of each grid node, before any reading."""
+    return op.grid.points + (1.0 - op.grid.points) * op.p
+
+
 def test_exact_operator_mass_and_martingale(problem, operator):
     """Row sums are 1 and E[next belief] is the predicted belief, per m."""
     ones = np.ones(operator.grid.size)
     mass = operator.apply_all(ones)
     assert np.abs(mass - 1.0).max() < 1e-12
-    drift = operator.apply_all(operator.grid.points) - operator.predicted[None, :]
+    drift = operator.apply_all(operator.grid.points) - _predicted(operator)[None, :]
     assert np.abs(drift).max() < 1e-12
 
 
@@ -294,10 +299,10 @@ def test_exact_operator_matches_row_reference(case):
     op = build_expectation_operator(prob, grid, "exact")
     g = grid.size
     for m in range(1, prob.n + 1):
-        ref = np.array([exact_row(prob.model, grid.points, t, m) for t in op.predicted])
+        ref = np.array([exact_row(prob.model, grid.points, t, m) for t in _predicted(op)])
         assert np.abs(op.stack[m * g:(m + 1) * g] - ref).max() < 1e-11
     assert np.abs(op.apply_all(np.ones(g)) - 1.0).max() < 1e-12
-    drift = op.apply_all(grid.points) - op.predicted[None, :]
+    drift = op.apply_all(grid.points) - _predicted(op)[None, :]
     assert np.abs(drift).max() < 1e-12
 
 
@@ -348,7 +353,7 @@ def test_quadrature_operator_identities(problem, grid201):
     atoms = gauss_legendre_atoms(problem.model, problem.n)
     op = operator_from_atoms(atoms, grid201, problem.prior.p)
     assert np.abs(op.apply_all(np.ones(grid201.size)) - 1.0).max() < 1e-12
-    drift = op.apply_all(grid201.points) - op.predicted[None, :]
+    drift = op.apply_all(grid201.points) - _predicted(op)[None, :]
     assert np.abs(drift).max() < 1e-12
 
 
@@ -362,7 +367,7 @@ def test_monte_carlo_operator_close_to_exact(problem, grid201, operator201):
     # Mass is exact by construction; the martingale only holds to
     # sampling accuracy.
     assert np.abs(op_mc.apply_all(np.ones(grid201.size)) - 1.0).max() < 1e-12
-    drift = op_mc.apply_all(grid201.points) - op_mc.predicted[None, :]
+    drift = op_mc.apply_all(grid201.points) - _predicted(op_mc)[None, :]
     assert np.abs(drift).max() < 5e-3
 
 

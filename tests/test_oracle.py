@@ -88,6 +88,25 @@ def test_enumeration_bounds_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "field,value,fragment",
+    [
+        ("lambda_s", math.nan, "lambda_s must be finite"),
+        ("lambda_s", math.inf, "lambda_s must be finite"),
+        ("lambda_f", math.nan, "lambda_f must be finite"),
+        ("lambda_f", math.inf, "lambda_f must be finite"),
+        ("g0", (math.nan, 1.0), "g0 must be two masses in"),
+        ("g1", (0.2, math.nan), "g1 must be two masses in"),
+    ],
+)
+def test_instance_rejects_non_finite_costs_and_masses(field, value, fragment):
+    fields = dict(
+        horizon=2, n=1, g0=(0.7, 0.3), g1=(0.2, 0.8), rho=0.0, p=0.2, lambda_s=0.3, lambda_f=5.0,
+    )
+    with pytest.raises(ValueError, match=fragment):
+        DiscreteInstance(**{**fields, field: value})
+
+
 def test_likelihood_atoms_weights_and_ratios():
     atoms = likelihood_atoms(INSTANCE)
     assert atoms.n == 2

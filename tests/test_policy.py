@@ -9,7 +9,7 @@ from quickwake import (
     extract_policy,
     value_iteration,
 )
-from quickwake.dp import TIE_BREAK
+from quickwake.dp import STRATEGIES, TIE_BREAK
 from quickwake.policy import _threshold_from_continuation
 
 
@@ -110,7 +110,7 @@ def test_optimal_awake_count_agrees_with_policy_map(
     for pi in (0.0, 0.2, 0.45, 0.6, 0.85):
         assert pi < policy_control_m.gamma
         i = J.grid.nearest_index(pi)
-        count = policy_control_m.awake_map[policy_control_m._continue_indices(pi)]
+        count = policy_control_m.actions[policy_control_m._continue_indices(pi)]
         assert count == int(np.argmin(cost[:, i]))
 
 
@@ -137,7 +137,7 @@ def test_differential_rule_is_a_view_not_the_argmin(
         d = B[:-1, i] - B[1:, i]
         rule = max([m for m in range(1, problem.n + 1) if d[m - 1] >= problem.costs.lambda_s],
                    default=0)
-        agreements += rule == policy_control_m.awake_map[policy_control_m._continue_indices(pi)]
+        agreements += rule == policy_control_m.actions[policy_control_m._continue_indices(pi)]
     assert agreements >= 3  # d is non-monotone at some beliefs; see ledger
     # The mismatch tally, read off the sweep's own block product, equals
     # one recomputed from a fresh stack product.
@@ -145,7 +145,7 @@ def test_differential_rule_is_a_view_not_the_argmin(
     rule = (np.arange(1, problem.n + 1)[:, None] * (d >= problem.costs.lambda_s)).max(axis=0)
     below = J.grid.points < policy_control_m.gamma
     assert policy_control_m.awake_rule_mismatches == int(
-        np.sum((rule != policy_control_m.awake_map) & below)
+        np.sum((rule != policy_control_m.actions) & below)
     )
 
 
@@ -156,7 +156,7 @@ def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q,
     lam_s, n = problem.costs.lambda_s, problem.n
     for pi in (0.1, 0.4, 0.63):
         i = J.grid.nearest_index(pi)
-        q = policy_control_q.wake_prob_map[policy_control_q._continue_indices(pi)]
+        q = policy_control_q.actions[policy_control_q._continue_indices(pi)]
         assert 0.0 <= q <= 1.0
         chosen = lam_s * n * q + binomial_weights(n, q) @ B[:, i]
         coarse = min(
@@ -167,28 +167,25 @@ def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q,
 
 def test_policy_validation():
     grid = BeliefGrid.uniform(11)
+    ones = np.ones(11)
     with pytest.raises(ValueError, match="kind"):
-        Policy(kind="bandit", gamma=0.5, grid=grid, n=3)
-    with pytest.raises(ValueError, match="awake_map"):
-        Policy(kind="control_m", gamma=0.5, grid=grid, n=3)
-    with pytest.raises(ValueError, match="awake_map"):
-        Policy(
-            kind="control_m", gamma=0.5, grid=grid, n=3,
-            awake_map=np.array([1, 2]),
-        )
-    for bad in (7, -1, 1.7, np.nan):
-        with pytest.raises(ValueError, match="integers in 0..3"):
-            Policy(
-                kind="control_m", gamma=0.5, grid=grid, n=3,
-                awake_map=np.full(11, bad),
-            )
-    with pytest.raises(ValueError, match="wake_prob_map"):
-        Policy(kind="control_q", gamma=0.5, grid=grid, n=3)
-    for bad in (1.5, -0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="wake_prob_map entries"):
-            Policy(kind="control_q", gamma=0.5, grid=grid, n=3, wake_prob_map=np.full(11, bad))
-    with pytest.raises(ValueError, match="fixed_q"):
-        Policy(kind="open_loop", gamma=0.5, grid=grid, n=3)
+        Policy(kind="bandit", gamma=0.5, grid=grid, n=3, actions=ones)
+    for kind in STRATEGIES:
+        with pytest.raises(ValueError, match="one entry per grid node"):
+            Policy(kind=kind, gamma=0.5, grid=grid, n=3, actions=np.array([1, 1]))
+    for kind in ("control_m", "fixed_m"):
+        for bad in (7, -1, 1.7, np.nan):
+            with pytest.raises(ValueError, match="integers in 0..3"):
+                Policy(kind=kind, gamma=0.5, grid=grid, n=3, actions=np.full(11, bad))
+    for kind in ("control_q", "open_loop"):
+        for bad in (1.5, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="wake probabilities must lie in"):
+                Policy(kind=kind, gamma=0.5, grid=grid, n=3, actions=np.full(11, bad))
+    # The simulator draws an open-loop count from one scalar q.
+    two_valued = np.where(grid.points < 0.5, 0.1, 0.2)
+    with pytest.raises(ValueError, match="one wake probability"):
+        Policy(kind="open_loop", gamma=0.5, grid=grid, n=3, actions=two_valued)
+    assert Policy(kind="control_q", gamma=0.5, grid=grid, n=3, actions=two_valued).kind
 
 
 def test_action_lookup_clamps_to_continue_region():
@@ -197,11 +194,11 @@ def test_action_lookup_clamps_to_continue_region():
     grid = BeliefGrid.uniform(11)
     pol = Policy(
         kind="control_m", gamma=0.58, grid=grid, n=5,
-        awake_map=np.array([1, 1, 2, 3, 3, 2, 0, 0, 0, 0, 0]),
+        actions=np.array([1, 1, 2, 3, 3, 2, 0, 0, 0, 0, 0]),
     )
     assert pol._continue_indices(0.575) == 5  # nearest node 0.6 is a stop node
-    assert pol.awake_map[pol._continue_indices(0.575)] == 2
-    assert pol.awake_map[pol._continue_indices(0.31)] == 3
+    assert pol.actions[pol._continue_indices(0.575)] == 2
+    assert pol.actions[pol._continue_indices(0.31)] == 3
 
 
 def test_array_lookup_matches_scalar_lookup(policy_control_m, policy_control_q):
@@ -223,14 +220,14 @@ def test_extract_policy_open_loop_carries_q(problem, solved_open_loop, operator)
     J, _ = solved_open_loop
     pol = extract_policy(J, problem, "open_loop", q=0.03, operator=operator)
     assert pol.kind == "open_loop"
-    assert pol.fixed_q == 0.03
+    assert pol.actions.tolist() == [0.03] * pol.grid.size
 
 
 def test_extract_policy_control_q_map_peaks_inside(problem, solved_control_q, operator):
     J, _ = solved_control_q
     pol = extract_policy(J, problem, "control_q", operator=operator)
     below = pol.grid.points < pol.gamma
-    qmap = pol.wake_prob_map[below]
+    qmap = pol.actions[below]
     # The wake probability is not flat: it rises from (near) zero to an
     # interior peak.
     assert qmap.min() < 0.01

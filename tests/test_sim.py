@@ -199,10 +199,23 @@ def test_sweep_reports_delay_with_replications(problem, grid201, operator201):
     assert res.rows[0].mean_delay > 0.0
 
 
+def solver_at(problem, strategy: str, grid_size: int):
+    """A calibrate ``policy_at``: each trial's solve and extraction on
+    one operator, which lambda_f does not enter."""
+    grid = BeliefGrid.uniform(grid_size)
+    op = build_expectation_operator(problem, grid)
+
+    def policy_at(trial):
+        J, _ = value_iteration(trial, strategy, grid, operator=op)
+        return extract_policy(J, trial, strategy, operator=op)
+
+    return policy_at
+
+
 def test_calibration_reaches_target(problem):
     result = calibrate_lambda_f(
-        problem, "control_m", target_alpha=0.05, tolerance=0.015,
-        replications=600, base_seed=13, grid=201, max_trials=25,
+        problem, solver_at(problem, "control_m", 201), target_alpha=0.05, tolerance=0.015,
+        replications=600, base_seed=13, max_trials=25,
     )
     assert abs(result.alpha - 0.05) <= 0.015
     assert result.trials == len(result.trace)
@@ -212,24 +225,32 @@ def test_calibration_reaches_target(problem):
 def test_grid_may_be_a_numpy_integer(problem):
     sweep = sweep_open_loop_q(problem, [0.0, 0.05], grid=np.int64(51))
     assert sweep.rows == sweep_open_loop_q(problem, [0.0, 0.05], grid=51).rows
-    # A tolerance of 1 accepts the first bracket probe: one trial.
-    kw = dict(target_alpha=0.05, tolerance=1.0, replications=50, base_seed=3)
-    cal = calibrate_lambda_f(problem, "control_m", grid=np.int64(51), **kw)
-    assert cal.trials == 1
-    grid = BeliefGrid.uniform(51)
-    op = build_expectation_operator(problem, grid)
-    assert calibrate_lambda_f(problem, "control_m", grid=grid, operator=op, **kw) == cal
-    with pytest.raises(ValueError, match="operator does not match"):
-        calibrate_lambda_f(problem, "control_m", grid=101, operator=op, **kw)
 
 
 def test_calibration_bracket_must_straddle(problem):
     with pytest.raises(ValueError, match="straddle"):
         calibrate_lambda_f(
-            problem, "control_m", target_alpha=0.5, tolerance=0.001,
-            lambda_lo=5_000.0, lambda_hi=10_000.0,
-            replications=300, base_seed=1, grid=201,
+            problem, solver_at(problem, "control_m", 201), target_alpha=0.5, tolerance=0.001,
+            lambda_lo=5_000.0, lambda_hi=10_000.0, replications=300, base_seed=1,
         )
+
+
+@pytest.mark.parametrize(
+    "kw,fragment",
+    [
+        ({"max_trials": 0}, "max_trials must be >= 1"),
+        ({"tolerance": math.nan}, "tolerance must be > 0"),
+        ({"tolerance": -0.01}, "tolerance must be > 0"),
+        ({"replications": 0}, "replications must be >= 1"),
+        ({"target_alpha": 1.0}, "target_alpha must lie in"),
+        ({"lambda_lo": 10.0, "lambda_hi": 5.0}, "lambda_lo < lambda_hi"),
+    ],
+)
+def test_calibration_checks_its_settings_before_any_trial(problem, kw, fragment):
+    trials = []
+    with pytest.raises(ValueError, match=fragment):
+        calibrate_lambda_f(problem, trials.append, **{"target_alpha": 0.05, **kw})
+    assert trials == []
 
 
 def test_constant_count_policy_delay_shrinks_with_more_sensors(problem, grid201):
