@@ -54,19 +54,26 @@ posterior update uses.
 
 ``monte_carlo`` covers density pairs with no scalar sufficient statistic
 (seeded, 10^5 draws, compressed to a histogram of the joint likelihood
-ratio).  Discrete observation alphabets enter through the same atom
-interface; see the oracle module.  An atom-built stack is dense when the
-atoms can fill its rows (twice the largest per-regime atom count reaches
-the grid size, as the histogram's thousands of atoms do at the default
-grid) and CSR otherwise (a binary alphabet's few atoms on a fine grid).
-The dense build works like the closed form, per row and grid segment:
-the atoms are sorted once per ``m``, the preimages of the grid nodes cut
-them into segments, and each segment's mass and first moment give the
-node shares.  Both builds take a block of rows at a time, so their
-temporaries are one block of rows by the grid or atom count.  The
-m-blocks are filled concurrently, one thread per CPU the process may run
-on (at most ``n``); each row's arithmetic is the same on any thread, so
-the stack does not depend on the worker count.
+ratio).  Its draws are made in blocks of ``MC_ROWS`` rows, m = 1..n, pre
+before post, rows in order, by one pool thread a few blocks ahead of the
+calling thread, which sums each block's ratios and bins them (inline
+when the build has one worker).  One generator serves the same calls in
+the same order whatever the thread count or timing, so the atoms are
+deterministic; for ``SensorModel`` the blocks' standard normals are the
+stream of one draw per (m, regime).  Discrete observation alphabets
+enter through the same atom interface; see the oracle module.  An
+atom-built stack is dense when the atoms can fill its rows (twice the
+largest per-regime atom count reaches the grid size, as the histogram's
+thousands of atoms do at the default grid) and CSR otherwise (a binary
+alphabet's few atoms on a fine grid).  The dense build works like the
+closed form, per row and grid segment: the atoms are sorted once per
+``m``, the preimages of the grid nodes cut them into segments, and each
+segment's mass and first moment give the node shares.  Both builds
+take a block of rows at a time, so their temporaries are one block of
+rows by the grid or atom count.  The m-blocks are filled concurrently,
+one thread per CPU the process may run on (at most ``n``); each row's
+arithmetic is the same on any thread, so the stack does not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -92,6 +99,10 @@ DEFAULT_MAX_ITERS = 10_000
 TOLERANCE_SCALE = 1e-6
 MC_DRAWS = 100_000
 MC_BINS = 4096
+# Monte Carlo rows (draws of m readings) per sample call, and the calls
+# the draw thread may run ahead of the binning.
+MC_ROWS = 4096
+MC_AHEAD = 2
 # (belief row, atom) pairs interpolated at once by the CSR atom build,
 # which holds a COO triple and its CSR copy for each pair.
 ATOM_CHUNK_ENTRIES = 1 << 18
@@ -121,9 +132,13 @@ class ConvergenceError(RuntimeError):
         self.last_delta = last_delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeliefGrid:
-    """Strictly increasing belief nodes spanning [0, 1]."""
+    """Strictly increasing belief nodes spanning [0, 1].
+
+    Compared and hashed by identity: an elementwise ``==`` over the
+    points has no single truth value.
+    """
 
     points: np.ndarray
 
@@ -279,19 +294,59 @@ def monte_carlo_atoms(model, n: int) -> LikelihoodAtoms:
     ``MC_BINS`` cells, from a generator seeded with 0, so the atoms are
     deterministic.  ``model`` only needs ``sample(regime, size, rng)``
     and ``log_likelihood_ratio(x)``.
+
+    The draws come in blocks of ``MC_ROWS`` rows of ``m`` readings, one
+    ``sample`` call per block, in the order m = 1..n, pre before post,
+    rows in order.  With more than one build worker (see
+    ``_build_workers``) one pool thread makes every call, in that order,
+    at most ``MC_AHEAD`` blocks ahead, while the calling thread sums each
+    finished block's ratios into the totals of its (m, regime) and bins
+    them once they are complete; with one worker the calls run inline.
+    Either way the generator serves the same calls in the same order, so
+    the atoms do not depend on the thread count or on timing.  For
+    ``SensorModel`` the blocks' ``standard_normal`` draws are the stream
+    of one call per (m, regime), so the atoms equal that unblocked build.
     """
     rng = np.random.default_rng(0)
-    llr0, w0, llr1, w1 = [np.empty(0)], [np.empty(0)], [np.empty(0)], [np.empty(0)]
-    for m in range(1, n + 1):
-        for regime, llrs, wts in (("pre", llr0, w0), ("post", llr1, w1)):
-            x = np.asarray(model.sample(regime, MC_DRAWS * m, rng)).reshape(MC_DRAWS, m)
-            totals = np.sum(model.log_likelihood_ratio(x), axis=1)
+    blocks = [
+        (m, regime, lo, min(MC_ROWS, MC_DRAWS - lo))
+        for m in range(1, n + 1)
+        for regime in ("pre", "post")
+        for lo in range(0, MC_DRAWS, MC_ROWS)
+    ]
+    llrs = {"pre": [np.empty(0)], "post": [np.empty(0)]}
+    wts = {"pre": [np.empty(0)], "post": [np.empty(0)]}
+    totals = np.empty(MC_DRAWS)
+
+    def draw(block) -> np.ndarray:
+        m, regime, _, rows = block
+        return np.asarray(model.sample(regime, rows * m, rng)).reshape(rows, m)
+
+    def take(block, x: np.ndarray) -> None:
+        _, regime, lo, rows = block
+        np.sum(model.log_likelihood_ratio(x), axis=1, out=totals[lo:lo + rows])
+        if lo + rows == MC_DRAWS:
             counts, edges = np.histogram(totals, bins=MC_BINS)
             centers = 0.5 * (edges[:-1] + edges[1:])
             keep = counts > 0
-            llrs.append(centers[keep])
-            wts.append(counts[keep] / float(MC_DRAWS))
-    return LikelihoodAtoms(n=n, llr0=tuple(llr0), w0=tuple(w0), llr1=tuple(llr1), w1=tuple(w1))
+            llrs[regime].append(centers[keep])
+            wts[regime].append(counts[keep] / float(MC_DRAWS))
+
+    if _build_workers(n) == 1:
+        for block in blocks:
+            take(block, draw(block))
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            ahead = [pool.submit(draw, b) for b in blocks[:MC_AHEAD]]
+            for i, block in enumerate(blocks):
+                x = ahead.pop(0).result()
+                if i + MC_AHEAD < len(blocks):
+                    ahead.append(pool.submit(draw, blocks[i + MC_AHEAD]))
+                take(block, x)
+    return LikelihoodAtoms(
+        n=n, llr0=tuple(llrs["pre"]), w0=tuple(wts["pre"]),
+        llr1=tuple(llrs["post"]), w1=tuple(wts["post"]),
+    )
 
 
 def _interp_matrix(
@@ -800,7 +855,8 @@ def _evaluate_policy(
     only C's rows of each block.
     ``numpy.linalg`` is used rather than ``scipy.linalg``: importing the
     latter costs more resident memory and import time than the transient
-    copy numpy's solver makes.
+    copy numpy's solver makes, and a tier-1 test checks that importing
+    the package leaves it unloaded.
     """
     g = pts.size
     values = np.where(stop, problem.costs.lambda_f * (1.0 - pts), 0.0)

@@ -25,7 +25,7 @@ from .dp import (
 from .model import Problem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
     """Stationary detection-and-scheduling rule on a belief grid.
 
@@ -40,7 +40,8 @@ class Policy:
     where the marginal-value threshold rule disagrees with control_m's
     enumeration argmin; the argmin is authoritative, the counter is
     diagnostic.  The simulator reads the map at a belief through
-    ``_continue_indices``.
+    ``_continue_indices``.  Compared and hashed by identity, as
+    ``BeliefGrid`` is.
     """
 
     kind: str

@@ -94,6 +94,12 @@ def default_horizon_cap(prior: ChangePrior) -> int:
     return int(math.ceil(100.0 / prior.p))
 
 
+def _check_horizon_cap(horizon_cap: int | None) -> None:
+    """None takes the default; a set cap must allow one slot."""
+    if horizon_cap is not None and horizon_cap < 1:
+        raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap!r}")
+
+
 def _belief_step(model, pi, p: float, m, obs):
     """One slot of the posterior recursion for a batch of episodes.
 
@@ -147,10 +153,9 @@ def _run_block(
         change, stop and sensed (awake sensor-slots) as integer arrays,
         the final belief, and the truncation flags.
     """
+    _check_horizon_cap(horizon_cap)
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(problem.prior)
-    if horizon_cap < 1:
-        raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap!r}")
     if policy.n != problem.n:
         raise ValueError(f"policy is for n={policy.n}, problem has n={problem.n}")
     prior, model, n, gamma = problem.prior, problem.model, problem.n, policy.gamma
@@ -370,13 +375,16 @@ def sweep_open_loop_q(
 
     With ``replications`` > 0 each solved policy is also simulated and
     the row carries its mean detection delay (NaN otherwise).  Returns
-    all rows plus the minimizing q (first minimum on value ties).
+    all rows plus the minimizing q (first minimum on value ties).  An
+    empty or out-of-range ``q_values`` or a ``horizon_cap`` below 1 raises
+    ``ValueError`` before any solve.
     """
     q_values = np.asarray(q_values, dtype=float)
     if q_values.size == 0:
         raise ValueError("q_values must not be empty")
     if np.any((q_values < 0.0) | (q_values > 1.0)):
         raise ValueError("q_values must lie in [0, 1]")
+    _check_horizon_cap(horizon_cap)
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
     rho = problem.prior.rho
@@ -445,8 +453,8 @@ def calibrate_lambda_f(
 
     Raises:
         ValueError: Before any trial, if the target, tolerance, budget,
-            replications or bracket is out of range; after the probes, if
-            the bracket does not straddle the target.
+            replications, horizon cap or bracket is out of range; after
+            the probes, if the bracket does not straddle the target.
         ConvergenceError: If the trial budget runs out before tolerance
             (carrying the trial count and the last |P_FA - target|), or a
             trial's solve does not converge.
@@ -459,6 +467,7 @@ def calibrate_lambda_f(
         raise ValueError(f"max_trials must be >= 1, got {max_trials!r}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications!r}")
+    _check_horizon_cap(horizon_cap)
     if not 0.0 < lambda_lo < lambda_hi:
         raise ValueError(f"need 0 < lambda_lo < lambda_hi, got {lambda_lo!r}, {lambda_hi!r}")
     trace: list = []

@@ -1,6 +1,8 @@
+import functools
 import math
 import os
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -330,23 +332,89 @@ def test_stack_does_not_depend_on_worker_count(case, monkeypatch):
     assert all(np.array_equal(stacks[0], other) for other in stacks[1:])
 
 
-@pytest.mark.parametrize("thread", ["caller", "pool"])
-def test_build_error_reaches_the_caller_and_leaves_no_thread(thread, monkeypatch):
-    prob, grid = _exact_case("falling_mean")
-    real = dp._segment_shares
-    raise_in_caller = thread == "caller"
+def _one_draw_atoms(model, n):
+    """Monte Carlo atoms from one ``sample`` call per (m, regime), the
+    unblocked draw order the blocked build must reproduce."""
+    rng = np.random.default_rng(0)
+    atoms = {"pre": ([np.empty(0)], [np.empty(0)]), "post": ([np.empty(0)], [np.empty(0)])}
+    for m in range(1, n + 1):
+        for regime in ("pre", "post"):
+            x = np.asarray(model.sample(regime, dp.MC_DRAWS * m, rng)).reshape(dp.MC_DRAWS, m)
+            totals = np.sum(model.log_likelihood_ratio(x), axis=1)
+            counts, edges = np.histogram(totals, bins=dp.MC_BINS)
+            keep = counts > 0
+            atoms[regime][0].append((0.5 * (edges[:-1] + edges[1:]))[keep])
+            atoms[regime][1].append(counts[keep] / float(dp.MC_DRAWS))
+    return atoms["pre"] + atoms["post"]
 
-    def failing(out, *args):
-        if (threading.current_thread() is threading.main_thread()) == raise_in_caller:
+
+@pytest.mark.parametrize("draws", ["default", "whole_blocks"])
+@pytest.mark.parametrize(
+    "model", [SensorModel(0.0, 1.0, 1.0, 1.2), SensorModel(0.0, 1.0, -0.5, 0.7)]
+)
+def test_monte_carlo_atoms_match_one_draw_per_count_and_regime(model, draws, monkeypatch):
+    """Blocked draws, inline or ahead on the pool thread, give the atoms
+    of one draw per (m, regime) bit for bit, for any worker count."""
+    if draws == "default":
+        assert dp.MC_DRAWS % dp.MC_ROWS != 0  # the last block is partial
+    else:
+        monkeypatch.setattr(dp, "MC_DRAWS", 3 * dp.MC_ROWS)
+    n = 3
+    expected = _one_draw_atoms(model, n)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(dp, "_build_workers", lambda n, w=workers: min(n, w))
+        atoms = monte_carlo_atoms(model, n)
+        got = (atoms.llr0, atoms.w0, atoms.llr1, atoms.w1)
+        for arrays, reference in zip(got, expected):
+            assert len(arrays) == n + 1
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, reference))
+
+
+def _failing_model(method):
+    """A ``sigma1=1.2`` model whose ``method`` raises on its 5th call,
+    with the thread of every call of it."""
+    base = SensorModel(0.0, 1.0, 1.0, 1.2)
+    calls = []
+
+    def failing(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == 5:
             raise RuntimeError("block failed")
-        real(out, *args)
+        return getattr(base, method)(*args)
 
+    model = types.SimpleNamespace(
+        sample=base.sample, log_likelihood_ratio=base.log_likelihood_ratio
+    )
+    setattr(model, method, failing)
+    return model, calls
+
+
+# The exact build's failing block runs on the caller or a pool thread; the
+# Monte Carlo draws run on the pool thread and the binning on the caller.
+@pytest.mark.parametrize("thread", ["caller", "pool", "monte_carlo_caller", "monte_carlo_pool"])
+def test_build_error_reaches_the_caller_and_leaves_no_thread(thread, monkeypatch):
+    raise_in_caller = thread.endswith("caller")
     monkeypatch.setattr(dp, "_build_workers", lambda n: min(n, 2))
-    monkeypatch.setattr(dp, "_segment_shares", failing)
+    if thread.startswith("monte_carlo"):
+        model, calls = _failing_model("log_likelihood_ratio" if raise_in_caller else "sample")
+        build = functools.partial(monte_carlo_atoms, model, 2)
+    else:
+        prob, grid = _exact_case("falling_mean")
+        real = dp._segment_shares
+
+        def failing(out, *args):
+            if (threading.current_thread() is threading.main_thread()) == raise_in_caller:
+                raise RuntimeError("block failed")
+            real(out, *args)
+
+        monkeypatch.setattr(dp, "_segment_shares", failing)
+        build = functools.partial(build_expectation_operator, prob, grid, "exact")
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="block failed"):
-        build_expectation_operator(prob, grid, "exact")
+        build()
     assert threading.active_count() == before
+    if thread.startswith("monte_carlo"):
+        assert (calls[4] is threading.main_thread()) == raise_in_caller
 
 
 def test_quadrature_operator_identities(problem, grid201):

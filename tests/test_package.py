@@ -1,7 +1,10 @@
-"""The public surface: ``__all__`` and the README's library and config examples."""
+"""The public surface: ``__all__``, what importing loads, and the README's
+library and config examples."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import quickwake
@@ -22,6 +25,20 @@ def test_all_names_resolve_and_cover_the_imports():
     }
     public = {name for name in imported if not name.startswith("_")}
     assert public - set(quickwake.__all__) == set()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """``scipy.linalg`` costs import time and resident memory; the solver
+    uses ``numpy.linalg`` so that importing the package, CLI included,
+    never loads it."""
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import quickwake.cli; "
+        "print('scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_readme_library_example_runs():

@@ -165,6 +165,19 @@ def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q,
         assert chosen <= coarse + 1e-9
 
 
+def test_policy_and_grid_compare_and_hash_by_identity(problem):
+    """Array fields have no single truth value, so equality is identity."""
+    grid, twin_grid = BeliefGrid.uniform(11), BeliefGrid.uniform(11)
+    assert grid == grid and grid != twin_grid
+    assert len({grid, twin_grid, grid}) == 2
+    pol, twin = (
+        Policy(kind="fixed_m", gamma=0.5, grid=grid, n=problem.n, actions=np.full(11, 2))
+        for _ in range(2)
+    )
+    assert pol == pol and pol != twin
+    assert len({pol, twin, pol}) == 2
+
+
 def test_policy_validation():
     grid = BeliefGrid.uniform(11)
     ones = np.ones(11)

@@ -199,6 +199,15 @@ def test_sweep_reports_delay_with_replications(problem, grid201, operator201):
     assert res.rows[0].mean_delay > 0.0
 
 
+def test_sweep_checks_horizon_cap_before_any_solve(problem, monkeypatch):
+    def no_solve(*args, **kw):
+        raise AssertionError("solved before the horizon_cap check")
+
+    monkeypatch.setattr(sim, "value_iteration", no_solve)
+    with pytest.raises(ValueError, match="horizon_cap must be >= 1"):
+        sweep_open_loop_q(problem, [0.05], grid=51, replications=10, horizon_cap=0)
+
+
 def solver_at(problem, strategy: str, grid_size: int):
     """A calibrate ``policy_at``: each trial's solve and extraction on
     one operator, which lambda_f does not enter."""
@@ -244,6 +253,7 @@ def test_calibration_bracket_must_straddle(problem):
         ({"replications": 0}, "replications must be >= 1"),
         ({"target_alpha": 1.0}, "target_alpha must lie in"),
         ({"lambda_lo": 10.0, "lambda_hi": 5.0}, "lambda_lo < lambda_hi"),
+        ({"horizon_cap": 0}, "horizon_cap must be >= 1"),
     ],
 )
 def test_calibration_checks_its_settings_before_any_trial(problem, kw, fragment):
