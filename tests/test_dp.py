@@ -353,21 +353,19 @@ def _one_draw_atoms(model, n):
     "model", [SensorModel(0.0, 1.0, 1.0, 1.2), SensorModel(0.0, 1.0, -0.5, 0.7)]
 )
 def test_monte_carlo_atoms_match_one_draw_per_count_and_regime(model, draws, monkeypatch):
-    """Blocked draws, inline or ahead on the pool thread, give the atoms
-    of one draw per (m, regime) bit for bit, for any worker count."""
+    """Blocked draws ahead on the pool thread give the atoms of one draw
+    per (m, regime) bit for bit."""
     if draws == "default":
         assert dp.MC_DRAWS % dp.MC_ROWS != 0  # the last block is partial
     else:
         monkeypatch.setattr(dp, "MC_DRAWS", 3 * dp.MC_ROWS)
     n = 3
     expected = _one_draw_atoms(model, n)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(dp, "_build_workers", lambda n, w=workers: min(n, w))
-        atoms = monte_carlo_atoms(model, n)
-        got = (atoms.llr0, atoms.w0, atoms.llr1, atoms.w1)
-        for arrays, reference in zip(got, expected):
-            assert len(arrays) == n + 1
-            assert all(np.array_equal(a, b) for a, b in zip(arrays, reference))
+    atoms = monte_carlo_atoms(model, n)
+    got = (atoms.llr0, atoms.w0, atoms.llr1, atoms.w1)
+    for arrays, reference in zip(got, expected):
+        assert len(arrays) == n + 1
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, reference))
 
 
 def _failing_model(method):
