@@ -61,8 +61,8 @@ them.  One generator serves the same calls in the same order whatever
 the timing, so the atoms are deterministic; for ``SensorModel`` the
 blocks' standard normals are the stream of one draw per (m, regime).
 Discrete observation alphabets enter through the same atom interface;
-see the oracle module.  An atom-built stack is dense when the atoms can
-fill its rows (twice the
+see the oracle module.
+An atom-built stack is dense when the atoms can fill its rows (twice the
 largest per-regime atom count reaches the grid size, as the histogram's
 thousands of atoms do at the default grid) and CSR otherwise (a binary
 alphabet's few atoms on a fine grid).  The dense build works like the
