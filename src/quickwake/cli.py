@@ -16,7 +16,9 @@ Subcommands:
 Exit codes: 0 success, 1 invalid config or mismatched inputs, 2 solver
 non-convergence or a ``calibrate`` bisection out of trials.  All outputs
 are deterministic for a fixed (config, seed) pair; floats are written
-with a fixed 12-significant-digit format.
+with a fixed 12-significant-digit format, except control_q's wake
+probabilities in policy.csv and J.csv, written in full so that its
+policy reloads exactly.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 from .dp import (
     DEFAULT_GRID_SIZE,
     DEFAULT_MAX_ITERS,
-    DEFAULT_Q_GRID_SIZE,
     STRATEGIES,
     BeliefGrid,
     ConvergenceError,
     build_expectation_operator,
+    expectation_method,
     value_iteration,
 )
 from .model import ChangePrior, Costs, Problem, SensorModel
@@ -48,8 +50,6 @@ from .sim import calibrate_lambda_f, metrics_from_episodes, run_episodes, sweep_
 SCHEMA_VERSION = 1
 
 STRATEGY_NAMES = {s.replace("_", "-"): s for s in STRATEGIES}
-
-METHOD_NAMES = {"exact": "exact", "monte-carlo": "monte_carlo"}
 
 
 class ConfigError(ValueError):
@@ -87,8 +87,6 @@ _FIELDS = (
     ("solver.grid_size", int, DEFAULT_GRID_SIZE, _at_least(2)),
     ("solver.tolerance", float, None, _POSITIVE),
     ("solver.max_iters", int, DEFAULT_MAX_ITERS, _at_least(1)),
-    ("solver.q_grid_size", int, DEFAULT_Q_GRID_SIZE, _at_least(1)),
-    ("solver.method", str, "exact", None),
     ("sim.replications", int, 1000, _at_least(0)),
     ("sim.base_seed", int, 0, _at_least(0)),
     ("sim.horizon_cap", int, None, _at_least(1)),
@@ -108,11 +106,9 @@ _ATTRS = {"sweep.q_values": "sweep_q_values", "calibrate.tolerance": "calibrate_
 class RunConfig:
     problem: Problem
     strategy: str
-    method: str
     grid_size: int
     tolerance: float | None
     max_iters: int
-    q_grid_size: int
     replications: int
     base_seed: int
     horizon_cap: int | None
@@ -204,12 +200,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             f"field strategy must be one of {sorted(STRATEGY_NAMES)}, got {strategy!r}"
         )
     values["strategy"] = STRATEGY_NAMES[strategy]
-    if values["method"] not in METHOD_NAMES:
-        raise ConfigError(
-            f"field solver.method must be one of {sorted(METHOD_NAMES)}, "
-            f"got {values['method']!r}"
-        )
-    values["method"] = METHOD_NAMES[values["method"]]
     if values["sweep_q_values"] is not None:
         q_values = np.array([_typed(v, float, "sweep.q_values") for v in values["sweep_q_values"]])
         if q_values.size == 0 or not np.all((q_values >= 0) & (q_values <= 1)):
@@ -245,12 +235,15 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _policy_rows(policy: Policy):
-    """Per-node (pi, action, m_or_q); m_or_q is empty on stop rows."""
+    """Per-node (pi, action, m_or_q); m_or_q is empty on stop rows.
+    control_q's wake probabilities are written in full (``repr``), so
+    they reload exactly; every other action is a count or the config's q."""
+    full = policy.kind == "control_q"
     for pi, action in zip(policy.grid.points, policy.actions.tolist()):
         if pi >= policy.gamma:
             yield pi, "stop", ""
         else:
-            yield pi, "continue", action
+            yield pi, "continue", repr(action) if full else action
 
 
 def _write_policy(path: Path, policy: Policy) -> None:
@@ -258,19 +251,17 @@ def _write_policy(path: Path, policy: Policy) -> None:
 
 
 def _operator(cfg: RunConfig):
-    return build_expectation_operator(cfg.problem, BeliefGrid.uniform(cfg.grid_size), cfg.method)
+    return build_expectation_operator(cfg.problem, BeliefGrid.uniform(cfg.grid_size))
 
 
 def _solve(cfg: RunConfig, operator):
     """Solve ``cfg.strategy`` on ``operator``'s grid and extract its policy."""
     J, report = value_iteration(
         cfg.problem, cfg.strategy, operator.grid, cfg.tolerance, cfg.max_iters,
-        q=cfg.open_loop_q, fixed_m=cfg.fixed_m, q_grid_size=cfg.q_grid_size,
-        operator=operator,
+        q=cfg.open_loop_q, fixed_m=cfg.fixed_m, operator=operator,
     )
     policy = extract_policy(
-        J, cfg.problem, cfg.strategy, operator=operator,
-        q=cfg.open_loop_q, fixed_m=cfg.fixed_m, q_grid_size=cfg.q_grid_size,
+        J, cfg.problem, cfg.strategy, operator=operator, q=cfg.open_loop_q, fixed_m=cfg.fixed_m,
     )
     return J, report, policy
 
@@ -299,7 +290,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "operator_build_seconds": build_seconds,
         "grid_size": report.grid_size,
         "tolerance": report.tolerance,
-        "method": cfg.method,
+        "method": expectation_method(cfg.problem),
         "problem_key": cfg.problem.key(),
         "problem": cfg.problem.fields(),
     }

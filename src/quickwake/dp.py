@@ -17,11 +17,14 @@ awake count ``m``.  On a fixed grid with piecewise-linear interpolation
 that map is linear in the grid values, so it is assembled once as one
 stacked matrix over all ``m`` and a sweep is one mat-vec.  The four
 strategies differ only in their action set: a sensing cost per action
-and a mixture over awake counts (the identity for control_m, binomial
-rows for control_q).  open_loop and fixed_m have one action, whose
-mixture is folded into a single ``g x g`` map when the action set is
-made, so every sweep of a strategy, one-off or repeated, reads the same
-form.
+and a mixture over awake counts.  control_m plays one count.  control_q
+mixes them with Binomial(n, q) weights, and a sweep takes the exact
+minimum over q in [0, 1]: the continuation cost is a polynomial in q in
+Bernstein form, so its candidates are 0, 1 and the roots of its
+derivative, bracketed or from companion matrices (``_least_over_q``).
+open_loop and fixed_m have one action, whose mixture is folded into a
+single ``g x g`` map when the action set is made, so every sweep of a
+strategy, one-off or repeated, reads the same form.
 
 The stationary problem is solved by policy iteration: a sweep picks the
 stop set and actions, and one linear solve on the continue set C gives
@@ -93,8 +96,6 @@ from scipy.special import expit, ndtr
 from .model import Problem, SensorModel
 
 DEFAULT_GRID_SIZE = 1001
-DEFAULT_Q_GRID_SIZE = 101
-Q_REFINE_POINTS = 21
 DEFAULT_MAX_ITERS = 10_000
 TOLERANCE_SCALE = 1e-6
 MC_DRAWS = 100_000
@@ -114,6 +115,10 @@ BLOCK_ROWS = 32
 # node plus the last, unless that leaves fewer than COARSE_MIN_NODES.
 COARSE_STRIDE = 8
 COARSE_MIN_NODES = 16
+# control_q's root finder stops a node once its step in q falls to
+# ROOT_TOLERANCE, and every node after ROOT_MAX_STEPS (bisection needs 50).
+ROOT_TOLERANCE = 1e-15
+ROOT_MAX_STEPS = 64
 
 # Stopping wins ties within this margin, and argmin ties resolve toward
 # the smaller m or q.
@@ -164,16 +169,6 @@ class BeliefGrid:
     @property
     def size(self) -> int:
         return self.points.size
-
-    def nearest_index(self, pi: float) -> int:
-        idx = int(np.searchsorted(self.points, pi))
-        if idx == 0:
-            return 0
-        if idx >= self.size:
-            return self.size - 1
-        if pi - self.points[idx - 1] <= self.points[idx] - pi:
-            return idx - 1
-        return idx
 
 
 @dataclass
@@ -648,40 +643,118 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
     return ExpectationOperator(grid, p, n, stack)
 
 
+def expectation_method(problem: Problem) -> str:
+    """The build ``build_expectation_operator`` picks by default:
+    ``exact`` for an equal-variance Gaussian pair, ``monte_carlo`` for
+    any other model."""
+    model = problem.model
+    if isinstance(model, SensorModel) and model.equal_variance:
+        return "exact"
+    return "monte_carlo"
+
+
 def build_expectation_operator(
     problem: Problem, grid: BeliefGrid, method: str | None = None
 ) -> ExpectationOperator:
     """Assemble the stacked expectation map for ``problem``.
 
-    ``method`` is ``exact`` or ``monte_carlo``; by default the closed
-    form is used when the model is an equal-variance Gaussian pair and
-    the Monte Carlo fallback otherwise.
+    ``method`` is ``exact`` or ``monte_carlo``, by default
+    ``expectation_method(problem)``; the closed form needs an
+    equal-variance Gaussian pair.
     """
-    model = problem.model
-    reducible = isinstance(model, SensorModel) and model.equal_variance
-    if method is None:
-        method = "exact" if reducible else "monte_carlo"
+    default = expectation_method(problem)
+    method = default if method is None else method
     if method == "exact":
-        if not reducible:
+        if default != "exact":
             raise ValueError("no scalar sufficient statistic: use the monte_carlo method")
-        return _exact_operator(model, problem.n, grid, problem.prior.p)
+        return _exact_operator(problem.model, problem.n, grid, problem.prior.p)
     if method == "monte_carlo":
-        atoms = monte_carlo_atoms(model, problem.n)
+        atoms = monte_carlo_atoms(problem.model, problem.n)
         return operator_from_atoms(atoms, grid, problem.prior.p)
     raise ValueError(f"unknown expectation method {method!r}")
 
 
-def _refine_q(
-    lo: np.ndarray, hi: np.ndarray, n: int, lam_s: float, B: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense search between the bracketing coarse q values (vector form)."""
-    steps = np.linspace(0.0, 1.0, Q_REFINE_POINTS)
-    qs = lo[None, :] + steps[:, None] * (hi - lo)[None, :]
-    table = _binomial_table(n, qs)
-    cont = lam_s * n * qs + np.einsum("rgm,mg->rg", table, B)
-    pick = np.argmin(cont, axis=0)
-    cols = np.arange(qs.shape[1])
-    return qs[pick, cols], cont[pick, cols]
+def _bernstein(coef: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope at ``x[i]`` of the Bernstein polynomial with
+    coefficients ``coef[i]`` (degree >= 1), by the last de Casteljau step."""
+    basis = _binomial_table(coef.shape[1] - 2, x)
+    lower = np.einsum("km,km->k", basis, coef[:, :-1])
+    upper = np.einsum("km,km->k", basis, coef[:, 1:])
+    return lower + x * (upper - lower), (coef.shape[1] - 1) * (upper - lower)
+
+
+def _valley_roots(D: np.ndarray) -> np.ndarray:
+    """Root in (0, 1) of each row's Bernstein polynomial, whose coefficients
+    ``D`` go once from negative to nonnegative: safeguarded Newton (Press et
+    al., Numerical Recipes 9.4, ``rtsafe``) from the control polygon's zero."""
+    rows, deg = np.arange(D.shape[0]), D.shape[1] - 1
+    k = np.count_nonzero(D < 0, axis=1) - 1
+    x = (k + D[rows, k] / (D[rows, k] - D[rows, k + 1])) / deg
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    step, older = np.ones(rows.size), np.ones(rows.size)
+    live = rows
+    for _ in range(ROOT_MAX_STEPS):
+        xl = x[live]
+        f, slope = _bernstein(D[live], xl)
+        lo[live] = l = np.where(f < 0, xl, lo[live])
+        hi[live] = h = np.where(f > 0, xl, hi[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xl - f / slope
+        # Bisect when Newton leaves the bracket or would not halve the
+        # step before last.
+        slow = np.abs(2.0 * f) > np.abs(older[live] * slope)
+        bisect = ~((l <= newton) & (newton <= h)) | slow
+        x[live] = np.where(bisect, 0.5 * (l + h), newton)
+        older[live], step[live] = step[live], np.abs(x[live] - xl)
+        live = live[step[live] > ROOT_TOLERANCE]
+        if not live.size:
+            break
+    return x
+
+
+def _stationary_points(D: np.ndarray) -> np.ndarray:
+    """Real parts in (0, 1) of the roots of each row's Bernstein polynomial
+    (coefficients ``D``), ascending, NaN-padded: with ``s = q / (1 - q)`` it
+    is ``(1 - q)^k sum_m C(k, m) D_m s^m``, so they come from companion
+    matrices, each row rotated to lead with its last nonzero coefficient."""
+    deg = D.shape[1] - 1
+    c = D * np.array([math.comb(deg, m) for m in range(deg + 1)], dtype=float)
+    shift = np.argmax(c[:, ::-1] != 0, axis=1)  # adds only roots at s = 0
+    c = np.take_along_axis(c, (np.arange(deg + 1) - shift[:, None]) % (deg + 1), axis=1)
+    companion = np.zeros((D.shape[0], deg, deg))
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    s = np.linalg.eigvals(companion).real
+    return np.sort(np.where(s > 0, s / (1.0 + np.abs(s)), np.nan), axis=1)
+
+
+def _least_over_q(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum over q in [0, 1] of ``f(q) = sum_m Binom(n, q)_m F[m]``
+    per column, and the least q attaining it.
+
+    ``f'`` has Bernstein coefficients ``d = n * diff(F)`` and, by variation
+    diminishing, at most as many roots in (0, 1) as ``d`` has sign changes;
+    counting zeros as positive only adds changes.  The candidates are 0, 1,
+    the root when ``d`` goes once from - to + (a minimum) and every root
+    when it changes more often; once from + to - is a maximum.  Real parts
+    of complex roots are kept: each candidate is feasible, the least wins.
+    """
+    n, g = F.shape[0] - 1, F.shape[1]
+    d = n * np.diff(F, axis=0)
+    up = d >= 0
+    changes = np.count_nonzero(up[1:] != up[:-1], axis=0)
+    best_q, best_f = np.zeros(g), F[0].copy()
+    valley, wavy = np.flatnonzero((changes == 1) & up[-1]), np.flatnonzero(changes > 1)
+    offers = [(valley, _valley_roots(d[:, valley].T))]
+    if wavy.size:
+        offers += [(wavy, q) for q in _stationary_points(d[:, wavy].T).T]
+    for cols, q in offers:  # ascending in q, so a tie keeps the smaller
+        f = _bernstein(F[:, cols].T, q)[0]
+        take = f < best_f[cols]
+        best_q[cols[take]], best_f[cols[take]] = q[take], f[take]
+    take = F[-1] < best_f
+    best_q[take], best_f[take] = 1.0, F[-1, take]
+    return best_q, best_f
 
 
 # ---------------------------------------------------------------------------
@@ -710,40 +783,34 @@ class BellmanMaps:
 class _ActionSet:
     """A strategy as every sweep of it sees it.
 
-    Row ``a`` of ``cost[:, None] + weights @ (stack @ J).reshape(-1, g)``
-    is the continuation cost of action ``actions[a]``.  ``weights`` None
-    stands for the identity: action ``a`` plays block ``a`` of the stack
-    (control_m's awake counts, or a single action's fold, a stack of one
-    block).  Only control_q has ``weights``, its binomial rows, and its
-    grid minimum is refined between its neighbours.  ``private`` marks a
-    dense ``stack`` built for this action set alone (a single action's
-    fold), so policy evaluation may take its continue rows as a view and
-    work in them in place.
+    Row ``a`` of ``cost[:, None] + (stack @ J).reshape(-1, g)`` is the
+    continuation cost of action ``actions[a]``, which plays block ``a``
+    of the stack (control_m's awake counts, or a single action's fold, a
+    stack of one block).  ``binomial`` marks control_q: its actions are
+    wake probabilities, each mixing those rows with Binomial(n, q)
+    weights, and a sweep takes the exact minimum over q.  ``private``
+    marks a dense ``stack`` built for this action set alone (a single
+    action's fold), so policy evaluation may take its continue rows as a
+    view and work in them in place.
     """
 
     stack: object
-    weights: np.ndarray | None
     cost: np.ndarray
     actions: np.ndarray
+    binomial: bool = False
     private: bool = False
 
 
 def _sweep(values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionSet) -> BellmanMaps:
-    """One Bellman sweep with its argmin actions; control_q's are refined
-    between the neighbours of its grid minimum."""
+    """One Bellman sweep with its argmin actions; control_q's is the
+    exact minimiser over q (``_least_over_q``)."""
     B = (acts.stack @ values).reshape(-1, pts.size)
-    table = acts.cost[:, None] + (B if acts.weights is None else acts.weights @ B)
-    cont = table.min(axis=0)
-    j = np.argmin(table, axis=0)
-    best = acts.actions[j]
-    if acts.weights is not None:
-        q_grid = acts.actions
-        lo = q_grid[np.maximum(j - 1, 0)]
-        hi = q_grid[np.minimum(j + 1, q_grid.size - 1)]
-        q_ref, cont_ref = _refine_q(lo, hi, problem.n, problem.costs.lambda_s, B)
-        take_coarse = cont < cont_ref - TIE_BREAK
-        cont = np.where(take_coarse, cont, cont_ref)
-        best = np.where(take_coarse, best, q_ref)
+    table = acts.cost[:, None] + B
+    if acts.binomial:
+        best, cont = _least_over_q(table)
+    else:
+        cont = table.min(axis=0)
+        best = acts.actions[np.argmin(table, axis=0)]
     continue_values = pts + cont
     new_values = np.minimum(problem.costs.lambda_f * (1.0 - pts), continue_values)
     return BellmanMaps(new_values, continue_values, best, B)
@@ -755,24 +822,18 @@ def _action_set(
     strategy: str,
     q: float | None,
     fixed_m: int | None,
-    q_grid_size: int,
 ) -> _ActionSet:
     """The one action set every sweep of ``strategy`` reads.  control_q
-    searches ``q_grid_size`` uniform wake probabilities on [0, 1].
+    reads control_m's, mixed over a wake probability.
     open_loop and fixed_m fold their mixture into one ``g x g`` map here:
     a dense stack in one BLAS contraction over its blocks, viewed as rows
     of ``g * g``, a CSR one through a block-mixing matrix."""
     n = problem.n
     lam_s = problem.costs.lambda_s
     stack = operator.stack
-    if strategy == "control_m":
+    if strategy in ("control_m", "control_q"):
         counts = np.arange(n + 1)
-        return _ActionSet(stack, None, lam_s * counts, counts)
-    if strategy == "control_q":
-        if q_grid_size < 1:
-            raise ValueError(f"q_grid_size must be >= 1, got {q_grid_size!r}")
-        q_grid = np.linspace(0.0, 1.0, q_grid_size)
-        return _ActionSet(stack, _binomial_table(n, q_grid), lam_s * n * q_grid, q_grid)
+        return _ActionSet(stack, lam_s * counts, counts, binomial=strategy == "control_q")
     if strategy == "open_loop":
         if q is None or not 0.0 <= q <= 1.0:
             raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
@@ -789,7 +850,7 @@ def _action_set(
     else:
         fold = sparse.kron(weights, sparse.identity(g), format="csr") @ stack
     private = isinstance(fold, np.ndarray)
-    return _ActionSet(fold, None, np.array([cost]), np.array([action]), private=private)
+    return _ActionSet(fold, np.array([cost]), np.array([action]), private=private)
 
 
 def _resolve_operator(
@@ -861,7 +922,7 @@ def _evaluate_policy(
         return values
     lo, hi = C[0], C[-1] + 1
     interval = hi - lo == C.size
-    if acts.weights is None:
+    if not acts.binomial:
         # Awake counts and a single action are sorted.  Columns from hi on
         # are all in S.  A fold is one block: its continue rows are lo:hi.
         j = np.searchsorted(acts.actions, best[C])
@@ -903,14 +964,24 @@ def _policy_rounds(
     margin = TIE_BREAK * problem.costs.lambda_f
     values = _evaluate_policy(problem, pts, acts, stop, best)
     deltas = []
+    polish = acts.binomial
     for _ in range(max_iters):
         maps = _sweep(values, problem, pts, acts)
         switch = maps.new_values < values - margin
-        if not switch.any():
+        if switch.any():
+            stop = np.where(switch, stop_cost <= maps.continue_values, stop)
+            best = np.where(switch, maps.best_action, best)
+            polish = acts.binomial
+        elif polish:
+            # A wake probability is continuous, so the margin leaves each
+            # q up to it off the argmin.  One round that takes every
+            # continue node's argmin is a Newton step from there, which
+            # ends within round-off of the fixed point from any start.
+            best = np.where(stop, best, maps.best_action)
+            polish = False
+        else:
             deltas.append(0.0)
             return values, stop, best, deltas, float(np.max(np.abs(maps.new_values - values)))
-        stop = np.where(switch, stop_cost <= maps.continue_values, stop)
-        best = np.where(switch, maps.best_action, best)
         new_values = _evaluate_policy(problem, pts, acts, stop, best)
         deltas.append(float(np.max(np.abs(new_values - values))))
         values = new_values
@@ -926,7 +997,6 @@ def value_iteration(
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
 ) -> tuple[ValueFunction, SolveReport]:
     """Solve the stationary Bellman equation on a belief grid exactly.
@@ -937,7 +1007,10 @@ def value_iteration(
     linear solve on the continue set).  It stops when the stop set and
     the continue-set actions repeat; iterates decrease monotonically to
     the fixed point.  A node keeps its decision unless switching lowers
-    its backup by more than ``TIE_BREAK * lambda_f``.
+    its backup by more than ``TIE_BREAK * lambda_f``.  control_q's wake
+    probability is continuous, so once no node switches, one more round
+    takes every continue node's argmin; the result is then the same from
+    any start to round-off, not only to that margin.
 
     The fine rounds start from the decisions of the nearest node of
     ``operator.coarse``, solved the same way from stopping everywhere in
@@ -955,7 +1028,6 @@ def value_iteration(
         max_iters: Policy-improvement round budget of each level.
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
-        q_grid_size: Size of the uniform control_q search grid on [0, 1].
         operator: Prebuilt expectation maps to reuse across solves; its
             coarse level is built on first use and kept with it.  Built
             with the default method when None.
@@ -976,7 +1048,7 @@ def value_iteration(
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid_size)
+    acts = _action_set(problem, operator, strategy, q, fixed_m)
     start = time.perf_counter()
     pts = grid.points
     stop = np.ones(grid.size, dtype=bool)
@@ -985,7 +1057,7 @@ def value_iteration(
     coarse = operator.coarse
     if coarse is not None:
         cpts = coarse.grid.points
-        coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m, q_grid_size)
+        coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m)
         _, stop, best, coarse_deltas, _ = _policy_rounds(
             problem, cpts, coarse_acts, np.ones(cpts.size, dtype=bool), np.zeros(cpts.size),
             max_iters,
@@ -1025,7 +1097,6 @@ def solve_finite_horizon(
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
 ) -> ValueFunction:
     """Exactly ``sweeps`` Bellman applications to the stopping cost.
@@ -1037,7 +1108,7 @@ def solve_finite_horizon(
         raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
-    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid_size)
+    acts = _action_set(problem, operator, strategy, q, fixed_m)
     values = problem.costs.lambda_f * (1.0 - grid.points)
     for _ in range(sweeps):
         values = _sweep(values, problem, grid.points, acts).new_values
@@ -1051,7 +1122,6 @@ def bellman_maps(
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid_size: int = DEFAULT_Q_GRID_SIZE,
     operator: ExpectationOperator | None = None,
 ) -> BellmanMaps:
     """One sweep over the whole grid, exposing the per-point decisions.
@@ -1061,5 +1131,5 @@ def bellman_maps(
     same action set as the solves, so a single action builds its fold.
     """
     operator = _resolve_operator(problem, J.grid, operator)
-    acts = _action_set(problem, operator, strategy, q, fixed_m, q_grid_size)
+    acts = _action_set(problem, operator, strategy, q, fixed_m)
     return _sweep(J.values, problem, J.grid.points, acts)

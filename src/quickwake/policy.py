@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import (
-    DEFAULT_Q_GRID_SIZE,
     STRATEGIES,
     TIE_BREAK,
     BeliefGrid,
@@ -138,7 +137,6 @@ def extract_policy(
     operator: ExpectationOperator | None = None,
     q: float | None = None,
     fixed_m: int | None = None,
-    q_grid_size: int = DEFAULT_Q_GRID_SIZE,
 ) -> Policy:
     """Threshold plus action map for ``strategy`` from a converged ``J``.
 
@@ -147,9 +145,7 @@ def extract_policy(
     marginal-value rule disagrees with it are tallied in
     ``awake_rule_mismatches``.
     """
-    maps = bellman_maps(
-        J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m, q_grid_size=q_grid_size,
-    )
+    maps = bellman_maps(J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m)
     gamma = _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
     mismatches = 0
     if strategy == "control_m":

@@ -8,7 +8,8 @@ being loosened.  The structural checks (criteria 7 to 9) validate the
 implementation itself and are expected to hold.
 
 Runtime: dominated by the 10^5-replication simulations and the 101-point
-open-loop sweep; a bit over five minutes on one core.
+open-loop sweep over fixed q (control_q has no q grid: it takes the exact
+minimum over q at each node).
 """
 
 import math

@@ -52,8 +52,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.strategy == "control_m"
     assert cfg.grid_size == 51
     assert cfg.max_iters == 10_000
-    assert cfg.q_grid_size == 101
-    assert cfg.method == "exact"
     assert cfg.replications == 120
     assert cfg.problem.key() == make_benchmark_problem().key()
 
@@ -69,7 +67,7 @@ def test_load_config_defaults(tmp_path):
         ({"strategy": 7}, "must be a str"),
         ({"problem.p": "fast"}, "must be a float"),
         ({"solver.grid_size": 1}, "grid_size must be >= 2"),
-        ({"solver.method": "simpson"}, "solver.method must be one of"),
+        ({"solver.method": "exact"}, "unknown field solver.method"),
         ({"sim.replications": -2}, "replications must be >= 0"),
         ({"sweep.q_values": [0.5, 1.5]}, "q_values"),
         ({"strategy": "open-loop"}, "open_loop_q"),
@@ -87,6 +85,7 @@ def test_load_config_defaults(tmp_path):
         ({"sweep.q_values": ["0.1", True]}, "field sweep.q_values must be a float"),
         ({"sweep.q_values": [0.1, True]}, "field sweep.q_values must be a float"),
         ({"sim.base_seed": -1}, "field sim.base_seed must be >= 0"),
+        ({"solver.q_grid_size": 101}, "unknown field solver.q_grid_size"),
     ],
 )
 def test_load_config_rejections(tmp_path, overrides, fragment):
@@ -130,6 +129,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert report["strategy"] == "control_m"
     assert 0.8 < report["gamma"] < 1.0
     assert report["grid_size"] == 51
+    assert report["method"] == "exact"
     assert report["problem_key"] == make_benchmark_problem().key()
     assert report["awake_rule_mismatches"] >= 0
     assert 0.0 <= report["bellman_residual"] <= 1e-10
@@ -300,7 +300,7 @@ OPEN_LOOP_Q = 0.123456789012345
 def test_load_policy_round_trip_every_strategy(tmp_path, strategy, extra):
     """The reloaded policy acts as the solved one on every continue node
     and simulates the same episodes; policy.csv holds wake probabilities
-    to 12 significant digits."""
+    in full."""
     out = tmp_path / "run"
     path = write_config(tmp_path, {"strategy": strategy, **extra}, out_dir=str(out))
     assert main(["solve", "--config", path]) == 0
@@ -424,15 +424,18 @@ def test_calibrate_uses_the_solver_settings(tmp_path, capsys, solver):
     assert "did not reach tolerance" in capsys.readouterr().err
 
 
-def test_calibrate_uses_the_configured_method(tmp_path, capsys):
-    # Unequal variances have no scalar statistic for the default exact method.
-    cfg = write_config(tmp_path, {"problem.sigma1": 1.2}, out_dir=str(tmp_path / "x"))
-    errors = []
+def test_solve_and_calibrate_take_the_method_from_the_model(tmp_path, capsys):
+    # Unequal variances have no scalar statistic, so the operator is the
+    # Monte Carlo one; the report names it.
+    out = tmp_path / "x"
+    cfg = write_config(
+        tmp_path, {"problem.sigma1": 1.2, "sim.replications": 50, "calibrate.tolerance": 0.5},
+        out_dir=str(out),
+    )
     for command in ("solve", "calibrate"):
-        assert main([command, "--config", cfg]) == 1
-        errors.append(capsys.readouterr().err)
-    assert "no scalar sufficient statistic" in errors[0]
-    assert errors[1] == errors[0]
+        assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["method"] == "monte_carlo"
+    assert json.loads((out / "calibration.json").read_text())["trials"] >= 1
 
 
 def test_calibrate_target_alpha_flag(tmp_path):

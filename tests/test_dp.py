@@ -262,9 +262,6 @@ def test_belief_grid_validation():
         BeliefGrid.uniform(1)
     grid = BeliefGrid.uniform(11)
     assert grid.size == 11
-    assert grid.nearest_index(0.26) == 3
-    assert grid.nearest_index(-0.5) == 0
-    assert grid.nearest_index(2.0) == 10
 
 
 def test_value_function_requires_free_stop_at_one():
@@ -550,44 +547,139 @@ def test_bellman_control_m_matches_vectorized_maps(problem, solved_control_m, op
         assert maps.best_action[i] == best
 
 
-def test_bellman_control_q_refinement_never_hurts(problem, solved_control_q, operator):
-    J, _ = solved_control_q
-    rough = bellman_maps(J, problem, "control_q", q_grid_size=11, operator=operator)
-    fine = bellman_maps(J, problem, "control_q", q_grid_size=101, operator=operator)
-    assert np.all(fine.new_values <= rough.new_values + 1e-9)
-    assert np.all((rough.best_action >= 0.0) & (rough.best_action <= 1.0))
-    with pytest.raises(ValueError):
-        bellman_maps(J, problem, "control_q", q_grid_size=0, operator=operator)
+def _grid_search_over_q(F):
+    """control_q's former search: 101 uniform q, then 21 points between
+    the neighbours of the best one, which wins only by ``TIE_BREAK``."""
+    n = F.shape[0] - 1
+    grid = np.linspace(0.0, 1.0, 101)
+    table = _binomial_table(n, grid) @ F
+    j = np.argmin(table, axis=0)
+    cont, best = table.min(axis=0), grid[j]
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, grid.size - 1)]
+    qs = lo + np.linspace(0.0, 1.0, 21)[:, None] * (hi - lo)
+    fine = np.einsum("rgm,mg->rg", _binomial_table(n, qs), F)
+    pick = np.argmin(fine, axis=0)
+    cols = np.arange(F.shape[1])
+    coarse = cont < fine[pick, cols] - dp.TIE_BREAK
+    return np.where(coarse, best, qs[pick, cols]), np.where(coarse, cont, fine[pick, cols])
 
 
-def test_q_grid_size_checked_on_every_entry_point(problem, grid201, operator201):
-    """An empty control_q search grid leaves no action to take."""
-    J = solve_finite_horizon(problem, 2, "control_m", grid201, operator=operator201)
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="q_grid_size"):
-            value_iteration(problem, "control_q", grid201, q_grid_size=bad, operator=operator201)
-        with pytest.raises(ValueError, match="q_grid_size"):
-            solve_finite_horizon(
-                problem, 2, "control_q", grid201, q_grid_size=bad, operator=operator201
-            )
-        with pytest.raises(ValueError, match="q_grid_size"):
-            bellman_maps(J, problem, "control_q", q_grid_size=bad, operator=operator201)
-        with pytest.raises(ValueError, match="q_grid_size"):
-            extract_policy(J, problem, "control_q", q_grid_size=bad, operator=operator201)
+def _bernstein_from_power(power):
+    """Bernstein coefficients of the polynomial ``sum_j power[j] q^j``."""
+    n = len(power) - 1
+    return np.array([
+        sum(math.comb(k, j) / math.comb(n, j) * power[j] for j in range(k + 1))
+        for k in range(n + 1)
+    ])
+
+
+def _sign_changes(F):
+    d = np.diff(F)
+    d = d[d != 0]
+    return int(np.count_nonzero(d[1:] * d[:-1] < 0))
+
+
+def test_control_q_takes_the_least_value_over_q(problem, grid201, operator201):
+    """At the grid-201 fixed point the sweep's continuation cost is at or
+    below a 10^4-point search over q at every node, and within 1e-9 of
+    that search refined by 1001 points between the neighbours of its
+    best q.  The 10^4 points alone are up to 2e-8 above the minimum: f''
+    reaches about 70, and their spacing costs up to f'' h^2 / 8."""
+    J, _ = value_iteration(problem, "control_q", grid201, operator=operator201)
+    maps = bellman_maps(J, problem, "control_q", operator=operator201)
+    cont = maps.continue_values - grid201.points
+    F = problem.costs.lambda_s * np.arange(problem.n + 1)[:, None] + maps.expected_next
+    qs = np.linspace(0.0, 1.0, 10_000)
+    table = _binomial_table(problem.n, qs) @ F
+    dense = table.min(axis=0)
+    assert np.all(cont <= dense + 1e-12)
+    j = np.argmin(table, axis=0)
+    lo, hi = qs[np.maximum(j - 1, 0)], qs[np.minimum(j + 1, qs.size - 1)]
+    fine = lo + np.linspace(0.0, 1.0, 1001)[:, None] * (hi - lo)
+    refined = np.einsum("rgm,mg->rg", _binomial_table(problem.n, fine), F).min(axis=0)
+    assert np.all(cont <= refined + 1e-12)
+    assert np.max(refined - cont) <= 1e-9
+    chosen = np.einsum("gm,mg->g", _binomial_table(problem.n, maps.best_action), F)
+    np.testing.assert_allclose(chosen, cont, rtol=0, atol=1e-12)
+
+
+def test_control_q_companion_branch_finds_the_global_minimum(monkeypatch):
+    """f' = 3 (q - 0.2)(q - 0.7) is +, -, + on (0, 1): a maximum at 0.2
+    and the global minimum, -0.0245, at 0.7, below f(0) = 0.  Times
+    (1 - q) it also has a zero last coefficient, which the companion
+    matrices must rotate away."""
+    calls = []
+    roots = dp._stationary_points
+    monkeypatch.setattr(
+        dp, "_stationary_points", lambda D: calls.append(D.shape[0]) or roots(D)
+    )
+    cubic = _bernstein_from_power([0.0, 0.42, -1.35, 1.0])
+    quartic = _bernstein_from_power([0.0, 0.42, -1.77, 2.35, -1.0 + 0.25])
+    # The quartic's f' = 3 (q - 0.2)(q - 0.7)(1 - q) + q^3: roots 0.2,
+    # 0.7 and 1 move only slightly; read its minimum from a dense search.
+    assert _sign_changes(cubic) == 2 and _sign_changes(quartic) >= 2
+    q, f = dp._least_over_q(cubic[:, None])
+    assert calls == [1]
+    assert q[0] == pytest.approx(0.7, abs=1e-12)
+    assert f[0] == pytest.approx(-0.0245, abs=1e-14)
+    q, f = dp._least_over_q(quartic[:, None])
+    qs = np.linspace(0.0, 1.0, 10_001)
+    dense = _binomial_table(4, qs) @ quartic
+    assert calls == [1, 1]
+    assert f[0] <= dense.min() + 1e-15
+    assert q[0] == pytest.approx(qs[np.argmin(dense)], abs=1e-4)
+
+
+def test_control_q_interior_maximum_leaves_the_endpoints():
+    """d from + to -: f rises, then falls, so an endpoint wins, the one
+    with the lower cost and on a tie the smaller q.  The rule "q = 0
+    whenever d_0 >= 0" would pick 0 for the first column."""
+    F = np.stack(
+        [_bernstein_from_power([0.0, 1.0, -1.5]), _bernstein_from_power([0.0, 1.0, -1.0])], axis=1
+    )
+    assert [_sign_changes(F[:, i]) for i in (0, 1)] == [1, 1] and np.diff(F, axis=0)[0].min() > 0
+    q, f = dp._least_over_q(F)
+    assert q.tolist() == [1.0, 0.0]
+    assert f.tolist() == [F[-1, 0], 0.0]
+
+
+def test_control_q_never_above_the_grid_search(problem, grid201, operator201, monkeypatch):
+    """control_q's J is at or below the fixed point of the former
+    101-point search with its refinement, at every node, and strictly
+    below somewhere."""
+    exact, _ = value_iteration(problem, "control_q", grid201, operator=operator201)
+    monkeypatch.setattr(dp, "_least_over_q", _grid_search_over_q)
+    searched, _ = value_iteration(problem, "control_q", grid201, operator=operator201)
+    assert np.all(exact.values <= searched.values + 1e-12)
+    assert np.max(searched.values - exact.values) > 1e-7
+
+
+def test_control_q_single_change_root_is_the_stationary_point():
+    """d from - to + brackets one root, the minimum: the safeguarded
+    Newton root against the companion roots of the same rows, some with
+    a zero where the signs change."""
+    rng = np.random.default_rng(5)
+    D = np.sort(rng.normal(size=(60, 10)), axis=1)
+    D = D[(D[:, 0] < 0) & (D[:, -1] > 0)]
+    crossing = np.count_nonzero(D < 0, axis=1)
+    D[::7][np.arange(len(D[::7])), crossing[::7]] = 0.0
+    roots = dp._valley_roots(D)
+    f, slope = dp._bernstein(D, roots)
+    assert np.all((roots > 0) & (roots < 1))
+    np.testing.assert_allclose(f, 0.0, atol=1e-13)
+    assert np.all(slope > 0)
+    companion = dp._stationary_points(D)
+    assert np.nanmin(np.abs(companion - roots[:, None]), axis=1).max() < 1e-10
 
 
 def test_bellman_open_loop_is_control_q_at_fixed_q(problem, solved_open_loop, operator):
-    """open_loop's one-row sweep against a control_q action set of that one q."""
+    """open_loop's one-row sweep continues at control_q's cost of that q:
+    ``lambda_s n q + Binom(n, q) @ E[J(next) | m awake]``."""
     J, _ = solved_open_loop
     folded = bellman_maps(J, problem, "open_loop", q=0.03, operator=operator)
-    q = np.array([0.03])
-    acts = dp._ActionSet(
-        operator.stack, _binomial_table(problem.n, q),
-        problem.costs.lambda_s * problem.n * q, q,
-    )
-    mixed = dp._sweep(J.values, problem, J.grid.points, acts)
-    np.testing.assert_allclose(folded.new_values, mixed.new_values, atol=1e-12)
-    np.testing.assert_allclose(folded.continue_values, mixed.continue_values, atol=1e-12)
+    n, B = problem.n, operator.apply_all(J.values)
+    cost = problem.costs.lambda_s * n * 0.03 + binomial_weights(n, 0.03) @ B
+    np.testing.assert_allclose(folded.continue_values, J.grid.points + cost, rtol=0, atol=1e-12)
 
 
 # --- value iteration --------------------------------------------------------
@@ -725,9 +817,7 @@ def csr_operator201(problem, grid201, operator201):
 
 def _strategy_action_set(problem, operator, strategy, kw):
     """The action set that every sweep of ``strategy`` reads."""
-    return _action_set(
-        problem, operator, strategy, kw.get("q"), kw.get("fixed_m"), dp.DEFAULT_Q_GRID_SIZE
-    )
+    return _action_set(problem, operator, strategy, kw.get("q"), kw.get("fixed_m"))
 
 
 def _dense(stack):
@@ -805,7 +895,7 @@ def test_single_action_fold_matches_block_mixing(
     folds = []
     for op in (operator201, csr_operator201):
         acts = _strategy_action_set(problem, op, strategy, kw)
-        assert acts.weights is None and acts.actions.size == 1
+        assert not acts.binomial and acts.actions.size == 1
         assert type(acts.stack) is type(op.stack)
         folds.append(_dense(acts.stack))
     for fold in folds:

@@ -2,12 +2,14 @@
 library and config examples."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import quickwake
+from quickwake import cli
 from quickwake.cli import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,10 +57,24 @@ def test_readme_library_example_runs():
     assert scope["metrics"].replications == 200
 
 
+def _paths(doc: dict, prefix: str = "") -> set:
+    """Dotted paths of a config document's leaf fields."""
+    paths = set()
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            paths |= _paths(value, f"{prefix}{key}.")
+        else:
+            paths.add(prefix + key)
+    return paths
+
+
 def test_readme_config_example_loads(tmp_path):
+    """The README's config example loads, and it names every config field
+    and no other, so a field cannot be added or removed without it."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("Config schema", 1)[1]
     doc = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert _paths(json.loads(doc)) == {field[0] for field in cli._FIELDS}
     path = tmp_path / "config.json"
     path.write_text(doc)
     cfg = load_config(path)

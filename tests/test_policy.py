@@ -12,6 +12,8 @@ from quickwake import (
 from quickwake.dp import STRATEGIES, TIE_BREAK
 from quickwake.policy import _threshold_from_continuation
 
+from grid_reference import nearest_index
+
 
 def test_control_m_threshold_brackets_grid_crossing(problem, solved_control_m, operator):
     J, _ = solved_control_m
@@ -109,7 +111,7 @@ def test_optimal_awake_count_agrees_with_policy_map(
     cost = problem.costs.lambda_s * np.arange(problem.n + 1)[:, None] + B
     for pi in (0.0, 0.2, 0.45, 0.6, 0.85):
         assert pi < policy_control_m.gamma
-        i = J.grid.nearest_index(pi)
+        i = nearest_index(J.grid.points, pi)
         count = policy_control_m.actions[policy_control_m._continue_indices(pi)]
         assert count == int(np.argmin(cost[:, i]))
 
@@ -133,7 +135,7 @@ def test_differential_rule_is_a_view_not_the_argmin(
     B = operator.apply_all(J.values)
     agreements = 0
     for pi in (0.05, 0.2, 0.5, 0.7):
-        i = J.grid.nearest_index(pi)
+        i = nearest_index(J.grid.points, pi)
         d = B[:-1, i] - B[1:, i]
         rule = max([m for m in range(1, problem.n + 1) if d[m - 1] >= problem.costs.lambda_s],
                    default=0)
@@ -150,12 +152,12 @@ def test_differential_rule_is_a_view_not_the_argmin(
 
 
 def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q, operator):
-    """The refined wake probability costs no more than any coarse-grid q."""
+    """The exact wake probability costs no more than any q of a 101-point grid."""
     J, _ = solved_control_q
     B = operator.apply_all(J.values)
     lam_s, n = problem.costs.lambda_s, problem.n
     for pi in (0.1, 0.4, 0.63):
-        i = J.grid.nearest_index(pi)
+        i = nearest_index(J.grid.points, pi)
         q = policy_control_q.actions[policy_control_q._continue_indices(pi)]
         assert 0.0 <= q <= 1.0
         chosen = lam_s * n * q + binomial_weights(n, q) @ B[:, i]
@@ -224,7 +226,7 @@ def test_array_lookup_matches_scalar_lookup(policy_control_m, policy_control_q):
         probes = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]), [below, pol.gamma]])
         batched = pol._continue_indices(probes)
         scalar = [int(pol._continue_indices(float(pi))) for pi in probes]
-        nearest = [min(pol.grid.nearest_index(float(pi)), end) for pi in probes]
+        nearest = [min(nearest_index(pts, float(pi)), end) for pi in probes]
         assert batched.tolist() == scalar == nearest
         assert batched[-2] == end
 
