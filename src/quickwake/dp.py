@@ -29,9 +29,8 @@ strategy, one-off or repeated, reads the same form.
 The stationary problem is solved by policy iteration: a sweep picks the
 stop set and actions, and one linear solve on the continue set C gives
 that policy's exact cost.  The solve reads only the policy's continue
-rows, ``|C| x g``, formed once per round; when C is an interval, as on
-every instance solved so far, a dense stack gives them by slices of its
-blocks.  Finite horizons take plain sweeps.
+rows, ``|C| x g``, formed once per round from slices of the dense
+stack's blocks.  Finite horizons take plain sweeps.
 
 Policy iteration reaches the same fixed point from any proper starting
 policy, so a stationary solve first solves the strategy on a nested
@@ -65,18 +64,18 @@ the timing, so the atoms are deterministic; for ``SensorModel`` the
 blocks' standard normals are the stream of one draw per (m, regime).
 Discrete observation alphabets enter through the same atom interface;
 see the oracle module.
-An atom-built stack is dense when the atoms can fill its rows (twice the
-largest per-regime atom count reaches the grid size, as the histogram's
-thousands of atoms do at the default grid) and CSR otherwise (a binary
-alphabet's few atoms on a fine grid).  The dense build works like the
-closed form, per row and grid segment: the atoms are sorted once per
-``m``, the preimages of the grid nodes cut them into segments, and each
-segment's mass and first moment give the node shares.  Both builds
-take a block of rows at a time, so their temporaries are one block of
-rows by the grid or atom count.  The m-blocks are filled concurrently,
-one thread per CPU the process may run on (at most ``n``); each row's
-arithmetic is the same on any thread, so the stack does not depend on
-the worker count.
+Both methods build a dense stack at any grid; only a caller's few atoms
+on a fine grid (the oracle's binary alphabets) make a CSR one, which
+serves sweeps only, ``solve_finite_horizon`` and ``bellman_maps`` for
+control_m and control_q: stationary solves and single-action folds
+reject it.  The dense atom build works like the closed form, per row
+and grid segment: the atoms are sorted once per ``m``, the preimages of
+the grid nodes cut them into segments, and each segment's mass and first
+moment give the node shares.  Both dense builds take a block of rows at
+a time, so their temporaries are one block of rows by the grid or atom
+count.  The m-blocks are filled concurrently, one thread per CPU the
+process may run on (at most ``n``); each row's arithmetic is the same on
+any thread, so the stack does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -105,9 +104,6 @@ MC_BINS = 4096
 # against 0.35 s for the n = 10 atoms on two CPUs).
 MC_ROWS = 4096
 MC_AHEAD = 2
-# (belief row, atom) pairs interpolated at once by the CSR atom build,
-# which holds a COO triple and its CSR copy for each pair.
-ATOM_CHUNK_ENTRIES = 1 << 18
 # Belief rows of one m-block built at once by the closed form and the
 # dense atom build, shared out among the build's worker threads.
 BLOCK_ROWS = 32
@@ -365,9 +361,11 @@ class ExpectationOperator:
     ``stack`` has shape ``((n + 1) * g, g)``: block ``m`` (rows ``m*g`` to
     ``(m+1)*g``) maps grid values to the expected cost-to-go when ``m``
     sensors observe the next slot, with the one-step change hazard folded
-    in; block 0 is prediction plus interpolation.  The closed form stores
-    it dense.  An atom-built map is dense when twice its largest
-    per-regime atom count reaches the grid size, and CSR below that.
+    in; block 0 is prediction plus interpolation.  It is dense, or CSR
+    for a caller's few atoms on a fine grid (see ``operator_from_atoms``),
+    which serves only control_m and control_q sweeps; the coarse level,
+    and so every stationary solve, and single-action folds read
+    ``_dense_stack``.
     Dense stacks are filled from segment sums, their m-blocks
     concurrently on the process's CPUs and each a few rows at a time, so
     building one needs only one serial block's worth of temporaries
@@ -385,25 +383,29 @@ class ExpectationOperator:
         """E[J(next belief)] per awake count (rows) and grid belief (columns)."""
         return (self.stack @ values).reshape(self.n + 1, self.grid.size)
 
+    def _dense_stack(self) -> np.ndarray:
+        if not isinstance(self.stack, np.ndarray):
+            raise ValueError("this needs a dense stack; a CSR one serves only control_m "
+                             "and control_q sweeps (solve_finite_horizon, bellman_maps)")
+        return self.stack
+
     @functools.cached_property
     def coarse(self) -> "ExpectationOperator | None":
         """The same map on every ``COARSE_STRIDE``-th node plus the last
-        (see the module docstring), built once, a block at a time, in the
-        stack's storage; None if that leaves under ``COARSE_MIN_NODES``."""
+        (see the module docstring), built once from a dense stack and
+        filled in place, a block at a time, so the blocks are never held
+        twice; None if that leaves under ``COARSE_MIN_NODES``."""
+        stack = self._dense_stack()
         g = self.grid.size
         keep = np.unique(np.append(np.arange(0, g, COARSE_STRIDE), g - 1))
         if keep.size < COARSE_MIN_NODES:
             return None
         grid = BeliefGrid(self.grid.points[keep])
         R = _interp_matrix(grid, self.grid.points)
-        blocks = (self.stack[m * g + keep] @ R for m in range(self.n + 1))
-        if sparse.issparse(self.stack):
-            stack = sparse.vstack(list(blocks), format="csr")
-        else:  # filled in place, so the blocks are never held twice
-            stack = np.empty(((self.n + 1) * keep.size, keep.size))
-            for rows, block in zip(np.split(stack, self.n + 1), blocks):
-                rows[...] = block
-        return ExpectationOperator(grid, self.p, self.n, stack)
+        coarse = np.empty(((self.n + 1) * keep.size, keep.size))
+        for m, rows in enumerate(np.split(coarse, self.n + 1)):
+            rows[...] = stack[m * g + keep] @ R
+        return ExpectationOperator(grid, self.p, self.n, coarse)
 
 
 def _segment_shares(
@@ -477,38 +479,46 @@ def operator_from_atoms(
     """Expectation maps from likelihood-ratio atoms: atom-weighted
     interpolation, dense by segment sums or CSR by pairs.
 
-    The storage is fixed by the atom counts before anything is allocated.
     Each atom puts two entries in a row, so once twice the largest
-    per-regime count reaches the grid size the rows can fill and the
-    stack is dense.  Its rows are built a block at a time (see
-    ``_fill_blocks``) from segment sums: both regimes' atoms are sorted
-    together once per ``m``, one ``searchsorted`` per block finds where
-    each row's preimages of the interior nodes cut them, and one
-    ``np.add.reduceat`` sums each segment's mass and first moment, which
-    ``_segment_shares`` turns into node shares as in the closed form.  The
-    temporaries are one block of rows by the atom count.  Fewer atoms (a binary alphabet
-    on a fine grid) keep a CSR stack, which a dense one would fill mostly
-    with zeros; it is built ``ATOM_CHUNK_ENTRIES`` (row, atom) pairs at a
-    time.
+    per-regime count reaches the grid size the stack is dense
+    (``_dense_atom_operator``).  Fewer atoms (the oracle's binary
+    alphabets on a fine grid) keep a CSR stack for sweeps only, from one
+    pair of ``g`` x atom-count interpolation matrices per count.  The
+    Monte Carlo build never comes here: its atoms always go dense.
+    """
+    g = grid.size
+    if 2 * max(w.size for w in (*atoms.llr0, *atoms.llr1)) >= g:
+        return _dense_atom_operator(atoms, grid, p)
+    t = grid.points + (1.0 - grid.points) * p
+    l0 = _logit_array(t)
+    blocks = [_interp_matrix(grid, t)]
+    for m in range(1, atoms.n + 1):
+        blocks.append(
+            _interp_matrix(grid, expit(l0[:, None] + atoms.llr1[m]), t[:, None] * atoms.w1[m])
+            + _interp_matrix(
+                grid, expit(l0[:, None] + atoms.llr0[m]), (1.0 - t[:, None]) * atoms.w0[m]
+            )
+        )
+    return ExpectationOperator(grid, p, atoms.n, sparse.vstack(blocks, format="csr"))
+
+
+def _dense_atom_operator(
+    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float
+) -> ExpectationOperator:
+    """Dense expectation maps from any number of likelihood-ratio atoms.
+
+    Rows are built a block at a time (see ``_fill_blocks``) from segment
+    sums: both regimes' atoms are sorted together once per ``m``, one
+    ``searchsorted`` per block finds where each row's preimages of the
+    interior nodes cut them, and one ``np.add.reduceat`` sums each
+    segment's mass and first moment, which ``_segment_shares`` turns into
+    node shares as in the closed form.  The temporaries are one block of
+    rows by the atom count.
     """
     pts = grid.points
     g = grid.size
     t = pts + (1.0 - pts) * p
     l0 = _logit_array(t)
-    if 2 * max(w.size for w in (*atoms.llr0, *atoms.llr1)) < g:
-        blocks = [_interp_matrix(grid, t)]
-        for m in range(1, atoms.n + 1):
-            width = max(atoms.llr0[m].size, atoms.llr1[m].size, 1)
-            step = max(1, ATOM_CHUNK_ENTRIES // width)
-            for lo in range(0, g, step):
-                r = slice(lo, lo + step)
-                blocks.append(
-                    _interp_matrix(grid, expit(l0[r, None] + atoms.llr1[m]), t[r, None] * atoms.w1[m])
-                    + _interp_matrix(
-                        grid, expit(l0[r, None] + atoms.llr0[m]), (1.0 - t[r, None]) * atoms.w0[m]
-                    )
-                )
-        return ExpectationOperator(grid, p, atoms.n, sparse.vstack(blocks, format="csr"))
     stack = np.empty(((atoms.n + 1) * g, g))
     stack[:g] = _interp_matrix(grid, t).toarray()
     interior = _logit_array(pts[1:-1])
@@ -660,7 +670,9 @@ def build_expectation_operator(
 
     ``method`` is ``exact`` or ``monte_carlo``, by default
     ``expectation_method(problem)``; the closed form needs an
-    equal-variance Gaussian pair.
+    equal-variance Gaussian pair.  The stack is dense either way, at any
+    grid, so every stationary solve can read it, even when the Monte Carlo
+    atoms are too few to fill its rows.
     """
     default = expectation_method(problem)
     method = default if method is None else method
@@ -670,7 +682,7 @@ def build_expectation_operator(
         return _exact_operator(problem.model, problem.n, grid, problem.prior.p)
     if method == "monte_carlo":
         atoms = monte_carlo_atoms(problem.model, problem.n)
-        return operator_from_atoms(atoms, grid, problem.prior.p)
+        return _dense_atom_operator(atoms, grid, problem.prior.p)
     raise ValueError(f"unknown expectation method {method!r}")
 
 
@@ -788,17 +800,13 @@ class _ActionSet:
     of the stack (control_m's awake counts, or a single action's fold, a
     stack of one block).  ``binomial`` marks control_q: its actions are
     wake probabilities, each mixing those rows with Binomial(n, q)
-    weights, and a sweep takes the exact minimum over q.  ``private``
-    marks a dense ``stack`` built for this action set alone (a single
-    action's fold), so policy evaluation may take its continue rows as a
-    view and work in them in place.
+    weights, and a sweep takes the exact minimum over q.
     """
 
     stack: object
     cost: np.ndarray
     actions: np.ndarray
     binomial: bool = False
-    private: bool = False
 
 
 def _sweep(values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionSet) -> BellmanMaps:
@@ -824,16 +832,15 @@ def _action_set(
     fixed_m: int | None,
 ) -> _ActionSet:
     """The one action set every sweep of ``strategy`` reads.  control_q
-    reads control_m's, mixed over a wake probability.
-    open_loop and fixed_m fold their mixture into one ``g x g`` map here:
-    a dense stack in one BLAS contraction over its blocks, viewed as rows
-    of ``g * g``, a CSR one through a block-mixing matrix."""
+    reads control_m's, mixed over a wake probability; either takes a dense
+    or a CSR stack.  open_loop and fixed_m fold their mixture into one
+    ``g x g`` map here, in one BLAS contraction over the blocks of a dense
+    stack viewed as rows of ``g * g``; a CSR stack is rejected."""
     n = problem.n
     lam_s = problem.costs.lambda_s
-    stack = operator.stack
     if strategy in ("control_m", "control_q"):
         counts = np.arange(n + 1)
-        return _ActionSet(stack, lam_s * counts, counts, binomial=strategy == "control_q")
+        return _ActionSet(operator.stack, lam_s * counts, counts, binomial=strategy == "control_q")
     if strategy == "open_loop":
         if q is None or not 0.0 <= q <= 1.0:
             raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
@@ -845,12 +852,8 @@ def _action_set(
     else:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     g = operator.grid.size
-    if isinstance(stack, np.ndarray):
-        fold = (weights @ stack.reshape(n + 1, g * g)).reshape(g, g)
-    else:
-        fold = sparse.kron(weights, sparse.identity(g), format="csr") @ stack
-    private = isinstance(fold, np.ndarray)
-    return _ActionSet(fold, np.array([cost]), np.array([action]), private=private)
+    fold = (weights @ operator._dense_stack().reshape(n + 1, g * g)).reshape(g, g)
+    return _ActionSet(fold, np.array([cost]), np.array([action]))
 
 
 def _resolve_operator(
@@ -858,7 +861,7 @@ def _resolve_operator(
 ) -> ExpectationOperator:
     if operator is None:
         return build_expectation_operator(problem, grid)
-    if operator.grid.size != grid.size or operator.n != problem.n:
+    if operator.n != problem.n or not np.array_equal(operator.grid.points, grid.points):
         raise ValueError("operator does not match the grid or n")
     return operator
 
@@ -896,20 +899,19 @@ def _evaluate_policy(
     """Exact cost of stopping on ``stop`` and playing ``best`` elsewhere.
 
     Forms ``P_C``, the continue rows (``|C| x g``) of the policy's
-    transition matrix, once: row i is block ``m_i`` of the stack for an
-    awake count, the binomial mixture of the blocks for a wake
-    probability, and the folded map's row for a single action.
+    transition matrix, once, from the dense stack: row i is block ``m_i``
+    of the stack for an awake count, the binomial mixture of the blocks
+    for a wake probability, and the folded map's row for a single action.
     ``values`` is the stopping cost on the stop set S and 0 on C, so
     ``P_C @ values`` is ``P_CS J_S`` and the solve is ``(I - P_C[:, C])
-    J_C = pi_C + c(a_C) + P_C @ values``.  When C is an interval ``[lo,
-    hi)`` of a dense stack, a mixture is one ``einsum`` over rows
-    ``lo:hi`` of every block.  Rows that each read one block
-    (an awake count, or a fold) are gathered up to column ``hi`` only,
-    the columns past it entering the right-hand side at once, so no wider
-    copy is held while the solver copies ``P_C[:, C]``; a private fold's
-    rows are a view, worked in place and restored.  A mixture on any
-    other C, or on a CSR stack, takes a sparse mixing matrix that reads
-    only C's rows of each block.
+    J_C = pi_C + c(a_C) + P_C @ values``.  A mixture is one ``einsum``
+    over the rows ``lo:hi`` of every block, the hull of C, with zero
+    weights on its holes, of which C's rows are kept.  Rows that each
+    read one block (an awake count, or a fold) are gathered up to column
+    ``hi`` only, the columns past it entering the right-hand side at
+    once, so no wider copy is held while the solver copies ``P_C[:,
+    C]``; when C is an interval a fold's rows are a view, worked in place
+    and restored.
     ``numpy.linalg`` is used rather than ``scipy.linalg``: importing the
     latter costs more resident memory and import time than the transient
     copy numpy's solver makes, and a tier-1 test checks that importing
@@ -927,22 +929,16 @@ def _evaluate_policy(
         # are all in S.  A fold is one block: its continue rows are lo:hi.
         j = np.searchsorted(acts.actions, best[C])
         rhs = pts[C] + acts.cost[j]
-        rows = slice(lo, hi) if acts.private and interval else j * g + C
+        rows = slice(lo, hi) if acts.actions.size == 1 and interval else j * g + C
         P = acts.stack[rows, :hi]
         rhs += acts.stack[rows, hi:] @ values[hi:]
     else:
-        w = _binomial_table(problem.n, best[C])
+        w = np.zeros((hi - lo, problem.n + 1))
+        w[C - lo] = _binomial_table(problem.n, best[C])
         rhs = pts[C] + problem.costs.lambda_s * problem.n * best[C]
-        if interval and isinstance(acts.stack, np.ndarray):
-            P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
-        else:
-            counts = w.shape[1]
-            cols = (C[:, None] + g * np.arange(counts)).ravel()
-            rows = np.arange(C.size).repeat(counts)
-            mix = sparse.csr_matrix((w.ravel(), (rows, cols)), shape=(C.size, acts.stack.shape[0]))
-            P = mix @ acts.stack
-    if sparse.issparse(P):
-        P = P.toarray()
+        P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
+        if not interval:
+            P = P[C - lo]
     rhs += P @ values[:P.shape[1]]
     values[C] = _solve_identity_minus(P[:, lo:hi] if interval else P[:, C], rhs)
     return values
@@ -1028,14 +1024,17 @@ def value_iteration(
         max_iters: Policy-improvement round budget of each level.
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
-        operator: Prebuilt expectation maps to reuse across solves; its
-            coarse level is built on first use and kept with it.  Built
-            with the default method when None.
+        operator: Prebuilt expectation maps to reuse across solves, built
+            on ``grid`` with a dense stack; its coarse level is built on
+            first use and kept with it.  Built with the default method
+            when None.
 
     Returns:
         The converged ValueFunction and a SolveReport.
 
     Raises:
+        ValueError: If ``operator`` holds a CSR stack, before any round;
+            it serves only the sweeps of ``solve_finite_horizon``.
         ConvergenceError: If the policy still changes after max_iters
             fine rounds (carrying the last change of J), or the result's
             residual exceeds tolerance (carrying the residual).
@@ -1054,7 +1053,7 @@ def value_iteration(
     stop = np.ones(grid.size, dtype=bool)
     best = np.zeros(grid.size)
     coarse_deltas = []
-    coarse = operator.coarse
+    coarse = operator.coarse  # raises on a CSR stack, before any round
     if coarse is not None:
         cpts = coarse.grid.points
         coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m)

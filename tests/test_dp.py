@@ -519,7 +519,7 @@ def test_unequal_variance_requires_monte_carlo():
         build_expectation_operator(prob, grid, "exact")
     op = build_expectation_operator(prob, grid)  # defaults to monte_carlo
     np.testing.assert_array_equal(
-        _dense(op.stack), _dense(build_expectation_operator(prob, grid, "monte_carlo").stack)
+        op.stack, build_expectation_operator(prob, grid, "monte_carlo").stack
     )
     assert np.abs(op.apply_all(np.ones(101)) - 1.0).max() < 1e-12
 
@@ -807,21 +807,9 @@ STRATEGY_KW = {
 }
 
 
-@pytest.fixture(scope="module")
-def csr_operator201(problem, grid201, operator201):
-    """The grid-201 exact stack stored as CSR, to drive the sparse paths."""
-    return ExpectationOperator(
-        grid201, problem.prior.p, problem.n, sparse.csr_matrix(operator201.stack)
-    )
-
-
 def _strategy_action_set(problem, operator, strategy, kw):
     """The action set that every sweep of ``strategy`` reads."""
     return _action_set(problem, operator, strategy, kw.get("q"), kw.get("fixed_m"))
-
-
-def _dense(stack):
-    return stack.toarray() if sparse.issparse(stack) else stack
 
 
 def _random_policy(problem, strategy, g, rng):
@@ -841,13 +829,10 @@ def _random_policy(problem, strategy, g, rng):
 
 
 @pytest.mark.parametrize("strategy", list(STRATEGY_KW))
-def test_policy_evaluation_matches_dense_reference(
-    problem, grid201, operator201, csr_operator201, strategy
-):
+def test_policy_evaluation_matches_dense_reference(problem, grid201, operator201, strategy):
     """Policy evaluation against a solve of the policy's full g x g
-    transition matrix, assembled row by row from the stack blocks, on
-    dense and CSR stacks and on a continue set with and without a hole.
-    The stationary solve must also agree between the two storages."""
+    transition matrix, assembled row by row from the stack blocks, on a
+    continue set with and without a hole."""
     kw = STRATEGY_KW[strategy]
     pts = grid201.points
     g, n, lam_f = grid201.size, problem.n, problem.costs.lambda_f
@@ -861,29 +846,21 @@ def test_policy_evaluation_matches_dense_reference(
     interval = pts >= 0.8
     holed = interval.copy()
     holed[50:55] = True
+    acts = _strategy_action_set(problem, operator201, strategy, kw)
+    before = acts.stack.copy()
     for stop in (interval, holed):
         A = np.eye(g) - np.where(stop[:, None], 0.0, P)
         ref = np.linalg.solve(A, np.where(stop, lam_f * (1.0 - pts), pts + cost))
-        for op in (operator201, csr_operator201):
-            acts = _strategy_action_set(problem, op, strategy, kw)
-            before = _dense(acts.stack).copy()
-            J = _evaluate_policy(problem, pts, acts, stop, best)
-            np.testing.assert_allclose(J, ref, rtol=0, atol=1e-12)
-            # A private fold is worked in place and must come back unchanged.
-            assert np.array_equal(_dense(acts.stack), before)
-    J_dense, rep_dense = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
-    J_csr, rep_csr = value_iteration(problem, strategy, grid201, operator=csr_operator201, **kw)
-    np.testing.assert_allclose(J_csr.values, J_dense.values, rtol=0, atol=1e-12)
-    assert rep_csr.iterations == rep_dense.iterations
+        J = _evaluate_policy(problem, pts, acts, stop, best)
+        np.testing.assert_allclose(J, ref, rtol=0, atol=1e-12)
+        # A fold is worked in place and must come back unchanged.
+        assert np.array_equal(acts.stack, before)
 
 
 @pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
-def test_single_action_fold_matches_block_mixing(
-    problem, grid201, operator201, csr_operator201, strategy
-):
-    """A single action's set is its fold: one contraction of a dense
-    stack, a block-mixing product of a CSR one; both agree with mixing
-    the dense blocks."""
+def test_single_action_fold_matches_block_mixing(problem, grid201, operator201, strategy):
+    """A single action's set is its fold, one contraction of the dense
+    stack, which agrees with mixing the blocks."""
     kw = STRATEGY_KW[strategy]
     g, n = grid201.size, problem.n
     if strategy == "open_loop":
@@ -892,26 +869,109 @@ def test_single_action_fold_matches_block_mixing(
         weights = np.eye(n + 1)[kw["fixed_m"]]
     blocks = operator201.stack.reshape(n + 1, g, g)
     ref = sum(w * block for w, block in zip(weights, blocks))
-    folds = []
-    for op in (operator201, csr_operator201):
-        acts = _strategy_action_set(problem, op, strategy, kw)
-        assert not acts.binomial and acts.actions.size == 1
-        assert type(acts.stack) is type(op.stack)
-        folds.append(_dense(acts.stack))
-    for fold in folds:
-        assert np.abs(fold - ref).max() < 1e-14
-    assert np.abs(folds[0] - folds[1]).max() < 1e-14
+    acts = _strategy_action_set(problem, operator201, strategy, kw)
+    assert not acts.binomial and acts.actions.size == 1
+    assert isinstance(acts.stack, np.ndarray)
+    assert np.abs(acts.stack - ref).max() < 1e-14
+
+
+# --- storage: a CSR stack serves sweeps only ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def oracle_case201():
+    """The oracle's binary alphabet on grid 201, whose stack is CSR, with
+    a problem of its n; the model is a placeholder, the atoms drive it."""
+    atoms, grid, p, _ = _atom_case("oracle")
+    op = operator_from_atoms(atoms, grid, p)
+    assert sparse.issparse(op.stack)
+    prob = Problem(SensorModel(0.0, 1.0, 1.0, 1.0), ChangePrior(0.1, p), Costs(0.2, 10.0), atoms.n)
+    return prob, grid, op
+
+
+def test_value_iteration_rejects_a_csr_stack(oracle_case201):
+    prob, grid, op = oracle_case201
+    for strategy, kw in STRATEGY_KW.items():
+        with pytest.raises(ValueError, match="solve_finite_horizon"):
+            value_iteration(prob, strategy, grid, operator=op, **kw)
+    assert "coarse" not in vars(op)
+    with pytest.raises(ValueError, match="dense stack"):
+        op.coarse
+
+
+@pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
+def test_single_action_rejects_a_csr_stack(oracle_case201, strategy):
+    prob, grid, op = oracle_case201
+    J = ValueFunction(grid, prob.costs.lambda_f * (1.0 - grid.points))
+    with pytest.raises(ValueError, match="dense stack"):
+        bellman_maps(J, prob, strategy, operator=op, **STRATEGY_KW[strategy])
+
+
+@pytest.mark.parametrize("strategy", ["control_m", "control_q"])
+def test_csr_stack_serves_finite_horizon_sweeps(oracle_case201, strategy):
+    """The sweeps read a CSR stack and its dense copy alike."""
+    prob, grid, op = oracle_case201
+    dense = ExpectationOperator(grid, op.p, op.n, op.stack.toarray())
+    J = solve_finite_horizon(prob, 3, strategy, grid, operator=op)
+    ref = solve_finite_horizon(prob, 3, strategy, grid, operator=dense)
+    np.testing.assert_allclose(J.values, ref.values, rtol=0, atol=1e-12)
+    assert np.all(J.values < prob.costs.lambda_f * (1.0 - grid.points) + 1e-12)
+    assert np.any(J.values < prob.costs.lambda_f * (1.0 - grid.points) - 1e-6)
+
+
+class _RoundedSensor(SensorModel):
+    """An unequal-variance pair read to the nearest integer: its ratios
+    take a few dozen values, so the histogram keeps a few dozen atoms."""
+
+    def sample(self, regime, size, rng):
+        return np.round(super().sample(regime, size, rng))
+
+
+def test_monte_carlo_stack_is_dense_with_few_atoms(grid201):
+    """Monte Carlo atoms too few to fill the rows still build a dense
+    stack, which every strategy's stationary solve reads; for the same
+    atoms ``operator_from_atoms`` keeps CSR, with the same entries."""
+    prob = Problem(_RoundedSensor(0.0, 1.0, 1.0, 1.5), ChangePrior(0.0, 0.01), Costs(0.5, 100.0), 2)
+    atoms = monte_carlo_atoms(prob.model, prob.n)
+    assert 2 * max(w.size for w in (*atoms.llr0, *atoms.llr1)) < grid201.size
+    op = build_expectation_operator(prob, grid201)
+    assert isinstance(op.stack, np.ndarray)
+    csr = operator_from_atoms(atoms, grid201, prob.prior.p)
+    assert sparse.issparse(csr.stack)
+    assert np.abs(op.stack - csr.stack.toarray()).max() < 1e-12
+    for strategy, kw in STRATEGY_KW.items():
+        J, report = value_iteration(prob, strategy, grid201, operator=op, **kw)
+        assert report.coarse_iterations > 0
+        assert J.values[0] < prob.costs.lambda_f
+
+
+def test_operator_must_be_built_on_the_grid():
+    """An operator built on another grid of the same size is rejected, not
+    read as if its nodes were the grid's."""
+    prob = Problem(SensorModel(0.0, 1.0, 1.0, 1.0), ChangePrior(0.0, 0.01), Costs(0.5, 100.0), 3)
+    op = build_expectation_operator(prob, BeliefGrid.uniform(101))
+    graded = BeliefGrid(np.linspace(0.0, 1.0, 101) ** 2)
+    J = ValueFunction(graded, prob.costs.lambda_f * (1.0 - graded.points))
+    with pytest.raises(ValueError, match="does not match the grid"):
+        value_iteration(prob, "control_m", graded, operator=op)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        solve_finite_horizon(prob, 2, "control_m", graded, operator=op)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        bellman_maps(J, prob, "control_m", operator=op)
+    # The same points in a grid of their own are the same grid.
+    same = BeliefGrid(np.linspace(0.0, 1.0, 101))
+    value_iteration(prob, "control_m", same, operator=op)
 
 
 # --- the coarse start ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("size", [201, 203])
-@pytest.mark.parametrize("case", ["exact", "monte_carlo", "oracle"])
+@pytest.mark.parametrize("case", ["exact", "monte_carlo"])
 def test_coarse_stack_is_the_coarse_grid_operator(case, size):
     """The coarse rows of the fine stack times the coarse-to-fine
     interpolation equal a build on the coarse grid, for the closed form
-    and for dense and CSR atom stacks; 203 nodes end off the stride."""
+    and for a dense atom stack; 203 nodes end off the stride."""
     if case == "exact":
         prob = make_benchmark_problem()
         build = lambda grid: build_expectation_operator(prob, grid, "exact")
@@ -923,8 +983,8 @@ def test_coarse_stack_is_the_coarse_grid_operator(case, size):
     keep = np.unique(np.append(np.arange(0, size, 8), size - 1))
     np.testing.assert_array_equal(coarse.grid.points, op.grid.points[keep])
     direct = build(coarse.grid)
-    assert type(coarse.stack) is type(op.stack) is type(direct.stack)
-    assert np.abs(_dense(coarse.stack) - _dense(direct.stack)).max() < 1e-12
+    assert isinstance(coarse.stack, np.ndarray) and isinstance(direct.stack, np.ndarray)
+    assert np.abs(coarse.stack - direct.stack).max() < 1e-12
     assert op.coarse is coarse
 
 
@@ -935,16 +995,15 @@ def mc_case201(grid201):
     return prob, build_expectation_operator(prob, grid201)
 
 
-@pytest.mark.parametrize("storage", ["exact", "csr", "monte_carlo"])
+@pytest.mark.parametrize("storage", ["exact", "monte_carlo"])
 @pytest.mark.parametrize("strategy", list(STRATEGY_KW))
 def test_coarse_start_matches_cold_start(
-    problem, grid201, operator201, csr_operator201, mc_case201, strategy, storage
+    problem, grid201, operator201, mc_case201, strategy, storage
 ):
     """Policy iteration from the coarse policy ends where it ends from
     stopping everywhere."""
     kw = STRATEGY_KW[strategy]
-    cases = {"exact": (problem, operator201), "csr": (problem, csr_operator201)}
-    prob, op = cases.get(storage, mc_case201)
+    prob, op = (problem, operator201) if storage == "exact" else mc_case201
     g, pts = grid201.size, grid201.points
     J, report = value_iteration(prob, strategy, grid201, operator=op, **kw)
     assert report.coarse_iterations > 0

@@ -140,4 +140,4 @@ def test_atoms_drive_grid_solver_to_oracle_value():
     J = solve_finite_horizon(problem, INSTANCE.horizon, "control_m", grid, operator=op)
     got = float(J(0.35))
     want = brute_force_value(INSTANCE, 0.35)
-    assert got == pytest.approx(want, abs=1e-6)
+    assert got == pytest.approx(want, abs=1e-12)
