@@ -22,13 +22,7 @@ from .dp import (
     solve_finite_horizon,
     value_iteration,
 )
-from .model import (
-    ChangePrior,
-    Costs,
-    Problem,
-    SensorModel,
-    prior_mass,
-)
+from .model import ChangePrior, Costs, Problem, SensorModel
 from .oracle import DiscreteInstance, brute_force_value, likelihood_atoms
 from .policy import Policy, extract_policy
 from .sim import (
@@ -75,7 +69,6 @@ __all__ = [
     "metrics_from_episodes",
     "monte_carlo_atoms",
     "operator_from_atoms",
-    "prior_mass",
     "run_episodes",
     "solve_finite_horizon",
     "sweep_open_loop_q",

@@ -13,12 +13,13 @@ Subcommands:
 * ``figures``   - the full benchmark set (differential costs, policies,
                   thresholds, sweep curves) in one invocation
 
-Exit codes: 0 success, 1 invalid config or mismatched inputs, 2 solver
-non-convergence or a ``calibrate`` bisection out of trials.  All outputs
-are deterministic for a fixed (config, seed) pair; floats are written
-with a fixed 12-significant-digit format, except control_q's wake
-probabilities in policy.csv and J.csv, written in full so that its
-policy reloads exactly.
+Exit codes: 0 success, 1 invalid config or mismatched inputs, 2 a solve
+that fails the solver's fixed residual check or round cap, or a
+``calibrate`` bisection out of trials.  All outputs are deterministic
+for a fixed (config, seed) pair; floats are written with a fixed
+12-significant-digit format, except control_q's wake probabilities in
+policy.csv and J.csv, written in full so that its policy reloads
+exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .dp import (
     DEFAULT_GRID_SIZE,
-    DEFAULT_MAX_ITERS,
     STRATEGIES,
     BeliefGrid,
     ConvergenceError,
@@ -85,8 +85,6 @@ _FIELDS = (
     ("problem.mu1", float, _REQUIRED, None),
     ("problem.sigma1", float, _REQUIRED, None),
     ("solver.grid_size", int, DEFAULT_GRID_SIZE, _at_least(2)),
-    ("solver.tolerance", float, None, _POSITIVE),
-    ("solver.max_iters", int, DEFAULT_MAX_ITERS, _at_least(1)),
     ("sim.replications", int, 1000, _at_least(0)),
     ("sim.base_seed", int, 0, _at_least(0)),
     ("sim.horizon_cap", int, None, _at_least(1)),
@@ -107,8 +105,6 @@ class RunConfig:
     problem: Problem
     strategy: str
     grid_size: int
-    tolerance: float | None
-    max_iters: int
     replications: int
     base_seed: int
     horizon_cap: int | None
@@ -257,7 +253,7 @@ def _operator(cfg: RunConfig):
 def _solve(cfg: RunConfig, operator):
     """Solve ``cfg.strategy`` on ``operator``'s grid and extract its policy."""
     J, report = value_iteration(
-        cfg.problem, cfg.strategy, operator.grid, cfg.tolerance, cfg.max_iters,
+        cfg.problem, cfg.strategy, operator.grid,
         q=cfg.open_loop_q, fixed_m=cfg.fixed_m, operator=operator,
     )
     policy = extract_policy(
@@ -404,7 +400,6 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
     operator = _operator(cfg)
     result = sweep_open_loop_q(
         cfg.problem, q_values, grid=operator.grid, operator=operator,
-        tolerance=cfg.tolerance, max_iters=cfg.max_iters,
         replications=cfg.replications, base_seed=cfg.base_seed,
         horizon_cap=cfg.horizon_cap,
     )
@@ -474,10 +469,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         q_values = np.linspace(0.0, 1.0, 41)
     zero_s = replace(problem, costs=replace(problem.costs, lambda_s=0.0))
     curve, curve0 = (
-        sweep_open_loop_q(
-            pr, q_values, grid=grid, operator=operator,
-            tolerance=cfg.tolerance, max_iters=cfg.max_iters,
-        )
+        sweep_open_loop_q(pr, q_values, grid=grid, operator=operator)
         for pr in (problem, zero_s)
     )
     _write_csv(

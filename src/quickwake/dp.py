@@ -86,7 +86,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -95,8 +95,11 @@ from scipy.special import expit, ndtr
 from .model import Problem, SensorModel
 
 DEFAULT_GRID_SIZE = 1001
-DEFAULT_MAX_ITERS = 10_000
+# A stationary solve is refused if its Bellman residual exceeds
+# TOLERANCE_SCALE * lambda_f, or if its policy still changes after
+# MAX_ROUNDS rounds of one level (it repeats after a handful).
 TOLERANCE_SCALE = 1e-6
+MAX_ROUNDS = 10_000
 MC_DRAWS = 100_000
 MC_BINS = 4096
 # Monte Carlo rows (draws of m readings) per sample call, and the calls
@@ -124,9 +127,10 @@ STRATEGIES = ("control_m", "control_q", "open_loop", "fixed_m")
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the solver exhausts max_iters or misses its residual
-    tolerance; carries the last sup-norm delta (change of J, or residual;
-    for a lambda_f calibration out of trials, the last |P_FA - target|)."""
+    """Raised when a stationary solve hits its round cap or misses its
+    residual check; carries the last sup-norm delta (change of J, or
+    residual; for a lambda_f calibration out of trials, the last
+    |P_FA - target|)."""
 
     def __init__(self, message: str, iterations: int, last_delta: float):
         super().__init__(message)
@@ -198,11 +202,9 @@ class SolveReport:
     ``iterations`` counts the policy-improvement rounds on the fine grid,
     the last of which finds the policy unchanged; ``coarse_iterations``
     counts the rounds of the coarse solve that gave their starting
-    policy (0 when the grid has no coarse level).  ``sup_norm_deltas``
-    holds the sup-norm change of J in each fine round (0 in that last
-    round).
-    ``bellman_residual`` is ``||TJ - J||_inf`` of the returned J, the
-    error that the ``tolerance`` check is applied to.
+    policy (0 when the grid has no coarse level).
+    ``bellman_residual`` is ``||TJ - J||_inf`` of the returned J, which
+    must not exceed ``tolerance``, ``TOLERANCE_SCALE * lambda_f``.
     """
 
     strategy: str
@@ -212,7 +214,6 @@ class SolveReport:
     tolerance: float
     bellman_residual: float
     coarse_iterations: int = 0
-    sup_norm_deltas: tuple = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
@@ -861,8 +862,9 @@ def _resolve_operator(
 ) -> ExpectationOperator:
     if operator is None:
         return build_expectation_operator(problem, grid)
-    if operator.n != problem.n or not np.array_equal(operator.grid.points, grid.points):
-        raise ValueError("operator does not match the grid or n")
+    if (operator.n != problem.n or operator.p != problem.prior.p
+            or not np.array_equal(operator.grid.points, grid.points)):
+        raise ValueError("operator does not match the grid, n or p")
     return operator
 
 
@@ -945,23 +947,23 @@ def _evaluate_policy(
 
 
 def _policy_rounds(
-    problem: Problem, pts: np.ndarray, acts: _ActionSet, stop: np.ndarray, best: np.ndarray,
-    max_iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, float | None]:
+    problem: Problem, pts: np.ndarray, acts: _ActionSet, stop: np.ndarray, best: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float, float | None]:
     """The rounds of ``value_iteration`` from the policy that stops on
     ``stop`` and plays ``best`` elsewhere, which is evaluated first.
-    Returns J, the last decisions ``(stop, best)``, the change of J per
-    round (0 in a last round that changes nothing) and that round's
-    Bellman residual, or None if ``max_iters`` rounds end in a change."""
+    Returns J, the last decisions ``(stop, best)``, the rounds run (the
+    last of which changes nothing), the last round's change of J, and
+    the Bellman residual of J, or None if ``MAX_ROUNDS`` rounds, read at
+    call time, end in a change."""
     stop_cost = problem.costs.lambda_f * (1.0 - pts)
     # The current policy's backup of its own J is J, so a node switches
     # only when the sweep beats J by more than round-off; near-ties keep
     # their decision, which is what stops the rounds from cycling.
     margin = TIE_BREAK * problem.costs.lambda_f
     values = _evaluate_policy(problem, pts, acts, stop, best)
-    deltas = []
+    delta = 0.0
     polish = acts.binomial
-    for _ in range(max_iters):
+    for rounds in range(1, MAX_ROUNDS + 1):
         maps = _sweep(values, problem, pts, acts)
         switch = maps.new_values < values - margin
         if switch.any():
@@ -976,20 +978,18 @@ def _policy_rounds(
             best = np.where(stop, best, maps.best_action)
             polish = False
         else:
-            deltas.append(0.0)
-            return values, stop, best, deltas, float(np.max(np.abs(maps.new_values - values)))
+            residual = float(np.max(np.abs(maps.new_values - values)))
+            return values, stop, best, rounds, 0.0, residual
         new_values = _evaluate_policy(problem, pts, acts, stop, best)
-        deltas.append(float(np.max(np.abs(new_values - values))))
+        delta = float(np.max(np.abs(new_values - values)))
         values = new_values
-    return values, stop, best, deltas, None
+    return values, stop, best, MAX_ROUNDS, delta, None
 
 
 def value_iteration(
     problem: Problem,
     strategy: str,
     grid=None,
-    tolerance: float | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
     *,
     q: float | None = None,
     fixed_m: int | None = None,
@@ -1010,7 +1010,7 @@ def value_iteration(
 
     The fine rounds start from the decisions of the nearest node of
     ``operator.coarse``, solved the same way from stopping everywhere in
-    at most ``max_iters`` rounds and never raising.  Its nodes are fine
+    at most ``MAX_ROUNDS`` rounds and never raising.  Its nodes are fine
     nodes, so its stack is exactly the coarse grid's operator (see the
     module docstring); from any proper start the rounds reach the same
     fixed point.
@@ -1019,9 +1019,6 @@ def value_iteration(
         problem: The instance to solve.
         strategy: One of control_m, control_q, open_loop, fixed_m.
         grid: BeliefGrid, point count, or None for the 1001-point default.
-        tolerance: Largest accepted Bellman residual ``||TJ - J||_inf`` of
-            the result (default ``1e-6 * lambda_f``).
-        max_iters: Policy-improvement round budget of each level.
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
         operator: Prebuilt expectation maps to reuse across solves, built
@@ -1035,55 +1032,56 @@ def value_iteration(
     Raises:
         ValueError: If ``operator`` holds a CSR stack, before any round;
             it serves only the sweeps of ``solve_finite_horizon``.
-        ConvergenceError: If the policy still changes after max_iters
-            fine rounds (carrying the last change of J), or the result's
-            residual exceeds tolerance (carrying the residual).
+        ConvergenceError: If the policy still changes after
+            ``MAX_ROUNDS`` fine rounds (carrying the last change of J), or
+            the result's Bellman residual ``||TJ - J||_inf`` exceeds
+            ``TOLERANCE_SCALE * lambda_f`` (carrying the residual).  Both
+            limits are module constants; a solve that ends normally is
+            far inside them.
     """
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
-    if tolerance is None:
-        tolerance = TOLERANCE_SCALE * problem.costs.lambda_f
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     acts = _action_set(problem, operator, strategy, q, fixed_m)
     start = time.perf_counter()
     pts = grid.points
     stop = np.ones(grid.size, dtype=bool)
     best = np.zeros(grid.size)
-    coarse_deltas = []
+    coarse_rounds = 0
     coarse = operator.coarse  # raises on a CSR stack, before any round
     if coarse is not None:
         cpts = coarse.grid.points
         coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m)
-        _, stop, best, coarse_deltas, _ = _policy_rounds(
-            problem, cpts, coarse_acts, np.ones(cpts.size, dtype=bool), np.zeros(cpts.size),
-            max_iters,
+        _, stop, best, coarse_rounds, _, _ = _policy_rounds(
+            problem, cpts, coarse_acts, np.ones(cpts.size, dtype=bool), np.zeros(cpts.size)
         )
         # Nearest coarse node; a fine node midway takes the lower one.
         hi = np.searchsorted(cpts, pts).clip(1, cpts.size - 1)
         near = hi - (pts - cpts[hi - 1] <= cpts[hi] - pts)
         stop, best = stop[near], best[near]
-    values, _, _, deltas, residual = _policy_rounds(problem, pts, acts, stop, best, max_iters)
-    if residual is None or residual > tolerance:
-        what = "last sup-norm delta" if residual is None else "Bellman residual"
-        last = deltas[-1] if residual is None else residual
+    values, _, _, rounds, delta, residual = _policy_rounds(problem, pts, acts, stop, best)
+    if residual is None:
+        raise ConvergenceError(
+            f"value iteration hit its round cap of {rounds} with the policy still "
+            f"changing (last sup-norm delta {delta:g})",
+            iterations=rounds,
+            last_delta=delta,
+        )
+    tolerance = TOLERANCE_SCALE * problem.costs.lambda_f
+    if residual > tolerance:
         raise ConvergenceError(
             f"value iteration did not reach tolerance {tolerance:g} after "
-            f"{len(deltas)} rounds ({what} {last:g})",
-            iterations=len(deltas),
-            last_delta=last,
+            f"{rounds} rounds (Bellman residual {residual:g})",
+            iterations=rounds,
+            last_delta=residual,
         )
     report = SolveReport(
         strategy=strategy,
-        iterations=len(deltas),
+        iterations=rounds,
         wall_seconds=time.perf_counter() - start,
         grid_size=grid.size,
         tolerance=tolerance,
         bellman_residual=residual,
-        coarse_iterations=len(coarse_deltas),
-        sup_norm_deltas=tuple(deltas),
+        coarse_iterations=coarse_rounds,
     )
     return ValueFunction(grid, values), report
 

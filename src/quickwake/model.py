@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ _REGIMES = ("pre", "post")
 def _check_regime(regime: str) -> None:
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
+
+
+def _is_integer(value) -> bool:
+    """Any integer type (numpy's too) but bool, a flag rather than a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -134,8 +140,10 @@ class Problem:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        # A plain int, so that key() serialises it.
+        object.__setattr__(self, "n", int(self.n))
 
     def fields(self) -> dict:
         """The nine scalars that define the instance, named as in a run config."""
@@ -156,19 +164,3 @@ class Problem:
         blob = json.dumps(self.fields(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-
-def prior_mass(prior: ChangePrior, k: int) -> float:
-    """P(T = k) under the change prior.
-
-    Args:
-        prior: Change-time law.
-        k: Slot index, >= 0.
-
-    Returns:
-        ``rho`` at k = 0, else ``(1 - rho) * (1 - p)**(k-1) * p``.
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
-    if k == 0:
-        return prior.rho
-    return (1.0 - prior.rho) * (1.0 - prior.p) ** (k - 1) * prior.p

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .dp import LikelihoodAtoms
-from .model import ChangePrior, Costs
+from .model import ChangePrior, Costs, _is_integer
 
 MAX_HORIZON = 4
 MAX_SENSORS = 2
@@ -42,12 +42,12 @@ class DiscreteInstance:
     lambda_f: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.horizon, int) and 0 <= self.horizon <= MAX_HORIZON):
+        if not (_is_integer(self.horizon) and 0 <= self.horizon <= MAX_HORIZON):
             raise ValueError(
                 f"enumeration bound exceeded: horizon must be 0..{MAX_HORIZON}, "
                 f"got {self.horizon!r}"
             )
-        if not (isinstance(self.n, int) and 1 <= self.n <= MAX_SENSORS):
+        if not (_is_integer(self.n) and 1 <= self.n <= MAX_SENSORS):
             raise ValueError(
                 f"enumeration bound exceeded: n must be 1..{MAX_SENSORS}, got {self.n!r}"
             )
@@ -58,6 +58,8 @@ class DiscreteInstance:
                 raise ValueError(f"{name} must sum to 1, got {sum(pmf)!r}")
         if self.g0 == self.g1:
             raise ValueError("g0 and g1 are identical; the change would be invisible")
+        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "n", int(self.n))
         # The prior and the costs take a Problem's checks.
         ChangePrior(self.rho, self.p)
         Costs(self.lambda_s, self.lambda_f)

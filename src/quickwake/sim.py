@@ -13,8 +13,8 @@ run beside it.  Within a block all still-active episodes advance one slot
 per iteration in numpy arrays, their beliefs by ``_belief_step``, the
 package's one posterior recursion, and episodes leave the arrays when
 they stop or reach the horizon cap.  An episode is therefore reproduced
-by ``base_seed`` and its index.  ``run_episodes`` yields the episodes one
-object each and ``estimate_metrics`` aggregates the same episodes
+by ``base_seed`` and its index.  ``run_episodes`` returns the episodes
+one object each and ``estimate_metrics`` aggregates the same episodes
 straight from the engine's arrays.
 
 Each slot an active episode reads its policy's one action map at its
@@ -36,8 +36,8 @@ import numpy as np
 from scipy.special import expit
 
 from .dp import (
-    DEFAULT_MAX_ITERS, ConvergenceError, ExpectationOperator, _llr_coefficients, _logit_array,
-    _resolve_grid, _resolve_operator, value_iteration,
+    ConvergenceError, ExpectationOperator, _llr_coefficients, _logit_array, _resolve_grid,
+    _resolve_operator, value_iteration,
 )
 from .model import ChangePrior, Problem, SensorModel
 from .policy import Policy, extract_policy
@@ -254,10 +254,12 @@ def run_episodes(
     *,
     horizon_cap: int | None = None,
 ):
-    """Yield one EpisodeResult per replication, in episode order.
+    """An iterator of one EpisodeResult per replication, in episode order.
 
-    Episodes run in blocks of ``BLOCK_EPISODES``, block ``b`` on child
-    ``b`` of ``SeedSequence(base_seed)`` (see the module docstring), so
+    The whole run is simulated at the call, so bad arguments raise here,
+    not at the first ``next``.  Episodes run in blocks of
+    ``BLOCK_EPISODES``, block ``b`` on child ``b`` of
+    ``SeedSequence(base_seed)`` (see the module docstring), so
     ``base_seed`` and an episode's index reproduce it.  Episode 0 also
     carries its per-slot (slot, belief, awake_count) trace.
     """
@@ -266,8 +268,8 @@ def run_episodes(
         problem, policy, replications, base_seed, horizon_cap, trace
     )
     delay, false_alarm, obs_cost, total = _outcomes(problem, change, stop, sensed)
-    for i in range(replications):
-        yield EpisodeResult(
+    return (
+        EpisodeResult(
             episode=i,
             change_time=int(change[i]),
             stop_time=int(stop[i]),
@@ -279,6 +281,8 @@ def run_episodes(
             truncated=bool(truncated[i]),
             trace=tuple(trace) if i == 0 else None,
         )
+        for i in range(replications)
+    )
 
 
 def _metrics(delay, false_alarm, obs_cost, total, truncated) -> Metrics:
@@ -365,34 +369,34 @@ def sweep_open_loop_q(
     *,
     grid=None,
     operator: ExpectationOperator | None = None,
-    tolerance: float | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
     replications: int = 0,
     base_seed: int = 0,
     horizon_cap: int | None = None,
 ) -> SweepResult:
     """Solve the fixed-q problem for each q and report J*(rho) per q.
 
-    With ``replications`` > 0 each solved policy is also simulated and
-    the row carries its mean detection delay (NaN otherwise).  Returns
-    all rows plus the minimizing q (first minimum on value ties).  An
-    empty or out-of-range ``q_values`` or a ``horizon_cap`` below 1 raises
-    ``ValueError`` before any solve.
+    Each solve is ``value_iteration``'s, with its fixed residual check and
+    round cap.  With ``replications`` > 0 each solved policy is also
+    simulated and the row carries its mean detection delay (NaN with 0).
+    Returns all rows plus the minimizing q (first minimum on value ties).
+    An empty or out-of-range ``q_values``, a negative ``replications``, a
+    ``horizon_cap`` below 1 or an operator built for another grid, n or
+    p raises ``ValueError`` before any solve.
     """
     q_values = np.asarray(q_values, dtype=float)
     if q_values.size == 0:
         raise ValueError("q_values must not be empty")
     if np.any((q_values < 0.0) | (q_values > 1.0)):
         raise ValueError("q_values must lie in [0, 1]")
+    if replications < 0:
+        raise ValueError(f"replications must be >= 0, got {replications!r}")
     _check_horizon_cap(horizon_cap)
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
     rho = problem.prior.rho
     rows = []
     for q in q_values:
-        J, _ = value_iteration(
-            problem, "open_loop", grid, tolerance, max_iters, q=float(q), operator=operator
-        )
+        J, _ = value_iteration(problem, "open_loop", grid, q=float(q), operator=operator)
         value = float(J(rho))
         if replications > 0:
             pol = extract_policy(J, problem, "open_loop", operator=operator, q=float(q))

@@ -18,6 +18,14 @@ import numpy as np
 from quickwake.dp import EPS
 
 
+def prior_mass(prior, k: int) -> float:
+    """P(T = k) under the change prior: ``rho`` at k = 0, else
+    ``(1 - rho) * (1 - p)**(k-1) * p``."""
+    if k == 0:
+        return prior.rho
+    return (1.0 - prior.rho) * (1.0 - prior.p) ** (k - 1) * prior.p
+
+
 def logit(pi: float) -> float:
     """Log-odds of ``pi``, clamped to +/- logit(1 - EPS) at the endpoints."""
     pi = min(max(pi, EPS), 1.0 - EPS)

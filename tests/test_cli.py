@@ -51,7 +51,6 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg.strategy == "control_m"
     assert cfg.grid_size == 51
-    assert cfg.max_iters == 10_000
     assert cfg.replications == 120
     assert cfg.problem.key() == make_benchmark_problem().key()
 
@@ -75,7 +74,7 @@ def test_load_config_defaults(tmp_path):
         ({"fixed_m": 99}, "fixed_m must lie in 0..10"),
         ({"problem.sigma0": -1.0}, "invalid problem block"),
         ({"solver.grid_size": None}, "field solver.grid_size must be a int"),
-        ({"solver.max_iters": 0}, "field solver.max_iters must be >= 1"),
+        ({"solver.max_iters": 10_000}, "unknown field solver.max_iters"),
         ({"calibrate.max_trials": 0}, "field calibrate.max_trials must be >= 1"),
         ({"calibrate.lambda_lo": 0.0}, "field calibrate.lambda_lo must be > 0"),
         ({"calibrate.target_alpha": 1.0}, r"field calibrate.target_alpha must lie in \(0, 1\)"),
@@ -86,6 +85,7 @@ def test_load_config_defaults(tmp_path):
         ({"sweep.q_values": [0.1, True]}, "field sweep.q_values must be a float"),
         ({"sim.base_seed": -1}, "field sim.base_seed must be >= 0"),
         ({"solver.q_grid_size": 101}, "unknown field solver.q_grid_size"),
+        ({"solver.tolerance": 1e-6}, "unknown field solver.tolerance"),
     ],
 )
 def test_load_config_rejections(tmp_path, overrides, fragment):
@@ -140,8 +140,15 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert "after 0 coarse rounds" in stdout
 
 
-def test_solve_exit_code_on_non_convergence(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"solver.max_iters": 2}, out_dir=str(tmp_path / "x"))
+def test_solve_exit_code_on_non_convergence(tmp_path, capsys, monkeypatch):
+    # The solver's round cap and residual check are fixed; either, made
+    # strict enough, fails the solve.
+    cfg = write_config(tmp_path, out_dir=str(tmp_path / "x"))
+    with monkeypatch.context() as m:
+        m.setattr(quickwake.dp, "MAX_ROUNDS", 2)
+        assert main(["solve", "--config", cfg]) == 2
+    assert "round cap of 2" in capsys.readouterr().err
+    monkeypatch.setattr(quickwake.dp, "TOLERANCE_SCALE", 1e-300)
     assert main(["solve", "--config", cfg]) == 2
     assert "did not reach tolerance" in capsys.readouterr().err
 
@@ -415,13 +422,17 @@ def test_calibrate_honours_a_one_trial_budget(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: calibration used 1 trials")
 
 
-@pytest.mark.parametrize("solver", [{"solver.max_iters": 1}, {"solver.tolerance": 1e-300}])
-def test_calibrate_uses_the_solver_settings(tmp_path, capsys, solver):
-    # Each trial's solve gets the config's round budget and tolerance, as
-    # in solve, so either setting stops the first trial.
-    cfg = write_config(tmp_path, solver, out_dir=str(tmp_path / "x"))
+@pytest.mark.parametrize(
+    "solver", [("MAX_ROUNDS", 1, "round cap"), ("TOLERANCE_SCALE", 1e-300, "tolerance")]
+)
+def test_calibrate_uses_the_solver_settings(tmp_path, capsys, monkeypatch, solver):
+    # Each trial's solve takes the solver's round cap and residual check,
+    # as in solve, so either, made strict enough, stops the first trial.
+    name, value, fragment = solver
+    monkeypatch.setattr(quickwake.dp, name, value)
+    cfg = write_config(tmp_path, out_dir=str(tmp_path / "x"))
     assert main(["calibrate", "--config", cfg]) == 2
-    assert "did not reach tolerance" in capsys.readouterr().err
+    assert fragment in capsys.readouterr().err
 
 
 def test_solve_and_calibrate_take_the_method_from_the_model(tmp_path, capsys):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from quickwake import ChangePrior, Costs, Problem, SensorModel, prior_mass
+from quickwake import ChangePrior, Costs, Problem, SensorModel
+
+from bayes_reference import prior_mass
 
 
 def test_log_pdf_matches_scipy():
@@ -78,14 +80,6 @@ def test_prior_mass_sums_to_one():
     assert prior_mass(prior, 3) == pytest.approx(0.8 * 0.95**2 * 0.05)
 
 
-def test_prior_mass_rejects_bad_k():
-    prior = ChangePrior(rho=0.0, p=0.1)
-    with pytest.raises(ValueError):
-        prior_mass(prior, -1)
-    with pytest.raises(ValueError):
-        prior_mass(prior, 1.5)
-
-
 @pytest.mark.parametrize("rho,p", [(-0.1, 0.5), (1.1, 0.5), (0.0, 0.0), (0.0, 1.5)])
 def test_change_prior_bounds(rho, p):
     with pytest.raises(ValueError):
@@ -118,7 +112,12 @@ def test_problem_key_is_stable_and_sensitive(problem):
 
 
 def test_problem_requires_integer_n(problem):
-    with pytest.raises(ValueError):
-        Problem(model=problem.model, prior=problem.prior, costs=problem.costs, n=0)
-    with pytest.raises(ValueError):
-        Problem(model=problem.model, prior=problem.prior, costs=problem.costs, n=2.5)
+    parts = dict(model=problem.model, prior=problem.prior, costs=problem.costs)
+    for bad in (0, 2.5, 1.5, True):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            Problem(**parts, n=bad)
+    # Any integer type is a count; it is stored as a plain int, so the
+    # key matches the same instance's.
+    wide = Problem(**parts, n=np.int64(10))
+    assert type(wide.n) is int
+    assert wide.key() == Problem(**parts, n=10).key()

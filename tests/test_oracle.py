@@ -76,6 +76,18 @@ def test_enumeration_bounds_enforced():
             horizon=2, n=3, g0=(0.7, 0.3), g1=(0.2, 0.8),
             rho=0.0, p=0.2, lambda_s=0.3, lambda_f=5.0,
         )
+    # Any integer type is a count, a bool or a fraction is not.
+    for horizon, n in ((True, 1), (2, True), (1.5, 1)):
+        with pytest.raises(ValueError, match="enumeration bound"):
+            DiscreteInstance(
+                horizon=horizon, n=n, g0=(0.7, 0.3), g1=(0.2, 0.8),
+                rho=0.0, p=0.2, lambda_s=0.3, lambda_f=5.0,
+            )
+    wide = DiscreteInstance(
+        horizon=np.int64(2), n=np.int64(1), g0=(0.7, 0.3), g1=(0.2, 0.8),
+        rho=0.0, p=0.2, lambda_s=0.3, lambda_f=5.0,
+    )
+    assert (type(wide.horizon), type(wide.n)) == (int, int)
     with pytest.raises(ValueError, match="sum to 1"):
         DiscreteInstance(
             horizon=2, n=1, g0=(0.7, 0.4), g1=(0.2, 0.8),

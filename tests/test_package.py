@@ -70,16 +70,20 @@ def _paths(doc: dict, prefix: str = "") -> set:
 
 def test_readme_config_example_loads(tmp_path):
     """The README's config example loads, and it names every config field
-    and no other, so a field cannot be added or removed without it."""
+    and no other, so a field cannot be added or removed without it; the
+    fields it says take null are those that default to none."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("Config schema", 1)[1]
     doc = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     assert _paths(json.loads(doc)) == {field[0] for field in cli._FIELDS}
+    nullable = re.search(r"fields that default to none:(.*?)\.\s", section, re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", nullable)) == {
+        field[0] for field in cli._FIELDS if field[2] is None
+    }
     path = tmp_path / "config.json"
     path.write_text(doc)
     cfg = load_config(path)
     assert cfg.strategy == "control_m"
     assert cfg.horizon_cap is None  # JSON null takes the default
-    assert cfg.tolerance == 1e-6
     assert cfg.replications == 100_000
     assert cfg.sweep_q_values.tolist() == [0.0, 0.05, 0.1]

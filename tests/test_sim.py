@@ -54,6 +54,15 @@ def test_run_episode_is_deterministic(problem, policy_control_m):
         assert ep.total_cost == pytest.approx(expected_total)
 
 
+def test_run_episodes_checks_its_arguments_at_the_call(problem, policy_control_m):
+    """The run is simulated at the call, so a bad argument raises there,
+    before anything is iterated."""
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        run_episodes(problem, policy_control_m, 0)
+    with pytest.raises(ValueError, match="horizon_cap must be >= 1"):
+        run_episodes(problem, policy_control_m, 4, horizon_cap=0)
+
+
 def test_run_episode_trace_accounts_costs(problem, policy_control_m):
     """Episode 0 carries its per-slot trace, which accounts its sensing."""
     ep = next(run_episodes(problem, policy_control_m, 1, 5))
@@ -201,11 +210,14 @@ def test_sweep_reports_delay_with_replications(problem, grid201, operator201):
 
 def test_sweep_checks_horizon_cap_before_any_solve(problem, monkeypatch):
     def no_solve(*args, **kw):
-        raise AssertionError("solved before the horizon_cap check")
+        raise AssertionError("solved before the argument checks")
 
     monkeypatch.setattr(sim, "value_iteration", no_solve)
     with pytest.raises(ValueError, match="horizon_cap must be >= 1"):
         sweep_open_loop_q(problem, [0.05], grid=51, replications=10, horizon_cap=0)
+    # A negative episode count is refused too, not read as "no simulation".
+    with pytest.raises(ValueError, match="replications must be >= 0"):
+        sweep_open_loop_q(problem, [0.05], grid=51, replications=-5)
 
 
 def solver_at(problem, strategy: str, grid_size: int):
