@@ -15,7 +15,6 @@ from .dp import (
     SolveReport,
     ValueFunction,
     bellman_maps,
-    binomial_weights,
     build_expectation_operator,
     monte_carlo_atoms,
     operator_from_atoms,
@@ -31,7 +30,6 @@ from .sim import (
     Metrics,
     SweepResult,
     calibrate_lambda_f,
-    default_horizon_cap,
     estimate_metrics,
     metrics_from_episodes,
     run_episodes,
@@ -58,11 +56,9 @@ __all__ = [
     "SweepResult",
     "ValueFunction",
     "bellman_maps",
-    "binomial_weights",
     "brute_force_value",
     "build_expectation_operator",
     "calibrate_lambda_f",
-    "default_horizon_cap",
     "estimate_metrics",
     "extract_policy",
     "likelihood_atoms",

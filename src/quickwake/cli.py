@@ -87,7 +87,6 @@ _FIELDS = (
     ("solver.grid_size", int, DEFAULT_GRID_SIZE, _at_least(2)),
     ("sim.replications", int, 1000, _at_least(0)),
     ("sim.base_seed", int, 0, _at_least(0)),
-    ("sim.horizon_cap", int, None, _at_least(1)),
     ("sweep.q_values", list, None, None),
     ("calibrate.target_alpha", float, 0.04, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
     ("calibrate.tolerance", float, 0.005, _POSITIVE),
@@ -107,7 +106,6 @@ class RunConfig:
     grid_size: int
     replications: int
     base_seed: int
-    horizon_cap: int | None
     sweep_q_values: np.ndarray | None
     open_loop_q: float | None
     fixed_m: int | None
@@ -365,12 +363,7 @@ def load_policy(policy_path, problem: Problem) -> Policy:
 def cmd_simulate(cfg: RunConfig, policy_path, trace: bool) -> int:
     policy = load_policy(policy_path, cfg.problem)
     out = cfg.out_dir
-    episodes = list(
-        run_episodes(
-            cfg.problem, policy, cfg.replications, cfg.base_seed,
-            horizon_cap=cfg.horizon_cap,
-        )
-    )
+    episodes = list(run_episodes(cfg.problem, policy, cfg.replications, cfg.base_seed))
     metrics = metrics_from_episodes(episodes)
     _write_csv(
         out / "episodes.csv", ["episode", "T", "tau", "delay", "false_alarm", "obs_cost"],
@@ -401,7 +394,6 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
     result = sweep_open_loop_q(
         cfg.problem, q_values, grid=operator.grid, operator=operator,
         replications=cfg.replications, base_seed=cfg.base_seed,
-        horizon_cap=cfg.horizon_cap,
     )
     _write_csv(
         cfg.out_dir / "sweep.csv", ["q", "value_at_start", "mean_delay", "is_argmin"],
@@ -419,7 +411,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         cfg.problem, lambda trial: _solve(replace(cfg, problem=trial), operator)[2],
         cfg.target_alpha, cfg.calibrate_tolerance,
         lambda_lo=cfg.lambda_lo, lambda_hi=cfg.lambda_hi, max_trials=cfg.max_trials,
-        replications=cfg.replications, base_seed=cfg.base_seed, horizon_cap=cfg.horizon_cap,
+        replications=cfg.replications, base_seed=cfg.base_seed,
     )
     _write_json(cfg.out_dir / "calibration.json", {
         "schema": SCHEMA_VERSION,

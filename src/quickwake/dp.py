@@ -260,15 +260,6 @@ def _llr_coefficients(model: SensorModel, m):
     return a, b
 
 
-def binomial_weights(n: int, q: float) -> np.ndarray:
-    """Probability of each awake count when ``n`` sensors wake i.i.d. w.p. ``q``."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    return _binomial_table(n, np.asarray([q], dtype=float))[0]
-
-
 def _binomial_table(n: int, q: np.ndarray) -> np.ndarray:
     """Binomial pmf over counts 0..n for each entry of ``q`` (last axis)."""
     m = np.arange(n + 1)
@@ -372,13 +363,16 @@ class ExpectationOperator:
     building one needs only one serial block's worth of temporaries
     (``BLOCK_ROWS`` rows) beyond the stack itself.  The stack does not
     depend on the worker count.
+    ``model`` is the sensor model ``build_expectation_operator`` built the
+    stack from, which solves check; None for a caller's atoms.
     """
 
-    def __init__(self, grid: BeliefGrid, p: float, n: int, stack):
+    def __init__(self, grid: BeliefGrid, p: float, n: int, stack, model=None):
         self.grid = grid
         self.p = p
         self.n = n
         self.stack = stack
+        self.model = model
 
     def apply_all(self, values: np.ndarray) -> np.ndarray:
         """E[J(next belief)] per awake count (rows) and grid belief (columns)."""
@@ -406,7 +400,7 @@ class ExpectationOperator:
         coarse = np.empty(((self.n + 1) * keep.size, keep.size))
         for m, rows in enumerate(np.split(coarse, self.n + 1)):
             rows[...] = stack[m * g + keep] @ R
-        return ExpectationOperator(grid, self.p, self.n, coarse)
+        return ExpectationOperator(grid, self.p, self.n, coarse, self.model)
 
 
 def _segment_shares(
@@ -504,7 +498,7 @@ def operator_from_atoms(
 
 
 def _dense_atom_operator(
-    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float
+    atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, model=None
 ) -> ExpectationOperator:
     """Dense expectation maps from any number of likelihood-ratio atoms.
 
@@ -582,7 +576,7 @@ def _dense_atom_operator(
             _segment_shares(block[r], sums.real, sums.imag, pts, step)
 
     _fill_blocks(make_fill, atoms.n)
-    return ExpectationOperator(grid, p, atoms.n, stack)
+    return ExpectationOperator(grid, p, atoms.n, stack, model)
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:
@@ -651,7 +645,7 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
             _segment_shares(block[r], d0, d1, pts, step)
 
     _fill_blocks(make_fill, n)
-    return ExpectationOperator(grid, p, n, stack)
+    return ExpectationOperator(grid, p, n, stack, model)
 
 
 def expectation_method(problem: Problem) -> str:
@@ -673,7 +667,8 @@ def build_expectation_operator(
     ``expectation_method(problem)``; the closed form needs an
     equal-variance Gaussian pair.  The stack is dense either way, at any
     grid, so every stationary solve can read it, even when the Monte Carlo
-    atoms are too few to fill its rows.
+    atoms are too few to fill its rows.  The operator keeps
+    ``problem.model``, which a solve then checks against its own.
     """
     default = expectation_method(problem)
     method = default if method is None else method
@@ -683,7 +678,7 @@ def build_expectation_operator(
         return _exact_operator(problem.model, problem.n, grid, problem.prior.p)
     if method == "monte_carlo":
         atoms = monte_carlo_atoms(problem.model, problem.n)
-        return _dense_atom_operator(atoms, grid, problem.prior.p)
+        return _dense_atom_operator(atoms, grid, problem.prior.p, problem.model)
     raise ValueError(f"unknown expectation method {method!r}")
 
 
@@ -825,6 +820,17 @@ def _sweep(values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionS
     return BellmanMaps(new_values, continue_values, best, B)
 
 
+def _check_action(problem: Problem, strategy: str, q: float | None, fixed_m: int | None) -> None:
+    """Refuse an unknown strategy, or a missing or out-of-range ``q`` or
+    ``fixed_m`` for its strategy, before any operator is built."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if strategy == "open_loop" and (q is None or not 0.0 <= q <= 1.0):
+        raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
+    if strategy == "fixed_m" and (fixed_m is None or not 0 <= fixed_m <= problem.n):
+        raise ValueError(f"fixed_m needs an awake count in 0..{problem.n}, got {fixed_m!r}")
+
+
 def _action_set(
     problem: Problem,
     operator: ExpectationOperator,
@@ -832,26 +838,21 @@ def _action_set(
     q: float | None,
     fixed_m: int | None,
 ) -> _ActionSet:
-    """The one action set every sweep of ``strategy`` reads.  control_q
-    reads control_m's, mixed over a wake probability; either takes a dense
-    or a CSR stack.  open_loop and fixed_m fold their mixture into one
-    ``g x g`` map here, in one BLAS contraction over the blocks of a dense
-    stack viewed as rows of ``g * g``; a CSR stack is rejected."""
+    """The one action set every sweep of ``strategy`` reads (its arguments
+    checked by ``_check_action``).  control_q reads control_m's, mixed
+    over a wake probability; either takes a dense or a CSR stack.
+    open_loop and fixed_m fold their mixture into one ``g x g`` map here,
+    in one BLAS contraction over the blocks of a dense stack viewed as
+    rows of ``g * g``; a CSR stack is rejected."""
     n = problem.n
     lam_s = problem.costs.lambda_s
     if strategy in ("control_m", "control_q"):
         counts = np.arange(n + 1)
         return _ActionSet(operator.stack, lam_s * counts, counts, binomial=strategy == "control_q")
     if strategy == "open_loop":
-        if q is None or not 0.0 <= q <= 1.0:
-            raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
-        weights, cost, action = binomial_weights(n, q)[None], lam_s * n * q, q
-    elif strategy == "fixed_m":
-        if fixed_m is None or not 0 <= fixed_m <= n:
-            raise ValueError(f"fixed_m needs an awake count in 0..{n}, got {fixed_m!r}")
-        weights, cost, action = np.eye(n + 1)[[fixed_m]], lam_s * fixed_m, fixed_m
+        weights, cost, action = _binomial_table(n, np.array([q], dtype=float)), lam_s * n * q, q
     else:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+        weights, cost, action = np.eye(n + 1)[[fixed_m]], lam_s * fixed_m, fixed_m
     g = operator.grid.size
     fold = (weights @ operator._dense_stack().reshape(n + 1, g * g)).reshape(g, g)
     return _ActionSet(fold, np.array([cost]), np.array([action]))
@@ -860,11 +861,14 @@ def _action_set(
 def _resolve_operator(
     problem: Problem, grid: BeliefGrid, operator: ExpectationOperator | None
 ) -> ExpectationOperator:
+    """``operator``, refused unless its grid, n, p and sensor model (if it
+    records one) are the solve's; one built for ``problem`` when None."""
     if operator is None:
         return build_expectation_operator(problem, grid)
     if (operator.n != problem.n or operator.p != problem.prior.p
-            or not np.array_equal(operator.grid.points, grid.points)):
-        raise ValueError("operator does not match the grid, n or p")
+            or not np.array_equal(operator.grid.points, grid.points)
+            or (operator.model is not None and operator.model != problem.model)):
+        raise ValueError("operator does not match the grid, n, p or sensor model")
     return operator
 
 
@@ -1022,16 +1026,19 @@ def value_iteration(
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
         operator: Prebuilt expectation maps to reuse across solves, built
-            on ``grid`` with a dense stack; its coarse level is built on
-            first use and kept with it.  Built with the default method
-            when None.
+            on ``grid`` for this problem's n, p and sensor model, with a
+            dense stack; its coarse level is built on first use and kept
+            with it.  Built with the default method when None.
 
     Returns:
         The converged ValueFunction and a SolveReport.
 
     Raises:
-        ValueError: If ``operator`` holds a CSR stack, before any round;
-            it serves only the sweeps of ``solve_finite_horizon``.
+        ValueError: If the strategy, ``q`` or ``fixed_m`` is invalid,
+            before any operator is built; if ``operator`` does not match
+            the solve (``_resolve_operator``); or if it holds a CSR stack,
+            before any round, as that serves only the sweeps of
+            ``solve_finite_horizon``.
         ConvergenceError: If the policy still changes after
             ``MAX_ROUNDS`` fine rounds (carrying the last change of J), or
             the result's Bellman residual ``||TJ - J||_inf`` exceeds
@@ -1039,6 +1046,7 @@ def value_iteration(
             limits are module constants; a solve that ends normally is
             far inside them.
     """
+    _check_action(problem, strategy, q, fixed_m)
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
     acts = _action_set(problem, operator, strategy, q, fixed_m)
@@ -1103,6 +1111,7 @@ def solve_finite_horizon(
     """
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
+    _check_action(problem, strategy, q, fixed_m)
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
     acts = _action_set(problem, operator, strategy, q, fixed_m)
@@ -1127,6 +1136,7 @@ def bellman_maps(
     off the continuation values and minimizing actions.  It sweeps the
     same action set as the solves, so a single action builds its fold.
     """
+    _check_action(problem, strategy, q, fixed_m)
     operator = _resolve_operator(problem, J.grid, operator)
     acts = _action_set(problem, operator, strategy, q, fixed_m)
     return _sweep(J.values, problem, J.grid.points, acts)

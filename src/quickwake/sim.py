@@ -17,6 +17,11 @@ by ``base_seed`` and its index.  ``run_episodes`` returns the episodes
 one object each and ``estimate_metrics`` aggregates the same episodes
 straight from the engine's arrays.
 
+The horizon cap is fixed at ``ceil(HORIZON_CHANGE_TIMES / p)`` slots,
+100 mean change times.  A threshold rule stops almost surely, so the cap
+only guards against a runaway episode, which it cuts and counts as
+truncated; no argument sets it.
+
 Each slot an active episode reads its policy's one action map at its
 belief (``Policy._continue_indices``): an awake count is played as it
 is, a wake probability q is drawn as a Binomial(n, q) count.  An
@@ -39,7 +44,7 @@ from .dp import (
     ConvergenceError, ExpectationOperator, _llr_coefficients, _logit_array, _resolve_grid,
     _resolve_operator, value_iteration,
 )
-from .model import ChangePrior, Problem, SensorModel
+from .model import Problem, SensorModel
 from .policy import Policy, extract_policy
 
 # Episodes advanced together on one generator.  Long enough that each
@@ -47,6 +52,9 @@ from .policy import Policy, extract_policy
 # enough that a block's (episodes, n) per-sensor readings stay near 1 MB
 # at n = 10.
 BLOCK_EPISODES = 1 << 14
+# Mean change times 1/p an episode may run before it is cut; read at each
+# block, so the cap is ceil(HORIZON_CHANGE_TIMES / p) slots.
+HORIZON_CHANGE_TIMES = 100.0
 
 
 @dataclass(frozen=True)
@@ -89,17 +97,6 @@ class Metrics:
     total_cost_half_width: float
 
 
-def default_horizon_cap(prior: ChangePrior) -> int:
-    """Slot budget per episode: 100 mean change times."""
-    return int(math.ceil(100.0 / prior.p))
-
-
-def _check_horizon_cap(horizon_cap: int | None) -> None:
-    """None takes the default; a set cap must allow one slot."""
-    if horizon_cap is not None and horizon_cap < 1:
-        raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap!r}")
-
-
 def _belief_step(model, pi, p: float, m, obs):
     """One slot of the posterior recursion for a batch of episodes.
 
@@ -136,10 +133,10 @@ def _run_block(
     policy: Policy,
     rng: np.random.Generator,
     count: int,
-    horizon_cap: int | None,
     trace: list | None = None,
 ):
-    """Run ``count`` episodes in lockstep on one generator.
+    """Run ``count`` episodes in lockstep on one generator, each cut at
+    the horizon cap.
 
     Draw order: every change time (a uniform for the mass at zero, then a
     geometric), then per slot, over the episodes still active in index
@@ -153,12 +150,10 @@ def _run_block(
         change, stop and sensed (awake sensor-slots) as integer arrays,
         the final belief, and the truncation flags.
     """
-    _check_horizon_cap(horizon_cap)
-    if horizon_cap is None:
-        horizon_cap = default_horizon_cap(problem.prior)
     if policy.n != problem.n:
         raise ValueError(f"policy is for n={policy.n}, problem has n={problem.n}")
     prior, model, n, gamma = problem.prior, problem.model, problem.n, policy.gamma
+    cap = math.ceil(HORIZON_CHANGE_TIMES / prior.p)
     sum_statistic = isinstance(model, SensorModel) and model.equal_variance
     change = np.where(rng.random(count) < prior.rho, 0, rng.geometric(prior.p, count))
     stop = np.zeros(count, dtype=np.int64)
@@ -173,7 +168,7 @@ def _run_block(
     k = 0
     while True:
         done = pi >= gamma
-        if k >= horizon_cap:
+        if k >= cap:
             truncated[idx[~done]] = True
             done[:] = True
         if done.any():
@@ -212,7 +207,6 @@ def _simulate(
     policy: Policy,
     replications: int,
     base_seed: int,
-    horizon_cap: int | None,
     trace: list | None = None,
 ):
     """Every block of a run, concatenated in episode order."""
@@ -223,7 +217,7 @@ def _simulate(
     parts = [
         _run_block(
             problem, policy, np.random.default_rng(seed),
-            min(BLOCK_EPISODES, replications - b * BLOCK_EPISODES), horizon_cap,
+            min(BLOCK_EPISODES, replications - b * BLOCK_EPISODES),
             trace if b == 0 else None,
         )
         for b, seed in enumerate(seeds)
@@ -246,26 +240,21 @@ def _half_width(x: np.ndarray) -> float:
     return 1.96 * float(np.std(x, ddof=1)) / math.sqrt(x.size)
 
 
-def run_episodes(
-    problem: Problem,
-    policy: Policy,
-    replications: int,
-    base_seed: int = 0,
-    *,
-    horizon_cap: int | None = None,
-):
+def run_episodes(problem: Problem, policy: Policy, replications: int, base_seed: int = 0):
     """An iterator of one EpisodeResult per replication, in episode order.
 
     The whole run is simulated at the call, so bad arguments raise here,
     not at the first ``next``.  Episodes run in blocks of
     ``BLOCK_EPISODES``, block ``b`` on child ``b`` of
     ``SeedSequence(base_seed)`` (see the module docstring), so
-    ``base_seed`` and an episode's index reproduce it.  Episode 0 also
-    carries its per-slot (slot, belief, awake_count) trace.
+    ``base_seed`` and an episode's index reproduce it.  An episode still
+    running at the horizon cap, ``ceil(HORIZON_CHANGE_TIMES / p)`` slots,
+    stops there with ``truncated`` set.  Episode 0 also carries its
+    per-slot (slot, belief, awake_count) trace.
     """
     trace: list = []
     change, stop, sensed, final, truncated = _simulate(
-        problem, policy, replications, base_seed, horizon_cap, trace
+        problem, policy, replications, base_seed, trace
     )
     delay, false_alarm, obs_cost, total = _outcomes(problem, change, stop, sensed)
     return (
@@ -321,19 +310,14 @@ def metrics_from_episodes(episodes) -> Metrics:
 
 
 def estimate_metrics(
-    problem: Problem,
-    policy: Policy,
-    replications: int,
-    base_seed: int = 0,
-    *,
-    horizon_cap: int | None = None,
+    problem: Problem, policy: Policy, replications: int, base_seed: int = 0
 ) -> Metrics:
     """Mean delay, false-alarm rate, and total cost over R episodes.
 
     The same episodes as ``run_episodes`` with the same arguments,
     aggregated from the engine's arrays without per-episode objects.
-    Truncated episodes are excluded from the averages and reported by
-    count.
+    Episodes cut at the horizon cap are excluded from the averages and
+    reported by count.
 
     Args:
         problem: Instance to simulate.
@@ -341,11 +325,8 @@ def estimate_metrics(
         replications: Episode count R (>= 1).
         base_seed: Root of the ``SeedSequence`` whose children seed the
             blocks; distinct base seeds give independent streams.
-        horizon_cap: Per-episode slot budget.
     """
-    change, stop, sensed, _, truncated = _simulate(
-        problem, policy, replications, base_seed, horizon_cap
-    )
+    change, stop, sensed, _, truncated = _simulate(problem, policy, replications, base_seed)
     return _metrics(*_outcomes(problem, change, stop, sensed), truncated)
 
 
@@ -371,7 +352,6 @@ def sweep_open_loop_q(
     operator: ExpectationOperator | None = None,
     replications: int = 0,
     base_seed: int = 0,
-    horizon_cap: int | None = None,
 ) -> SweepResult:
     """Solve the fixed-q problem for each q and report J*(rho) per q.
 
@@ -379,9 +359,9 @@ def sweep_open_loop_q(
     round cap.  With ``replications`` > 0 each solved policy is also
     simulated and the row carries its mean detection delay (NaN with 0).
     Returns all rows plus the minimizing q (first minimum on value ties).
-    An empty or out-of-range ``q_values``, a negative ``replications``, a
-    ``horizon_cap`` below 1 or an operator built for another grid, n or
-    p raises ``ValueError`` before any solve.
+    An empty or out-of-range ``q_values``, a negative ``replications`` or
+    an operator built for another grid, n, p or sensor model raises
+    ``ValueError`` before any solve.
     """
     q_values = np.asarray(q_values, dtype=float)
     if q_values.size == 0:
@@ -390,7 +370,6 @@ def sweep_open_loop_q(
         raise ValueError("q_values must lie in [0, 1]")
     if replications < 0:
         raise ValueError(f"replications must be >= 0, got {replications!r}")
-    _check_horizon_cap(horizon_cap)
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
     rho = problem.prior.rho
@@ -400,10 +379,7 @@ def sweep_open_loop_q(
         value = float(J(rho))
         if replications > 0:
             pol = extract_policy(J, problem, "open_loop", operator=operator, q=float(q))
-            met = estimate_metrics(
-                problem, pol, replications, base_seed, horizon_cap=horizon_cap
-            )
-            mean_delay = met.mean_delay
+            mean_delay = estimate_metrics(problem, pol, replications, base_seed).mean_delay
         else:
             mean_delay = math.nan
         rows.append(SweepRow(q=float(q), value_at_start=value, mean_delay=mean_delay))
@@ -431,7 +407,6 @@ def calibrate_lambda_f(
     max_trials: int = 40,
     replications: int = 2000,
     base_seed: int = 0,
-    horizon_cap: int | None = None,
 ) -> CalibrationResult:
     """Bisect the false-alarm cost until simulated P_FA hits the target.
 
@@ -453,11 +428,10 @@ def calibrate_lambda_f(
             the ``lambda_hi`` probe runs only while a trial is left.
         replications: Episodes per trial (>= 1).
         base_seed: Shared across trials for common random numbers.
-        horizon_cap: Per-episode slot budget.
 
     Raises:
         ValueError: Before any trial, if the target, tolerance, budget,
-            replications, horizon cap or bracket is out of range; after
+            replications or bracket is out of range; after
             the probes, if the bracket does not straddle the target.
         ConvergenceError: If the trial budget runs out before tolerance
             (carrying the trial count and the last |P_FA - target|), or a
@@ -471,16 +445,13 @@ def calibrate_lambda_f(
         raise ValueError(f"max_trials must be >= 1, got {max_trials!r}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications!r}")
-    _check_horizon_cap(horizon_cap)
     if not 0.0 < lambda_lo < lambda_hi:
         raise ValueError(f"need 0 < lambda_lo < lambda_hi, got {lambda_lo!r}, {lambda_hi!r}")
     trace: list = []
 
     def alpha_at(lam: float) -> float:
         trial = replace(problem, costs=replace(problem.costs, lambda_f=lam))
-        met = estimate_metrics(
-            trial, policy_at(trial), replications, base_seed, horizon_cap=horizon_cap
-        )
+        met = estimate_metrics(trial, policy_at(trial), replications, base_seed)
         trace.append((lam, met.prob_false_alarm))
         return met.prob_false_alarm
 

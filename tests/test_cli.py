@@ -86,6 +86,7 @@ def test_load_config_defaults(tmp_path):
         ({"sim.base_seed": -1}, "field sim.base_seed must be >= 0"),
         ({"solver.q_grid_size": 101}, "unknown field solver.q_grid_size"),
         ({"solver.tolerance": 1e-6}, "unknown field solver.tolerance"),
+        ({"sim.horizon_cap": 500}, "unknown field sim.horizon_cap"),
     ],
 )
 def test_load_config_rejections(tmp_path, overrides, fragment):
@@ -221,13 +222,29 @@ def test_simulate_trace(solved_run, tmp_path):
     assert len(rows) - 1 == int(first[2])  # one row per slot before tau
     run = load_config(cfg)
     policy = load_policy(out / "policy.csv", run.problem)
-    ep = next(quickwake.run_episodes(
-        run.problem, policy, run.replications, run.base_seed, horizon_cap=run.horizon_cap
-    ))
+    ep = next(quickwake.run_episodes(run.problem, policy, run.replications, run.base_seed))
     assert (ep.change_time, ep.stop_time) == (int(first[1]), int(first[2]))
     assert [(int(k), float(pi), int(m)) for k, pi, m in rows[1:]] == [
         (k, pytest.approx(pi, abs=1e-12), m) for k, pi, m in ep.trace
     ]
+
+
+def test_simulate_reports_truncations(solved_run, tmp_path, monkeypatch):
+    """Episodes cut at the horizon cap are counted in metrics.json; at
+    one mean change time (100 slots at p = 0.01) some are, some are not."""
+    monkeypatch.setattr(quickwake.sim, "HORIZON_CHANGE_TIMES", 1.0)
+    cfg, out = solved_run
+    dest = tmp_path / "cut"
+    assert main(["simulate", "--config", cfg, "--policy", str(out / "policy.csv"),
+                 "--out", str(dest)]) == 0
+    metrics = json.loads((dest / "metrics.json").read_text())
+    assert max(int(row[2]) for row in read_csv(dest / "episodes.csv")[1:]) == 100
+    run = load_config(cfg)
+    episodes = quickwake.run_episodes(
+        run.problem, load_policy(out / "policy.csv", run.problem), 120, run.base_seed
+    )
+    assert 0 < metrics["truncated"] == sum(ep.truncated for ep in episodes) < 120
+    assert metrics["completed"] == 120 - metrics["truncated"]
 
 
 def test_simulate_rejects_fingerprint_mismatch(solved_run, tmp_path, capsys):

@@ -21,7 +21,6 @@ from quickwake import (
     LikelihoodAtoms,
     ValueFunction,
     bellman_maps,
-    binomial_weights,
     build_expectation_operator,
     extract_policy,
     likelihood_atoms,
@@ -245,12 +244,9 @@ def test_monte_carlo_operator_rows_match_direct_sum_at_grid_1001(grid1001):
 def test_binomial_weights_match_scipy():
     for n, q in [(10, 0.3), (4, 0.0), (7, 1.0), (3, 0.999)]:
         np.testing.assert_allclose(
-            binomial_weights(n, q), stats.binom.pmf(np.arange(n + 1), n, q), atol=1e-14
+            _binomial_table(n, np.array([q]))[0], stats.binom.pmf(np.arange(n + 1), n, q),
+            atol=1e-14,
         )
-    with pytest.raises(ValueError):
-        binomial_weights(0, 0.5)
-    with pytest.raises(ValueError):
-        binomial_weights(5, 1.2)
 
 
 def test_belief_grid_validation():
@@ -678,7 +674,7 @@ def test_bellman_open_loop_is_control_q_at_fixed_q(problem, solved_open_loop, op
     J, _ = solved_open_loop
     folded = bellman_maps(J, problem, "open_loop", q=0.03, operator=operator)
     n, B = problem.n, operator.apply_all(J.values)
-    cost = problem.costs.lambda_s * n * 0.03 + binomial_weights(n, 0.03) @ B
+    cost = problem.costs.lambda_s * n * 0.03 + _binomial_table(n, np.array([0.03]))[0] @ B
     np.testing.assert_allclose(folded.continue_values, J.grid.points + cost, rtol=0, atol=1e-12)
 
 
@@ -741,13 +737,31 @@ def test_fixed_all_awake_degenerates_to_stopping(problem, grid1001, operator):
     np.testing.assert_allclose(J.values, 100.0 * (1.0 - grid1001.points), atol=1e-9)
 
 
-def test_strategy_argument_validation(problem, grid201, operator201):
-    with pytest.raises(ValueError, match="strategy"):
-        value_iteration(problem, "optimal", grid201, operator=operator201)
-    with pytest.raises(ValueError, match="q"):
-        value_iteration(problem, "open_loop", grid201, operator=operator201)
-    with pytest.raises(ValueError, match="fixed_m"):
-        value_iteration(problem, "fixed_m", grid201, operator=operator201)
+def test_strategy_argument_validation(problem, monkeypatch):
+    """A wrong strategy, a missing q or an out-of-range fixed_m raises
+    before the operator that would be built without one."""
+    def no_build(*args, **kw):
+        raise AssertionError("operator built before the argument checks")
+
+    monkeypatch.setattr(dp, "build_expectation_operator", no_build)
+    grid = BeliefGrid.uniform(1001)
+    J = ValueFunction(grid, problem.costs.lambda_f * (1.0 - grid.points))
+    bad = (
+        ("optimal", {}, "strategy must be one of"),
+        ("open_loop", {}, "open_loop needs a wake probability"),
+        ("fixed_m", {}, "fixed_m needs an awake count"),
+        ("fixed_m", {"fixed_m": problem.n + 1}, "fixed_m needs an awake count"),
+    )
+    for strategy, kw, fragment in bad:
+        calls = (
+            lambda: value_iteration(problem, strategy, grid, **kw),
+            lambda: solve_finite_horizon(problem, 2, strategy, grid, **kw),
+            lambda: bellman_maps(J, problem, strategy, **kw),
+            lambda: extract_policy(J, problem, strategy, **kw),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=fragment):
+                call()
 
 
 def test_finite_horizon_monotone_in_budget(problem, grid201, operator201):
@@ -865,7 +879,7 @@ def test_single_action_fold_matches_block_mixing(problem, grid201, operator201, 
     kw = STRATEGY_KW[strategy]
     g, n = grid201.size, problem.n
     if strategy == "open_loop":
-        weights = binomial_weights(n, kw["q"])
+        weights = _binomial_table(n, np.array([kw["q"]]))[0]
     else:
         weights = np.eye(n + 1)[kw["fixed_m"]]
     blocks = operator201.stack.reshape(n + 1, g, g)
@@ -979,8 +993,33 @@ def test_operator_must_be_built_for_the_change_hazard():
         lambda: sweep_open_loop_q(prob, [0.5], grid=grid, operator=other),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="does not match the grid, n or p"):
+        with pytest.raises(ValueError, match="does not match the grid, n, p or sensor model"):
             call()
+
+
+def test_operator_must_be_built_for_the_sensor_model():
+    """The stack folds in the sensor model, so an operator built for
+    another model is rejected, not read as if it were the problem's; its
+    coarse level keeps the model too.  Atoms' operators record none."""
+    prior, costs = ChangePrior(0.0, 0.01), Costs(0.5, 100.0)
+    prob = Problem(SensorModel(0.0, 1.0, 2.0, 1.0), prior, costs, 3)
+    base = Problem(SensorModel(0.0, 1.0, 1.0, 1.0), prior, costs, 3)
+    grid = BeliefGrid.uniform(201)
+    other = build_expectation_operator(base, grid)
+    J = ValueFunction(grid, prob.costs.lambda_f * (1.0 - grid.points))
+    calls = (
+        lambda: value_iteration(prob, "control_m", grid, operator=other),
+        lambda: solve_finite_horizon(prob, 2, "control_m", grid, operator=other),
+        lambda: extract_policy(J, prob, "control_m", operator=other),
+        lambda: sweep_open_loop_q(prob, [0.5], grid=grid, operator=other),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="does not match the grid, n, p or sensor model"):
+            call()
+    assert other.model == base.model and other.coarse.model == base.model
+    # An equal model is the same model.
+    value_iteration(Problem(SensorModel(0.0, 1.0, 1.0, 1.0), prior, costs, 3), "control_m",
+                    grid, operator=other)
 
 
 # --- the coarse start ---------------------------------------------------------

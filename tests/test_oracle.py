@@ -153,3 +153,42 @@ def test_atoms_drive_grid_solver_to_oracle_value():
     got = float(J(0.35))
     want = brute_force_value(INSTANCE, 0.35)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_grid_value_is_below_enumeration_at_every_node():
+    """Criterion 8's 20 instances (the same draws) on a 201-node grid: the
+    finite-horizon grid J lies at or below enumeration at every node.
+    The value is concave in the belief and the operator integrates the
+    chord interpolant exactly, so the grid value is a lower bound; an
+    operator that stopped doing so could cross it at nodes that the
+    criterion's one belief per instance does not see."""
+    from quickwake import BeliefGrid, Problem, operator_from_atoms, solve_finite_horizon
+    from quickwake.model import ChangePrior, Costs, SensorModel
+
+    rng = np.random.default_rng(8)
+    grid = BeliefGrid.uniform(201)
+    for _ in range(20):
+        a = float(rng.uniform(0.15, 0.85))
+        shift = float(rng.uniform(0.1, 0.5)) * (1 if a < 0.5 else -1)
+        b = min(max(a + shift, 0.05), 0.95)
+        inst = DiscreteInstance(
+            horizon=int(rng.integers(1, 4)),
+            n=int(rng.integers(1, 3)),
+            g0=(a, 1.0 - a),
+            g1=(b, 1.0 - b),
+            rho=float(rng.uniform(0.0, 0.3)),
+            p=float(rng.uniform(0.05, 0.5)),
+            lambda_s=float(rng.uniform(0.05, 0.5)),
+            lambda_f=float(rng.uniform(2.0, 20.0)),
+        )
+        rng.uniform(0.0, 0.9)  # criterion 8's pi0, drawn to keep the stream
+        op = operator_from_atoms(likelihood_atoms(inst), grid, inst.p)
+        prob = Problem(
+            model=SensorModel(0.0, 1.0, 1.0, 1.0),  # placeholder; atoms drive the DP
+            prior=ChangePrior(inst.rho, inst.p),
+            costs=Costs(inst.lambda_s, inst.lambda_f),
+            n=inst.n,
+        )
+        J = solve_finite_horizon(prob, inst.horizon, "control_m", grid, operator=op)
+        exact = np.array([brute_force_value(inst, float(pi)) for pi in grid.points])
+        assert np.max(J.values - exact) <= 1e-12

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import quickwake
-from quickwake import cli
+from quickwake import cli, sim
 from quickwake.cli import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +84,13 @@ def test_readme_config_example_loads(tmp_path):
     path.write_text(doc)
     cfg = load_config(path)
     assert cfg.strategy == "control_m"
-    assert cfg.horizon_cap is None  # JSON null takes the default
     assert cfg.replications == 100_000
     assert cfg.sweep_q_values.tolist() == [0.0, 0.05, 0.1]
+    path.write_text(doc.replace('"fixed_m": 1', '"fixed_m": null'))
+    assert load_config(path).fixed_m is None  # JSON null takes the default
+
+
+def test_readme_horizon_cap_is_the_simulators():
+    readme = (ROOT / "README.md").read_text()
+    (times,) = re.findall(r"`ceil\((\d+)/p\)`", readme)
+    assert float(times) == sim.HORIZON_CHANGE_TIMES

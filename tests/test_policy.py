@@ -5,11 +5,10 @@ from quickwake import (
     BeliefGrid,
     Policy,
     bellman_maps,
-    binomial_weights,
     extract_policy,
     value_iteration,
 )
-from quickwake.dp import STRATEGIES, TIE_BREAK
+from quickwake.dp import STRATEGIES, TIE_BREAK, _binomial_table
 from quickwake.policy import _threshold_from_continuation
 
 from grid_reference import nearest_index
@@ -160,9 +159,10 @@ def test_optimal_wake_prob_in_range(problem, solved_control_q, policy_control_q,
         i = nearest_index(J.grid.points, pi)
         q = policy_control_q.actions[policy_control_q._continue_indices(pi)]
         assert 0.0 <= q <= 1.0
-        chosen = lam_s * n * q + binomial_weights(n, q) @ B[:, i]
+        chosen = lam_s * n * q + _binomial_table(n, np.array([q]))[0] @ B[:, i]
         coarse = min(
-            lam_s * n * c + binomial_weights(n, c) @ B[:, i] for c in np.linspace(0, 1, 101)
+            lam_s * n * c + _binomial_table(n, np.array([c]))[0] @ B[:, i]
+            for c in np.linspace(0, 1, 101)
         )
         assert chosen <= coarse + 1e-9
 

@@ -11,7 +11,6 @@ from quickwake import (
     SensorModel,
     build_expectation_operator,
     calibrate_lambda_f,
-    default_horizon_cap,
     estimate_metrics,
     extract_policy,
     metrics_from_episodes,
@@ -23,9 +22,17 @@ from quickwake import sim
 from tests.conftest import constant_count_policy
 
 
-def test_default_horizon_cap():
-    assert default_horizon_cap(ChangePrior(0.0, 0.01)) == 10_000
-    assert default_horizon_cap(ChangePrior(0.0, 0.3)) == 334
+def test_horizon_cap_cuts_episodes_at_100_mean_change_times(problem, grid201):
+    """With no sensor awake the belief follows the prior's prediction,
+    which stalls just below 1 in floating point, so a threshold of 1 is
+    never reached and every episode runs to the cap."""
+    for p, cap in ((0.01, 10_000), (0.3, 334)):
+        assert cap == math.ceil(sim.HORIZON_CHANGE_TIMES / p)
+        prior_problem = Problem(problem.model, ChangePrior(0.0, p), problem.costs, problem.n)
+        pol = constant_count_policy(prior_problem, grid201, 1.0, 0)
+        (ep,) = run_episodes(prior_problem, pol, 1, 4)
+        assert (ep.stop_time, ep.truncated) == (cap, True)
+        assert len(ep.trace) == cap
 
 
 def test_change_time_distribution(problem, grid201):
@@ -59,8 +66,6 @@ def test_run_episodes_checks_its_arguments_at_the_call(problem, policy_control_m
     before anything is iterated."""
     with pytest.raises(ValueError, match="replications must be >= 1"):
         run_episodes(problem, policy_control_m, 0)
-    with pytest.raises(ValueError, match="horizon_cap must be >= 1"):
-        run_episodes(problem, policy_control_m, 4, horizon_cap=0)
 
 
 def test_run_episode_trace_accounts_costs(problem, policy_control_m):
@@ -73,10 +78,9 @@ def test_run_episode_trace_accounts_costs(problem, policy_control_m):
     assert ep.obs_cost == pytest.approx(problem.costs.lambda_s * sum(ms))
 
 
-def test_truncation_counted_and_excluded(problem, policy_control_m):
-    eps = list(
-        run_episodes(problem, policy_control_m, 50, 3, horizon_cap=3)
-    )
+def test_truncation_counted_and_excluded(problem, policy_control_m, monkeypatch):
+    monkeypatch.setattr(sim, "HORIZON_CHANGE_TIMES", 0.025)  # read per block: 3 slots at p = 0.01
+    eps = list(run_episodes(problem, policy_control_m, 50, 3))
     truncated = [e for e in eps if e.truncated]
     assert truncated  # a 3-slot budget cannot reach a 0.93 threshold from 0
     for e in truncated:
@@ -208,14 +212,12 @@ def test_sweep_reports_delay_with_replications(problem, grid201, operator201):
     assert res.rows[0].mean_delay > 0.0
 
 
-def test_sweep_checks_horizon_cap_before_any_solve(problem, monkeypatch):
+def test_sweep_checks_replications_before_any_solve(problem, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("solved before the argument checks")
 
     monkeypatch.setattr(sim, "value_iteration", no_solve)
-    with pytest.raises(ValueError, match="horizon_cap must be >= 1"):
-        sweep_open_loop_q(problem, [0.05], grid=51, replications=10, horizon_cap=0)
-    # A negative episode count is refused too, not read as "no simulation".
+    # A negative episode count is refused, not read as "no simulation".
     with pytest.raises(ValueError, match="replications must be >= 0"):
         sweep_open_loop_q(problem, [0.05], grid=51, replications=-5)
 
@@ -265,7 +267,6 @@ def test_calibration_bracket_must_straddle(problem):
         ({"replications": 0}, "replications must be >= 1"),
         ({"target_alpha": 1.0}, "target_alpha must lie in"),
         ({"lambda_lo": 10.0, "lambda_hi": 5.0}, "lambda_lo < lambda_hi"),
-        ({"horizon_cap": 0}, "horizon_cap must be >= 1"),
     ],
 )
 def test_calibration_checks_its_settings_before_any_trial(problem, kw, fragment):
