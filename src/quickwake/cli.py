@@ -8,14 +8,16 @@ Subcommands:
                   episodes.csv, metrics.json (and episode 0's trace.csv with
                   --trace)
 * ``sweep-q``   - fixed-q cost curve over a q grid: sweep.csv
-* ``calibrate`` - bisect lambda_f to a target false-alarm rate:
-                  calibration.json
+* ``calibrate`` - search lambda_f until the solve's exact false-alarm
+                  rate meets a target, then simulate the result's policy
+                  once: calibration.json
 * ``figures``   - the full benchmark set (differential costs, policies,
                   thresholds, sweep curves) in one invocation
 
 Exit codes: 0 success, 1 invalid config or mismatched inputs, 2 a solve
 that fails the solver's fixed residual check or round cap, or a
-``calibrate`` bisection out of trials.  All outputs are deterministic
+``calibrate`` search that runs out of trials or finds the target inside
+a jump of the grid false-alarm rate.  All outputs are deterministic
 for a fixed (config, seed) pair; floats are written with a fixed
 12-significant-digit format, except control_q's wake probabilities in
 policy.csv and J.csv, written in full so that its policy reloads
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -45,7 +48,9 @@ from .dp import (
 )
 from .model import ChangePrior, Costs, Problem, SensorModel
 from .policy import Policy, extract_policy
-from .sim import calibrate_lambda_f, metrics_from_episodes, run_episodes, sweep_open_loop_q
+from .sim import (
+    calibrate_lambda_f, estimate_metrics, metrics_from_episodes, run_episodes, sweep_open_loop_q,
+)
 
 SCHEMA_VERSION = 1
 
@@ -91,7 +96,7 @@ _FIELDS = (
     ("calibrate.target_alpha", float, 0.04, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
     ("calibrate.tolerance", float, 0.005, _POSITIVE),
     ("calibrate.lambda_lo", float, 0.1, _POSITIVE),
-    ("calibrate.lambda_hi", float, 1e4, None),
+    ("calibrate.lambda_hi", float, 1e4, (math.isfinite, "be finite")),
     ("calibrate.max_trials", int, 40, _at_least(1)),
 )
 _BLOCKS = ("problem", "solver", "sim", "sweep", "calibrate")
@@ -248,16 +253,24 @@ def _operator(cfg: RunConfig):
     return build_expectation_operator(cfg.problem, BeliefGrid.uniform(cfg.grid_size))
 
 
-def _solve(cfg: RunConfig, operator):
-    """Solve ``cfg.strategy`` on ``operator``'s grid and extract its policy."""
-    J, report = value_iteration(
+def _value(cfg: RunConfig, operator):
+    """Solve ``cfg.strategy`` on ``operator``'s grid."""
+    return value_iteration(
         cfg.problem, cfg.strategy, operator.grid,
         q=cfg.open_loop_q, fixed_m=cfg.fixed_m, operator=operator,
     )
-    policy = extract_policy(
+
+
+def _policy(cfg: RunConfig, J, operator) -> Policy:
+    return extract_policy(
         J, cfg.problem, cfg.strategy, operator=operator, q=cfg.open_loop_q, fixed_m=cfg.fixed_m,
     )
-    return J, report, policy
+
+
+def _solve(cfg: RunConfig, operator):
+    """Solve ``cfg.strategy`` on ``operator``'s grid and extract its policy."""
+    J, report = _value(cfg, operator)
+    return J, report, _policy(cfg, J, operator)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -280,6 +293,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         "iterations": report.iterations,
         "coarse_iterations": report.coarse_iterations,
         "bellman_residual": report.bellman_residual,
+        "p_false_alarm": report.p_false_alarm,
+        "mean_delay": report.mean_delay,
+        "mean_sensor_slots": report.mean_sensor_slots,
         "wall_seconds": report.wall_seconds,
         "operator_build_seconds": build_seconds,
         "grid_size": report.grid_size,
@@ -300,7 +316,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"{report.iterations} rounds after {report.coarse_iterations} coarse rounds "
         f"(residual {report.bellman_residual:.3g}); "
         f"gamma = {policy.gamma:.6f}, "
-        f"J({cfg.problem.prior.rho:g}) = {J(cfg.problem.prior.rho):.6f}"
+        f"J({cfg.problem.prior.rho:g}) = {J(cfg.problem.prior.rho):.6f} "
+        f"(P_FA {report.p_false_alarm:.6f}, delay {report.mean_delay:.6f}, "
+        f"sensor-slots {report.mean_sensor_slots:.6f})"
     )
     return 0
 
@@ -381,7 +399,7 @@ def cmd_simulate(cfg: RunConfig, policy_path, trace: bool) -> int:
     print(
         f"simulated {metrics.completed}/{metrics.replications} episodes: "
         f"cost {metrics.mean_total_cost:.4f} +- {metrics.total_cost_half_width:.4f}, "
-        f"P_FA {metrics.prob_false_alarm:.4f}, E_DD {metrics.mean_delay:.4f}"
+        f"P_FA {metrics.prob_false_alarm:.4f}, E[(tau-T)+] {metrics.mean_delay:.4f}"
     )
     return 0
 
@@ -406,13 +424,18 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
+    """Search lambda_f on the solve's P_FA, then simulate the result's
+    policy once, with ``sim.replications`` and ``sim.base_seed``."""
     operator = _operator(cfg)
     result = calibrate_lambda_f(
-        cfg.problem, lambda trial: _solve(replace(cfg, problem=trial), operator)[2],
+        cfg.problem, lambda trial: _value(replace(cfg, problem=trial), operator),
         cfg.target_alpha, cfg.calibrate_tolerance,
         lambda_lo=cfg.lambda_lo, lambda_hi=cfg.lambda_hi, max_trials=cfg.max_trials,
-        replications=cfg.replications, base_seed=cfg.base_seed,
     )
+    costs = replace(cfg.problem.costs, lambda_f=result.lambda_f)
+    met = replace(cfg, problem=replace(cfg.problem, costs=costs))
+    policy = _policy(met, result.value_function, operator)
+    metrics = estimate_metrics(met.problem, policy, cfg.replications, cfg.base_seed)
     _write_json(cfg.out_dir / "calibration.json", {
         "schema": SCHEMA_VERSION,
         "strategy": cfg.strategy,
@@ -420,13 +443,17 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         "tolerance": cfg.calibrate_tolerance,
         "lambda_f": result.lambda_f,
         "alpha": result.alpha,
+        "simulated_alpha": metrics.prob_false_alarm,
+        "simulated_alpha_half_width": metrics.false_alarm_half_width,
         "trials": result.trials,
         "trace": [[lam, alpha] for lam, alpha in result.trace],
         "problem_key": cfg.problem.key(),
     })
     print(
         f"calibrated lambda_f = {result.lambda_f:.4f} "
-        f"(P_FA {result.alpha:.4f} vs target {cfg.target_alpha}) in {result.trials} trials"
+        f"(grid P_FA {result.alpha:.4f} vs target {cfg.target_alpha}) in {result.trials} "
+        f"trials; simulated P_FA {metrics.prob_false_alarm:.4f} "
+        f"+- {metrics.false_alarm_half_width:.4f}"
     )
     return 0
 
@@ -496,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--policy", required=True, help="path to a policy.csv from solve")
     p_sim.add_argument("--trace", action="store_true", help="write the trace of episode 0")
     common(sub.add_parser("sweep-q", help="fixed-q cost curve"))
-    p_cal = sub.add_parser("calibrate", help="bisect lambda_f to a target P_FA")
+    p_cal = sub.add_parser(
+        "calibrate", help="search lambda_f to a target grid P_FA, then simulate once"
+    )
     common(p_cal)
     p_cal.add_argument("--target-alpha", type=float, default=None,
                        help="override calibrate.target_alpha")

@@ -30,7 +30,12 @@ The stationary problem is solved by policy iteration: a sweep picks the
 stop set and actions, and one linear solve on the continue set C gives
 that policy's exact cost.  The solve reads only the policy's continue
 rows, ``|C| x g``, formed once per round from slices of the dense
-stack's blocks.  Finite horizons take plain sweeps.
+stack's blocks.  Its cost is ``lambda_f * A + D + lambda_s * S``, where
+A, D and S are the policy's false-alarm probability, expected delay and
+expected sensor-slots, each the policy's value under one cost stream
+(Puterman 1994, ch. 6-7); they share the continue-set matrix, so the
+same solve gives all four with four right-hand sides.  Finite horizons
+take plain sweeps.
 
 Policy iteration reaches the same fixed point from any proper starting
 policy, so a stationary solve first solves the strategy on a nested
@@ -129,8 +134,9 @@ STRATEGIES = ("control_m", "control_q", "open_loop", "fixed_m")
 class ConvergenceError(RuntimeError):
     """Raised when a stationary solve hits its round cap or misses its
     residual check; carries the last sup-norm delta (change of J, or
-    residual; for a lambda_f calibration out of trials, the last
-    |P_FA - target|)."""
+    residual).  A lambda_f calibration raises it too, when it runs out
+    of trials or finds the target inside a jump of the grid P_FA,
+    carrying the last trial's |P_FA - target|."""
 
     def __init__(self, message: str, iterations: int, last_delta: float):
         super().__init__(message)
@@ -173,10 +179,20 @@ class BeliefGrid:
 
 @dataclass
 class ValueFunction:
-    """Cost-to-go sampled on a belief grid, interpolated linearly between."""
+    """Cost-to-go sampled on a belief grid, interpolated linearly between.
+
+    A stationary solve also fills its policy's cost terms at every node:
+    the false-alarm probability ``p_false_alarm`` (A), the expected delay
+    ``mean_delay`` (D, the mean of ``(tau - T)^+``) and the expected
+    sensor-slots ``mean_sensor_slots`` (S), with ``values = lambda_f * A
+    + D + lambda_s * S`` to round-off; they are None otherwise.
+    """
 
     grid: BeliefGrid
     values: np.ndarray
+    p_false_alarm: np.ndarray | None = None
+    mean_delay: np.ndarray | None = None
+    mean_sensor_slots: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -205,6 +221,9 @@ class SolveReport:
     policy (0 when the grid has no coarse level).
     ``bellman_residual`` is ``||TJ - J||_inf`` of the returned J, which
     must not exceed ``tolerance``, ``TOLERANCE_SCALE * lambda_f``.
+    ``p_false_alarm``, ``mean_delay`` and ``mean_sensor_slots`` are the
+    returned policy's cost terms at the prior's ``rho`` (see
+    ``ValueFunction``).
     """
 
     strategy: str
@@ -213,6 +232,9 @@ class SolveReport:
     grid_size: int
     tolerance: float
     bellman_residual: float
+    p_false_alarm: float
+    mean_delay: float
+    mean_sensor_slots: float
     coarse_iterations: int = 0
 
 
@@ -791,16 +813,17 @@ class BellmanMaps:
 class _ActionSet:
     """A strategy as every sweep of it sees it.
 
-    Row ``a`` of ``cost[:, None] + (stack @ J).reshape(-1, g)`` is the
-    continuation cost of action ``actions[a]``, which plays block ``a``
-    of the stack (control_m's awake counts, or a single action's fold, a
-    stack of one block).  ``binomial`` marks control_q: its actions are
+    Row ``a`` of ``lambda_s * awake[:, None] + (stack @ J).reshape(-1,
+    g)`` is the continuation cost of action ``actions[a]``, which plays
+    block ``a`` of the stack (control_m's awake counts, or a single
+    action's fold, a stack of one block) and keeps ``awake[a]`` sensors
+    awake on average.  ``binomial`` marks control_q: its actions are
     wake probabilities, each mixing those rows with Binomial(n, q)
     weights, and a sweep takes the exact minimum over q.
     """
 
     stack: object
-    cost: np.ndarray
+    awake: np.ndarray
     actions: np.ndarray
     binomial: bool = False
 
@@ -809,7 +832,7 @@ def _sweep(values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionS
     """One Bellman sweep with its argmin actions; control_q's is the
     exact minimiser over q (``_least_over_q``)."""
     B = (acts.stack @ values).reshape(-1, pts.size)
-    table = acts.cost[:, None] + B
+    table = problem.costs.lambda_s * acts.awake[:, None] + B
     if acts.binomial:
         best, cont = _least_over_q(table)
     else:
@@ -845,17 +868,16 @@ def _action_set(
     in one BLAS contraction over the blocks of a dense stack viewed as
     rows of ``g * g``; a CSR stack is rejected."""
     n = problem.n
-    lam_s = problem.costs.lambda_s
     if strategy in ("control_m", "control_q"):
         counts = np.arange(n + 1)
-        return _ActionSet(operator.stack, lam_s * counts, counts, binomial=strategy == "control_q")
+        return _ActionSet(operator.stack, counts, counts, binomial=strategy == "control_q")
     if strategy == "open_loop":
-        weights, cost, action = _binomial_table(n, np.array([q], dtype=float)), lam_s * n * q, q
+        weights, awake, action = _binomial_table(n, np.array([q], dtype=float)), n * q, q
     else:
-        weights, cost, action = np.eye(n + 1)[[fixed_m]], lam_s * fixed_m, fixed_m
+        weights, awake, action = np.eye(n + 1)[[fixed_m]], fixed_m, fixed_m
     g = operator.grid.size
     fold = (weights @ operator._dense_stack().reshape(n + 1, g * g)).reshape(g, g)
-    return _ActionSet(fold, np.array([cost]), np.array([action]))
+    return _ActionSet(fold, np.array([awake]), np.array([action]))
 
 
 def _resolve_operator(
@@ -902,15 +924,23 @@ def _solve_identity_minus(P: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _evaluate_policy(
     problem: Problem, pts: np.ndarray, acts: _ActionSet, stop: np.ndarray, best: np.ndarray
 ) -> np.ndarray:
-    """Exact cost of stopping on ``stop`` and playing ``best`` elsewhere.
+    """Exact cost of stopping on ``stop`` and playing ``best`` elsewhere,
+    and its three terms: rows J, A, D and S over the grid.
 
+    Each row is the policy's value under one cost stream: J the Bayes
+    cost; A, the false-alarm probability, stop cost ``1 - pi`` and no
+    running cost; D, the expected delay, running cost ``pi``; S, the
+    expected sensor-slots, running cost the awake count.  So ``J =
+    lambda_f * A + D + lambda_s * S``, and the four are one solve of the
+    continue-set matrix with four right-hand sides.
     Forms ``P_C``, the continue rows (``|C| x g``) of the policy's
     transition matrix, once, from the dense stack: row i is block ``m_i``
     of the stack for an awake count, the binomial mixture of the blocks
     for a wake probability, and the folded map's row for a single action.
-    ``values`` is the stopping cost on the stop set S and 0 on C, so
-    ``P_C @ values`` is ``P_CS J_S`` and the solve is ``(I - P_C[:, C])
-    J_C = pi_C + c(a_C) + P_C @ values``.  A mixture is one ``einsum``
+    ``values`` is J's stopping cost on the stop set S and 0 on C, so
+    ``P_C @ values`` is ``P_CS J_S`` and J's solve is ``(I - P_C[:, C])
+    J_C = pi_C + c(a_C) + P_C @ values``; the other terms take their own
+    running costs and stop values.  A mixture is one ``einsum``
     over the rows ``lo:hi`` of every block, the hull of C, with zero
     weights on its holes, of which C's rows are kept.  Rows that each
     read one block (an awake count, or a fold) are gathered up to column
@@ -924,30 +954,41 @@ def _evaluate_policy(
     the package leaves it unloaded.
     """
     g = pts.size
-    values = np.where(stop, problem.costs.lambda_f * (1.0 - pts), 0.0)
+    lam_f, lam_s = problem.costs.lambda_f, problem.costs.lambda_s
+    values = np.where(stop, lam_f * (1.0 - pts), 0.0)
+    terms = np.zeros((4, g))
+    terms[0], terms[1] = values, np.where(stop, 1.0 - pts, 0.0)
     C = np.flatnonzero(~stop)
     if C.size == 0:
-        return values
+        return terms
     lo, hi = C[0], C[-1] + 1
     interval = hi - lo == C.size
+    rhs = np.zeros((C.size, 4))
     if not acts.binomial:
         # Awake counts and a single action are sorted.  Columns from hi on
         # are all in S.  A fold is one block: its continue rows are lo:hi.
         j = np.searchsorted(acts.actions, best[C])
-        rhs = pts[C] + acts.cost[j]
+        awake = acts.awake[j]
         rows = slice(lo, hi) if acts.actions.size == 1 and interval else j * g + C
         P = acts.stack[rows, :hi]
-        rhs += acts.stack[rows, hi:] @ values[hi:]
+        rhs[:, 0] = acts.stack[rows, hi:] @ values[hi:]
     else:
         w = np.zeros((hi - lo, problem.n + 1))
         w[C - lo] = _binomial_table(problem.n, best[C])
-        rhs = pts[C] + problem.costs.lambda_s * problem.n * best[C]
+        awake = problem.n * best[C]
         P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
         if not interval:
             P = P[C - lo]
-    rhs += P @ values[:P.shape[1]]
-    values[C] = _solve_identity_minus(P[:, lo:hi] if interval else P[:, C], rhs)
-    return values
+    rhs[:, 0] += P @ values[:P.shape[1]]
+    # A's stop value is J's over lambda_f, and so is its continuation:
+    # no second product with P (a matrix product would also touch about
+    # 1 MB more of the BLAS buffers).
+    rhs[:, 1] = rhs[:, 0] / lam_f
+    rhs[:, 0] += pts[C] + lam_s * awake
+    rhs[:, 2] = pts[C]
+    rhs[:, 3] = awake
+    terms[:, C] = _solve_identity_minus(P[:, lo:hi] if interval else P[:, C], rhs).T
+    return terms
 
 
 def _policy_rounds(
@@ -955,16 +996,18 @@ def _policy_rounds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float, float | None]:
     """The rounds of ``value_iteration`` from the policy that stops on
     ``stop`` and plays ``best`` elsewhere, which is evaluated first.
-    Returns J, the last decisions ``(stop, best)``, the rounds run (the
-    last of which changes nothing), the last round's change of J, and
-    the Bellman residual of J, or None if ``MAX_ROUNDS`` rounds, read at
-    call time, end in a change."""
+    Returns the last evaluation's rows J, A, D and S
+    (``_evaluate_policy``), the last decisions ``(stop, best)``, the
+    rounds run (the last of which changes nothing), the last round's
+    change of J, and the Bellman residual of J, or None if
+    ``MAX_ROUNDS`` rounds, read at call time, end in a change."""
     stop_cost = problem.costs.lambda_f * (1.0 - pts)
     # The current policy's backup of its own J is J, so a node switches
     # only when the sweep beats J by more than round-off; near-ties keep
     # their decision, which is what stops the rounds from cycling.
     margin = TIE_BREAK * problem.costs.lambda_f
-    values = _evaluate_policy(problem, pts, acts, stop, best)
+    terms = _evaluate_policy(problem, pts, acts, stop, best)
+    values = terms[0]
     delta = 0.0
     polish = acts.binomial
     for rounds in range(1, MAX_ROUNDS + 1):
@@ -983,11 +1026,11 @@ def _policy_rounds(
             polish = False
         else:
             residual = float(np.max(np.abs(maps.new_values - values)))
-            return values, stop, best, rounds, 0.0, residual
-        new_values = _evaluate_policy(problem, pts, acts, stop, best)
-        delta = float(np.max(np.abs(new_values - values)))
-        values = new_values
-    return values, stop, best, MAX_ROUNDS, delta, None
+            return terms, stop, best, rounds, 0.0, residual
+        terms = _evaluate_policy(problem, pts, acts, stop, best)
+        delta = float(np.max(np.abs(terms[0] - values)))
+        values = terms[0]
+    return terms, stop, best, MAX_ROUNDS, delta, None
 
 
 def value_iteration(
@@ -1031,7 +1074,8 @@ def value_iteration(
             with it.  Built with the default method when None.
 
     Returns:
-        The converged ValueFunction and a SolveReport.
+        The converged ValueFunction, which carries its policy's cost
+        terms at every node, and a SolveReport, which gives them at rho.
 
     Raises:
         ValueError: If the strategy, ``q`` or ``fixed_m`` is invalid,
@@ -1066,7 +1110,7 @@ def value_iteration(
         hi = np.searchsorted(cpts, pts).clip(1, cpts.size - 1)
         near = hi - (pts - cpts[hi - 1] <= cpts[hi] - pts)
         stop, best = stop[near], best[near]
-    values, _, _, rounds, delta, residual = _policy_rounds(problem, pts, acts, stop, best)
+    terms, _, _, rounds, delta, residual = _policy_rounds(problem, pts, acts, stop, best)
     if residual is None:
         raise ConvergenceError(
             f"value iteration hit its round cap of {rounds} with the policy still "
@@ -1082,6 +1126,8 @@ def value_iteration(
             iterations=rounds,
             last_delta=residual,
         )
+    J = ValueFunction(grid, *terms)
+    rho = problem.prior.rho
     report = SolveReport(
         strategy=strategy,
         iterations=rounds,
@@ -1089,9 +1135,12 @@ def value_iteration(
         grid_size=grid.size,
         tolerance=tolerance,
         bellman_residual=residual,
+        p_false_alarm=float(np.interp(rho, pts, J.p_false_alarm)),
+        mean_delay=float(np.interp(rho, pts, J.mean_delay)),
+        mean_sensor_slots=float(np.interp(rho, pts, J.mean_sensor_slots)),
         coarse_iterations=coarse_rounds,
     )
-    return ValueFunction(grid, values), report
+    return J, report
 
 
 def solve_finite_horizon(

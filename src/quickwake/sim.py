@@ -27,8 +27,7 @@ belief (``Policy._continue_indices``): an awake count is played as it
 is, a wake probability q is drawn as a Binomial(n, q) count.  An
 open-loop map holds one q everywhere, so its draws take that scalar for
 every active episode at once, with no lookup.  ``calibrate_lambda_f``
-runs the engine once per trial on the policy the caller's ``policy_at``
-solves for that trial's ``lambda_f``.
+runs no episodes: it searches on the solve's exact P_FA.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ import numpy as np
 from scipy.special import expit
 
 from .dp import (
-    ConvergenceError, ExpectationOperator, _llr_coefficients, _logit_array, _resolve_grid,
-    _resolve_operator, value_iteration,
+    ConvergenceError, ExpectationOperator, SolveReport, ValueFunction, _llr_coefficients,
+    _logit_array, _resolve_grid, _resolve_operator, value_iteration,
 )
 from .model import Problem, SensorModel
 from .policy import Policy, extract_policy
@@ -390,52 +389,63 @@ def sweep_open_loop_q(
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """A calibrated ``lambda_f``, its grid P_FA ``alpha``, the trials run
+    with their (lambda_f, grid P_FA) ``trace``, and ``value_function``,
+    the solve at ``lambda_f``, from which a caller extracts the policy."""
+
     lambda_f: float
     alpha: float
     trials: int
     trace: tuple
+    value_function: ValueFunction
 
 
 def calibrate_lambda_f(
     problem: Problem,
-    policy_at: Callable[[Problem], Policy],
+    solve_at: Callable[[Problem], tuple[ValueFunction, SolveReport]],
     target_alpha: float,
     tolerance: float = 0.005,
     *,
     lambda_lo: float = 0.1,
     lambda_hi: float = 1e4,
     max_trials: int = 40,
-    replications: int = 2000,
-    base_seed: int = 0,
 ) -> CalibrationResult:
-    """Bisect the false-alarm cost until simulated P_FA hits the target.
+    """Search the false-alarm cost until the grid P_FA hits the target.
 
-    Each trial solves for a policy at the candidate ``lambda_f`` through
-    ``policy_at`` and simulates it with common random numbers (the same
-    ``base_seed``), which makes the estimated P_FA monotone along the
-    bisection and the search well-posed despite sampling noise.
+    Each trial solves at the candidate ``lambda_f`` through ``solve_at``
+    and reads the solve's exact P_FA at rho (``SolveReport.p_false_alarm``);
+    nothing is simulated.  The grid P_FA is non-increasing in lambda_f:
+    the solves at l1 and l2 are each optimal for their own cost, and
+    adding the two inequalities gives ``(l2 - l1) * (A2 - A1) <= 0``.
+    After the two bracket probes the search is the Illinois regula falsi
+    (Dowell & Jarratt 1971) on log P_FA against log lambda_f, where P_FA
+    falls roughly as a power of lambda_f; a point that falls outside the
+    bracket, or cannot be interpolated (a P_FA of 0), is replaced by the
+    bracket's geometric midpoint.  The grid P_FA is a step function of
+    lambda_f, constant while the policy is; if the target lies inside a
+    jump, the bracket closes on it until its ends are adjacent floats.
 
     Args:
         problem: Template instance; its lambda_f is overridden per trial.
-        policy_at: Maps a trial's instance to the policy to simulate,
-            typically ``value_iteration`` then ``extract_policy`` on an
-            operator shared by every trial (lambda_f does not enter it).
+        solve_at: Maps a trial's instance to its stationary solve,
+            typically ``value_iteration`` on an operator shared by every
+            trial (lambda_f does not enter it).
         target_alpha: Desired false-alarm probability in (0, 1).
         tolerance: Acceptable |P_FA - target|, > 0.
         lambda_lo: Lower bracket endpoint (high-alpha side).
-        lambda_hi: Upper bracket endpoint (low-alpha side).
+        lambda_hi: Upper bracket endpoint (low-alpha side), finite.
         max_trials: Trial budget (>= 1), the bracket probes included;
             the ``lambda_hi`` probe runs only while a trial is left.
-        replications: Episodes per trial (>= 1).
-        base_seed: Shared across trials for common random numbers.
 
     Raises:
-        ValueError: Before any trial, if the target, tolerance, budget,
-            replications or bracket is out of range; after
-            the probes, if the bracket does not straddle the target.
-        ConvergenceError: If the trial budget runs out before tolerance
-            (carrying the trial count and the last |P_FA - target|), or a
-            trial's solve does not converge.
+        ValueError: Before any trial, if the target, tolerance, budget or
+            bracket is out of range; after the probes, if the bracket
+            does not straddle the target.
+        ConvergenceError: If the trial budget runs out before tolerance,
+            or the bracket closes on a jump of the grid P_FA across the
+            target (either message names the P_FA at the bracket's ends;
+            the error carries the trial count and the last |P_FA -
+            target|), or a trial's solve does not converge.
     """
     if not 0.0 < target_alpha < 1.0:
         raise ValueError(f"target_alpha must lie in (0, 1), got {target_alpha!r}")
@@ -443,43 +453,69 @@ def calibrate_lambda_f(
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if max_trials < 1:
         raise ValueError(f"max_trials must be >= 1, got {max_trials!r}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications!r}")
-    if not 0.0 < lambda_lo < lambda_hi:
-        raise ValueError(f"need 0 < lambda_lo < lambda_hi, got {lambda_lo!r}, {lambda_hi!r}")
+    if not 0.0 < lambda_lo < lambda_hi < math.inf:
+        raise ValueError(
+            f"need 0 < lambda_lo < lambda_hi, both finite, got {lambda_lo!r}, {lambda_hi!r}"
+        )
     trace: list = []
 
-    def alpha_at(lam: float) -> float:
+    def run(lam: float) -> CalibrationResult:
         trial = replace(problem, costs=replace(problem.costs, lambda_f=lam))
-        met = estimate_metrics(trial, policy_at(trial), replications, base_seed)
-        trace.append((lam, met.prob_false_alarm))
-        return met.prob_false_alarm
+        J, report = solve_at(trial)
+        trace.append((lam, report.p_false_alarm))
+        return CalibrationResult(lam, report.p_false_alarm, len(trace), tuple(trace), J)
 
-    a_lo = alpha_at(lambda_lo)
-    if abs(a_lo - target_alpha) <= tolerance:
-        return CalibrationResult(lambda_lo, a_lo, len(trace), tuple(trace))
-    if len(trace) < max_trials:
-        a_hi = alpha_at(lambda_hi)
-        if abs(a_hi - target_alpha) <= tolerance:
-            return CalibrationResult(lambda_hi, a_hi, len(trace), tuple(trace))
-        if not (a_lo >= target_alpha >= a_hi):
+    def hit(result: CalibrationResult) -> bool:
+        return abs(result.alpha - target_alpha) <= tolerance
+
+    def log_ratio(result: CalibrationResult) -> float:
+        return math.log(result.alpha / target_alpha) if result.alpha > 0.0 else -math.inf
+
+    lo, hi = run(lambda_lo), None
+    if hit(lo):
+        return lo
+    if max_trials > 1:
+        hi = run(lambda_hi)
+        if hit(hi):
+            return hi
+        if not (lo.alpha >= target_alpha >= hi.alpha):
             raise ValueError(
                 f"bracket [{lambda_lo:g}, {lambda_hi:g}] gives P_FA "
-                f"[{a_lo:.4f}, {a_hi:.4f}], which does not straddle {target_alpha}"
+                f"[{lo.alpha:.4f}, {hi.alpha:.4f}], which does not straddle {target_alpha}"
             )
-    lo, hi = lambda_lo, lambda_hi
-    while len(trace) < max_trials:
-        mid = math.sqrt(lo * hi)
-        a_mid = alpha_at(mid)
-        if abs(a_mid - target_alpha) <= tolerance:
-            return CalibrationResult(mid, a_mid, len(trace), tuple(trace))
-        if a_mid > target_alpha:
-            lo = mid
-        else:
-            hi = mid
+        f_lo, f_hi = log_ratio(lo), log_ratio(hi)
+        kept = None  # the end that the last trial left in place
+        while len(trace) < max_trials:
+            x_lo, x_hi = math.log(lo.lambda_f), math.log(hi.lambda_f)
+            lam = math.exp((x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo))
+            if not lo.lambda_f < lam < hi.lambda_f:  # NaN too
+                lam = math.sqrt(lo.lambda_f) * math.sqrt(hi.lambda_f)
+            if not lo.lambda_f < lam < hi.lambda_f:
+                raise ConvergenceError(
+                    f"the grid P_FA jumps across |P_FA - {target_alpha}| <= {tolerance} "
+                    f"between adjacent lambda_f: {lo.alpha:.6g} at {lo.lambda_f!r}, "
+                    f"{hi.alpha:.6g} at {hi.lambda_f!r}",
+                    iterations=len(trace),
+                    last_delta=abs(trace[-1][1] - target_alpha),
+                )
+            mid = run(lam)
+            if hit(mid):
+                return mid
+            # Illinois: an end left in place twice running has its value halved.
+            if mid.alpha > target_alpha:
+                lo, f_lo = mid, log_ratio(mid)
+                if kept == "hi":
+                    f_hi /= 2.0
+                kept = "hi"
+            else:
+                hi, f_hi = mid, log_ratio(mid)
+                if kept == "lo":
+                    f_lo /= 2.0
+                kept = "lo"
+    sides = ", ".join(f"{e.alpha:.6g} at lambda_f {e.lambda_f:g}" for e in (lo, hi) if e is not None)
     raise ConvergenceError(
         f"calibration used {len(trace)} trials without reaching "
-        f"|P_FA - {target_alpha}| <= {tolerance}",
+        f"|P_FA - {target_alpha}| <= {tolerance} (P_FA {sides})",
         iterations=len(trace),
         last_delta=abs(trace[-1][1] - target_alpha),
     )

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +89,7 @@ def test_load_config_defaults(tmp_path):
         ({"solver.q_grid_size": 101}, "unknown field solver.q_grid_size"),
         ({"solver.tolerance": 1e-6}, "unknown field solver.tolerance"),
         ({"sim.horizon_cap": 500}, "unknown field sim.horizon_cap"),
+        ({"calibrate.lambda_hi": math.inf}, "field calibrate.lambda_hi must be finite"),
     ],
 )
 def test_load_config_rejections(tmp_path, overrides, fragment):
@@ -391,7 +394,14 @@ def test_sweep_q_artifact(tmp_path):
     assert float(marked[1]) == min(float(r[1]) for r in rows[1:])
 
 
-def test_calibrate_artifact(tmp_path):
+def test_calibrate_artifact(tmp_path, monkeypatch):
+    """The search reads each trial's grid P_FA; the result's policy alone
+    is simulated, once."""
+    runs = []
+    simulate = quickwake.sim._simulate
+    monkeypatch.setattr(
+        quickwake.sim, "_simulate", lambda *args: runs.append(args) or simulate(*args)
+    )
     out = tmp_path / "cal"
     cfg = write_config(
         tmp_path,
@@ -407,8 +417,11 @@ def test_calibrate_artifact(tmp_path):
     assert main(["calibrate", "--config", cfg]) == 0
     doc = json.loads((out / "calibration.json").read_text())
     assert abs(doc["alpha"] - 0.05) <= 0.02
-    assert doc["trials"] == len(doc["trace"])
+    assert doc["trials"] == len(doc["trace"]) > 2
+    assert doc["trace"][-1] == [doc["lambda_f"], doc["alpha"]]
     assert doc["lambda_f"] > 0
+    assert len(runs) == 1 and runs[0][2:4] == (150, 5)
+    assert 0.0 <= doc["simulated_alpha"] <= 1.0 and doc["simulated_alpha_half_width"] > 0
 
 
 def test_calibrate_rejects_zero_replications(tmp_path, capsys):
@@ -437,6 +450,28 @@ def test_calibrate_honours_a_one_trial_budget(tmp_path, capsys):
     )
     assert main(["calibrate", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: calibration used 1 trials")
+
+
+def test_calibrate_exit_code_when_the_target_lies_in_a_jump(tmp_path, capsys):
+    """The grid P_FA is a step function of lambda_f.  A target inside a
+    jump closes the bracket on two adjacent lambda_f, whose P_FA lie on
+    either side of the tolerance band."""
+    cfg = write_config(
+        tmp_path,
+        {"calibrate.target_alpha": 0.04, "calibrate.tolerance": 1e-9,
+         "calibrate.lambda_lo": 10.0, "calibrate.lambda_hi": 1000.0,
+         "calibrate.max_trials": 100},
+        out_dir=str(tmp_path / "x"),
+    )
+    assert main(["calibrate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the grid P_FA jumps across")
+    a_lo, lam_lo, a_hi, lam_hi = map(
+        float, re.search(r": (\S+) at (\S+), (\S+) at (\S+)$", err.strip()).groups()
+    )
+    assert a_lo > 0.04 + 1e-9 and a_hi < 0.04 - 1e-9
+    assert math.nextafter(lam_lo, math.inf) == lam_hi
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import os
 import threading
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -828,31 +829,33 @@ def _strategy_action_set(problem, operator, strategy, kw):
 
 
 def _random_policy(problem, strategy, g, rng):
-    """Random continue-set actions with each node's mixture over awake counts."""
-    n, lam_s = problem.n, problem.costs.lambda_s
+    """Random continue-set actions with each node's mixture over awake
+    counts and its mean awake count."""
+    n = problem.n
     if strategy == "control_m":
         best = rng.integers(0, n + 1, g).astype(float)
-        return best, np.eye(n + 1)[best.astype(int)], lam_s * best
+        return best, np.eye(n + 1)[best.astype(int)], best
     if strategy == "control_q":
         best = rng.random(g)
-        return best, _binomial_table(n, best), lam_s * n * best
+        return best, _binomial_table(n, best), n * best
     if strategy == "open_loop":
         best = np.full(g, 0.03)
-        return best, _binomial_table(n, best), lam_s * n * best
+        return best, _binomial_table(n, best), n * best
     best = np.full(g, 1.0)
-    return best, np.eye(n + 1)[np.ones(g, dtype=int)], lam_s * best
+    return best, np.eye(n + 1)[np.ones(g, dtype=int)], best
 
 
 @pytest.mark.parametrize("strategy", list(STRATEGY_KW))
 def test_policy_evaluation_matches_dense_reference(problem, grid201, operator201, strategy):
     """Policy evaluation against a solve of the policy's full g x g
     transition matrix, assembled row by row from the stack blocks, on a
-    continue set with and without a hole."""
+    continue set with and without a hole: the cost J and its terms, the
+    false-alarm probability, the delay and the sensor-slots."""
     kw = STRATEGY_KW[strategy]
     pts = grid201.points
     g, n, lam_f = grid201.size, problem.n, problem.costs.lambda_f
     rng = np.random.default_rng(11)
-    best, weights, cost = _random_policy(problem, strategy, g, rng)
+    best, weights, awake = _random_policy(problem, strategy, g, rng)
     stack = operator201.stack
     P = np.zeros((g, g))
     for i in range(g):
@@ -865,9 +868,12 @@ def test_policy_evaluation_matches_dense_reference(problem, grid201, operator201
     before = acts.stack.copy()
     for stop in (interval, holed):
         A = np.eye(g) - np.where(stop[:, None], 0.0, P)
-        ref = np.linalg.solve(A, np.where(stop, lam_f * (1.0 - pts), pts + cost))
-        J = _evaluate_policy(problem, pts, acts, stop, best)
-        np.testing.assert_allclose(J, ref, rtol=0, atol=1e-12)
+        cost = pts + problem.costs.lambda_s * awake
+        zero = np.zeros(g)
+        rhs = np.where(stop, [lam_f * (1.0 - pts), 1.0 - pts, zero, zero], [cost, zero, pts, awake])
+        ref = np.linalg.solve(A, rhs.T).T
+        terms = _evaluate_policy(problem, pts, acts, stop, best)
+        np.testing.assert_allclose(terms, ref, rtol=0, atol=1e-12)
         # A fold is worked in place and must come back unchanged.
         assert np.array_equal(acts.stack, before)
 
@@ -888,6 +894,40 @@ def test_single_action_fold_matches_block_mixing(problem, grid201, operator201, 
     assert not acts.binomial and acts.actions.size == 1
     assert isinstance(acts.stack, np.ndarray)
     assert np.abs(acts.stack - ref).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "solved", ["solved_control_m", "solved_control_q", "solved_open_loop", "solved_fixed_1"]
+)
+def test_cost_terms_recompose_the_value(problem, request, solved):
+    """J = lambda_f * P_FA + delay + lambda_s * sensor-slots at every node,
+    and the report gives the terms at rho."""
+    J, report = request.getfixturevalue(solved)
+    lam_f, lam_s = problem.costs.lambda_f, problem.costs.lambda_s
+    total = lam_f * J.p_false_alarm + J.mean_delay + lam_s * J.mean_sensor_slots
+    assert np.all(np.abs(total - J.values) <= 1e-9 * np.abs(J.values))
+    assert np.all((J.p_false_alarm >= -1e-12) & (J.p_false_alarm <= 1.0 + 1e-12))
+    assert np.all(J.mean_delay >= -1e-12) and np.all(J.mean_sensor_slots >= -1e-12)
+    rho, pts = problem.prior.rho, J.grid.points
+    assert (report.p_false_alarm, report.mean_delay, report.mean_sensor_slots) == tuple(
+        float(np.interp(rho, pts, row))
+        for row in (J.p_false_alarm, J.mean_delay, J.mean_sensor_slots)
+    )
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGY_KW))
+def test_grid_false_alarm_rate_does_not_rise_with_lambda_f(problem, grid201, operator201, strategy):
+    """Each solve is optimal for its own lambda_f, so adding the two
+    optimality inequalities gives (l2 - l1) * (A2 - A1) <= 0."""
+    alphas = [
+        value_iteration(
+            replace(problem, costs=replace(problem.costs, lambda_f=lam)), strategy, grid201,
+            operator=operator201, **STRATEGY_KW[strategy],
+        )[1].p_false_alarm
+        for lam in np.geomspace(10.0, 1000.0, 20)
+    ]
+    assert np.all(np.diff(alphas) <= 0.0)
+    assert alphas[0] > alphas[-1]
 
 
 # --- storage: a CSR stack serves sweeps only ----------------------------------
@@ -1067,7 +1107,7 @@ def test_coarse_start_matches_cold_start(
     J, report = value_iteration(prob, strategy, grid201, operator=op, **kw)
     assert report.coarse_iterations > 0
     acts = _strategy_action_set(prob, op, strategy, kw)
-    cold, _, _, rounds, _, residual = _policy_rounds(
+    (cold, *_), _, _, rounds, _, residual = _policy_rounds(
         prob, pts, acts, np.ones(g, dtype=bool), np.zeros(g)
     )
     assert residual is not None and report.iterations <= rounds

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import quickwake
 from quickwake import cli, sim
-from quickwake.cli import load_config
+from quickwake.cli import load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,3 +94,48 @@ def test_readme_horizon_cap_is_the_simulators():
     readme = (ROOT / "README.md").read_text()
     (times,) = re.findall(r"`ceil\((\d+)/p\)`", readme)
     assert float(times) == sim.HORIZON_CHANGE_TIMES
+
+
+def _readme_keys(artifact: str) -> set:
+    readme = (ROOT / "README.md").read_text()
+    (keys,) = re.findall(rf"`{re.escape(artifact)}` has the keys\s+(.*?)\.\s", readme, re.S)
+    return set(re.findall(r"`([^`]+)`", keys))
+
+
+def test_readme_artifact_keys_are_the_ones_written(tmp_path):
+    """The README's key lists for report.json (over the four strategies)
+    and calibration.json are the keys that solve and calibrate write."""
+    doc = {
+        "schema": 1,
+        "problem": {
+            "n": 3, "rho": 0.0, "p": 0.05, "lambda_s": 0.5, "lambda_f": 100.0,
+            "mu0": 0.0, "sigma0": 1.0, "mu1": 1.0, "sigma1": 1.0,
+        },
+        "strategy": "control-m", "open_loop_q": 0.3, "fixed_m": 1,
+        "solver": {"grid_size": 51}, "sim": {"replications": 50},
+        "calibrate": {"tolerance": 0.5},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    written = set()
+    for strategy in cli.STRATEGY_NAMES:
+        out = tmp_path / strategy
+        assert main(["solve", "--config", str(config), "--strategy", strategy,
+                     "--out", str(out)]) == 0
+        written |= set(json.loads((out / "report.json").read_text()))
+    assert written == _readme_keys("report.json")
+    assert main(["calibrate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    calibration = json.loads((tmp_path / "calibration.json").read_text())
+    assert set(calibration) == _readme_keys("calibration.json")
+
+
+def test_readme_grid_false_alarm_reading_is_the_solves(solved_control_m, metrics_control_m):
+    """The README's second reading of criterion 6: the control-m solve's
+    grid P_FA beside the 10^5-episode estimate."""
+    readme = (ROOT / "README.md").read_text()
+    grid, sim_alpha, half = re.search(
+        r"grid P_FA is (\d\.\d+), against the simulated\s+(\d\.\d+) ± (\d\.\d+)", readme
+    ).groups()
+    assert float(grid) == round(solved_control_m[1].p_false_alarm, 4)
+    assert float(sim_alpha) == round(metrics_control_m.prob_false_alarm, 4)
+    assert float(half) == round(metrics_control_m.false_alarm_half_width, 4)

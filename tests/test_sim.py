@@ -108,6 +108,26 @@ def test_metrics_match_simulated_cost(problem, policy_control_m, solved_control_
     assert met.completed == 4000
 
 
+@pytest.mark.parametrize("strategy", ["control_m", "control_q", "open_loop"])
+def test_grid_terms_lie_within_the_simulations_half_widths(request, strategy):
+    """The solve's exact P_FA and delay at rho against criterion 9's
+    10^5-episode estimates of the same policies."""
+    _, report = request.getfixturevalue(f"solved_{strategy}")
+    met = request.getfixturevalue(f"metrics_{strategy}")
+    assert abs(report.p_false_alarm - met.prob_false_alarm) <= met.false_alarm_half_width
+    assert abs(report.mean_delay - met.mean_delay) <= met.delay_half_width
+
+
+def test_mean_delay_counts_false_alarms_as_zero(problem, grid201):
+    """``mean_delay`` is E[(tau - T)^+] over the completed episodes, a
+    false alarm adding 0, which is what the solve's delay term is."""
+    pol = constant_count_policy(problem, grid201, 0.6, 1)
+    episodes = list(run_episodes(problem, pol, 2000, 3))
+    assert any(e.false_alarm for e in episodes) and not any(e.truncated for e in episodes)
+    delay = np.mean([max(e.stop_time - e.change_time, 0) for e in episodes])
+    assert estimate_metrics(problem, pol, 2000, 3).mean_delay == delay
+
+
 def test_unequal_variance_path_runs():
     problem = Problem(
         model=SensorModel(0.0, 1.0, 1.5, 2.0),
@@ -223,26 +243,24 @@ def test_sweep_checks_replications_before_any_solve(problem, monkeypatch):
 
 
 def solver_at(problem, strategy: str, grid_size: int):
-    """A calibrate ``policy_at``: each trial's solve and extraction on
-    one operator, which lambda_f does not enter."""
+    """A calibrate ``solve_at``: each trial's solve on one operator, which
+    lambda_f does not enter."""
     grid = BeliefGrid.uniform(grid_size)
     op = build_expectation_operator(problem, grid)
-
-    def policy_at(trial):
-        J, _ = value_iteration(trial, strategy, grid, operator=op)
-        return extract_policy(J, trial, strategy, operator=op)
-
-    return policy_at
+    return lambda trial: value_iteration(trial, strategy, grid, operator=op)
 
 
 def test_calibration_reaches_target(problem):
     result = calibrate_lambda_f(
         problem, solver_at(problem, "control_m", 201), target_alpha=0.05, tolerance=0.015,
-        replications=600, base_seed=13, max_trials=25,
+        max_trials=25,
     )
     assert abs(result.alpha - 0.05) <= 0.015
     assert result.trials == len(result.trace)
     assert result.lambda_f > 0
+    # The result's solve is the last trial's, at the result's lambda_f.
+    assert result.trace[-1] == (result.lambda_f, result.alpha)
+    assert result.value_function.p_false_alarm[0] == result.alpha
 
 
 def test_grid_may_be_a_numpy_integer(problem):
@@ -254,7 +272,7 @@ def test_calibration_bracket_must_straddle(problem):
     with pytest.raises(ValueError, match="straddle"):
         calibrate_lambda_f(
             problem, solver_at(problem, "control_m", 201), target_alpha=0.5, tolerance=0.001,
-            lambda_lo=5_000.0, lambda_hi=10_000.0, replications=300, base_seed=1,
+            lambda_lo=5_000.0, lambda_hi=10_000.0,
         )
 
 
@@ -264,7 +282,7 @@ def test_calibration_bracket_must_straddle(problem):
         ({"max_trials": 0}, "max_trials must be >= 1"),
         ({"tolerance": math.nan}, "tolerance must be > 0"),
         ({"tolerance": -0.01}, "tolerance must be > 0"),
-        ({"replications": 0}, "replications must be >= 1"),
+        ({"lambda_hi": math.inf}, "lambda_lo < lambda_hi, both finite"),
         ({"target_alpha": 1.0}, "target_alpha must lie in"),
         ({"lambda_lo": 10.0, "lambda_hi": 5.0}, "lambda_lo < lambda_hi"),
     ],
