@@ -292,6 +292,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "value_at_start": float(J(cfg.problem.prior.rho)),
         "iterations": report.iterations,
         "coarse_iterations": report.coarse_iterations,
+        "factorizations": report.factorizations,
         "bellman_residual": report.bellman_residual,
         "p_false_alarm": report.p_false_alarm,
         "mean_delay": report.mean_delay,
@@ -314,7 +315,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     print(
         f"built operator in {build_seconds:.3g} s; solved {cfg.strategy} in "
         f"{report.iterations} rounds after {report.coarse_iterations} coarse rounds "
-        f"(residual {report.bellman_residual:.3g}); "
+        f"(residual {report.bellman_residual:.3g}, LU factorizations: {report.factorizations}); "
         f"gamma = {policy.gamma:.6f}, "
         f"J({cfg.problem.prior.rho:g}) = {J(cfg.problem.prior.rho):.6f} "
         f"(P_FA {report.p_false_alarm:.6f}, delay {report.mean_delay:.6f}, "
@@ -409,10 +410,7 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
     if q_values is None:
         q_values = np.linspace(0.0, 1.0, 101)
     operator = _operator(cfg)
-    result = sweep_open_loop_q(
-        cfg.problem, q_values, grid=operator.grid, operator=operator,
-        replications=cfg.replications, base_seed=cfg.base_seed,
-    )
+    result = sweep_open_loop_q(cfg.problem, q_values, grid=operator.grid, operator=operator)
     _write_csv(
         cfg.out_dir / "sweep.csv", ["q", "value_at_start", "mean_delay", "is_argmin"],
         ([row.q, row.value_at_start, row.mean_delay, int(i == result.argmin_index)]

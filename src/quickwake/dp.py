@@ -23,8 +23,10 @@ minimum over q in [0, 1]: the continuation cost is a polynomial in q in
 Bernstein form, so its candidates are 0, 1 and the roots of its
 derivative, bracketed or from companion matrices (``_least_over_q``).
 open_loop and fixed_m have one action, whose mixture is folded into a
-single ``g x g`` map when the action set is made, so every sweep of a
-strategy, one-off or repeated, reads the same form.
+single ``g x g`` map when a sweep or an evaluation first needs it.  The
+sweep of the stop-everywhere cost ``lambda_f * (1 - pi)`` reads the
+operator's cached image of ``1 - pi`` instead, so a single-action solve
+that stops everywhere builds no fold.
 
 The stationary problem is solved by policy iteration: a sweep picks the
 stop set and actions, and one linear solve on the continue set C gives
@@ -34,8 +36,15 @@ stack's blocks.  Its cost is ``lambda_f * A + D + lambda_s * S``, where
 A, D and S are the policy's false-alarm probability, expected delay and
 expected sensor-slots, each the policy's value under one cost stream
 (Puterman 1994, ch. 6-7); they share the continue-set matrix, so the
-same solve gives all four with four right-hand sides.  Finite horizons
-take plain sweeps.
+same solve gives all four with four right-hand sides.  A single action
+is a threshold rule: it continues on a leading interval [0, k) of the
+grid, and its rounds move k by a few nodes.  With K a coarse cell past
+k, one factorization on [0, K - 2 * COARSE_STRIDE), whose extra
+right-hand sides are the map's columns of the window's nodes, evaluates
+every k in [K - 2 * COARSE_STRIDE, K]: eliminating the factored block
+leaves at most 2 * COARSE_STRIDE coupled window nodes (its Schur
+complement, the block form of the Sherman-Morrison-Woodbury update;
+Hager 1989).  Finite horizons take plain sweeps.
 
 Policy iteration reaches the same fixed point from any proper starting
 policy, so a stationary solve first solves the strategy on a nested
@@ -218,7 +227,10 @@ class SolveReport:
     ``iterations`` counts the policy-improvement rounds on the fine grid,
     the last of which finds the policy unchanged; ``coarse_iterations``
     counts the rounds of the coarse solve that gave their starting
-    policy (0 when the grid has no coarse level).
+    policy (0 when the grid has no coarse level).  ``factorizations``
+    counts the LU factorizations of the fine rounds' evaluations: none
+    for a policy that stops everywhere, and one for every round of a
+    single action whose threshold stays in one window.
     ``bellman_residual`` is ``||TJ - J||_inf`` of the returned J, which
     must not exceed ``tolerance``, ``TOLERANCE_SCALE * lambda_f``.
     ``p_false_alarm``, ``mean_delay`` and ``mean_sensor_slots`` are the
@@ -236,6 +248,7 @@ class SolveReport:
     mean_delay: float
     mean_sensor_slots: float
     coarse_iterations: int = 0
+    factorizations: int = 0
 
 
 @dataclass(frozen=True)
@@ -379,7 +392,9 @@ class ExpectationOperator:
     for a caller's few atoms on a fine grid (see ``operator_from_atoms``),
     which serves only control_m and control_q sweeps; the coarse level,
     and so every stationary solve, and single-action folds read
-    ``_dense_stack``.
+    ``_dense_stack``.  ``stop_image``, ``apply_all(1 - pi)``, is cached
+    beside ``coarse``: each single-action solve on the operator sweeps
+    its stop-everywhere cost from it (see ``_sweep``).
     Dense stacks are filled from segment sums, their m-blocks
     concurrently on the process's CPUs and each a few rows at a time, so
     building one needs only one serial block's worth of temporaries
@@ -405,6 +420,18 @@ class ExpectationOperator:
             raise ValueError("this needs a dense stack; a CSR one serves only control_m "
                              "and control_q sweeps (solve_finite_horizon, bellman_maps)")
         return self.stack
+
+    def fold(self, weights: np.ndarray) -> np.ndarray:
+        """The blocks mixed by ``weights`` (one per awake count) into one
+        ``g x g`` map, in one BLAS contraction of the dense stack viewed
+        as rows of ``g * g``."""
+        g = self.grid.size
+        return (weights @ self._dense_stack().reshape(self.n + 1, g * g)).reshape(g, g)
+
+    @functools.cached_property
+    def stop_image(self) -> np.ndarray:
+        """``apply_all(1 - pi)``, made once per operator."""
+        return self.apply_all(1.0 - self.grid.points)
 
     @functools.cached_property
     def coarse(self) -> "ExpectationOperator | None":
@@ -810,8 +837,42 @@ class BellmanMaps:
 
 
 @dataclass(frozen=True)
+class _Window:
+    """A single action's continue-set system for every continue set
+    [0, k), lo <= k <= hi, from one factorization on [0, lo).
+
+    With ``F`` the fold and ``M = I - F`` on [0, lo), ``X`` holds
+    ``M^-1`` of the four cost streams' right-hand sides (columns J, A, D,
+    S, with the stop values of the nodes from ``hi`` on moved onto them)
+    and ``G`` ``M^-1`` of the fold's columns lo..hi-1.  Eliminating
+    [0, lo) leaves the window's nodes coupled by ``Q``, their rows of
+    ``F`` on the window plus ``F[W, :lo] @ G``, with right-hand sides
+    ``y``; ``stop`` holds their four stop values.
+    """
+
+    lo: int
+    hi: int
+    X: np.ndarray
+    G: np.ndarray
+    Q: np.ndarray
+    y: np.ndarray
+    stop: np.ndarray
+
+    def terms(self, k: int) -> np.ndarray:
+        """Rows J, A, D and S on [0, k) of continuing there: the nodes
+        B = [lo, k) solve ``(I - Q_BB) x_B = y_B + Q_BR stop_R``, R = [k,
+        hi) stopping, and [0, lo) follows as ``X + G_R stop_R + G_B
+        x_B``."""
+        B, R = slice(0, k - self.lo), slice(k - self.lo, None)
+        Q, stop = self.Q, self.stop[R]
+        x_B = np.linalg.solve(np.eye(k - self.lo) - Q[B, B], self.y[B] + Q[B, R] @ stop)
+        x_A = self.X + self.G[:, R] @ stop + self.G[:, B] @ x_B
+        return np.concatenate((x_A, x_B)).T
+
+
+@dataclass(eq=False)
 class _ActionSet:
-    """A strategy as every sweep of it sees it.
+    """A strategy as every sweep and evaluation of one solve level sees it.
 
     Row ``a`` of ``lambda_s * awake[:, None] + (stack @ J).reshape(-1,
     g)`` is the continuation cost of action ``actions[a]``, which plays
@@ -820,18 +881,41 @@ class _ActionSet:
     awake on average.  ``binomial`` marks control_q: its actions are
     wake probabilities, each mixing those rows with Binomial(n, q)
     weights, and a sweep takes the exact minimum over q.
+    A single action keeps its mixture over the awake counts, ``weights``,
+    and folds ``operator``'s stack only when ``stack`` is first read;
+    control_m and control_q have no ``weights`` and read the operator's
+    stack.  ``window`` is the single action's last threshold window
+    (``_evaluate_policy``), and ``factorizations`` counts the LU
+    factorizations the set's evaluations have made.
     """
 
-    stack: object
+    operator: ExpectationOperator
     awake: np.ndarray
     actions: np.ndarray
+    weights: np.ndarray | None = None
     binomial: bool = False
+    window: _Window | None = None
+    factorizations: int = 0
+
+    @functools.cached_property
+    def stack(self):
+        if self.weights is None:
+            return self.operator.stack
+        return self.operator.fold(self.weights)
 
 
-def _sweep(values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionSet) -> BellmanMaps:
+def _sweep(
+    values: np.ndarray, problem: Problem, pts: np.ndarray, acts: _ActionSet, stopped: bool = False
+) -> BellmanMaps:
     """One Bellman sweep with its argmin actions; control_q's is the
-    exact minimiser over q (``_least_over_q``)."""
-    B = (acts.stack @ values).reshape(-1, pts.size)
+    exact minimiser over q (``_least_over_q``).  ``stopped`` says that
+    ``values`` is the stop-everywhere cost ``lambda_f * (1 - pi)``, which
+    a single action sweeps from the operator's ``stop_image``, with no
+    fold."""
+    if stopped and acts.weights is not None:
+        B = problem.costs.lambda_f * (acts.weights @ acts.operator.stop_image)
+    else:
+        B = (acts.stack @ values).reshape(-1, pts.size)
     table = problem.costs.lambda_s * acts.awake[:, None] + B
     if acts.binomial:
         best, cont = _least_over_q(table)
@@ -864,20 +948,20 @@ def _action_set(
     """The one action set every sweep of ``strategy`` reads (its arguments
     checked by ``_check_action``).  control_q reads control_m's, mixed
     over a wake probability; either takes a dense or a CSR stack.
-    open_loop and fixed_m fold their mixture into one ``g x g`` map here,
-    in one BLAS contraction over the blocks of a dense stack viewed as
-    rows of ``g * g``; a CSR stack is rejected."""
+    open_loop and fixed_m keep their mixture over the awake counts, which
+    their set folds into one ``g x g`` map (``ExpectationOperator.fold``)
+    when a sweep or an evaluation first needs it; a CSR stack is
+    rejected here, before any fold."""
     n = problem.n
     if strategy in ("control_m", "control_q"):
         counts = np.arange(n + 1)
-        return _ActionSet(operator.stack, counts, counts, binomial=strategy == "control_q")
+        return _ActionSet(operator, counts, counts, binomial=strategy == "control_q")
     if strategy == "open_loop":
         weights, awake, action = _binomial_table(n, np.array([q], dtype=float)), n * q, q
     else:
         weights, awake, action = np.eye(n + 1)[[fixed_m]], fixed_m, fixed_m
-    g = operator.grid.size
-    fold = (weights @ operator._dense_stack().reshape(n + 1, g * g)).reshape(g, g)
-    return _ActionSet(fold, np.array([awake]), np.array([action]))
+    operator._dense_stack()
+    return _ActionSet(operator, np.array([awake]), np.array([action]), weights)
 
 
 def _resolve_operator(
@@ -921,6 +1005,22 @@ def _solve_identity_minus(P: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         P.flat[::step] = diag
 
 
+def _cost_streams(problem: Problem, pts: np.ndarray, awake, stopped: np.ndarray) -> np.ndarray:
+    """Right-hand sides J, A, D and S (columns) of continue nodes at
+    beliefs ``pts`` keeping ``awake`` sensors awake.  ``stopped`` is
+    their rows of the policy's transition matrix times J's stop values
+    (0 on continue nodes).  A's stop value is J's over lambda_f, and so
+    is that continuation: no second product with the continue rows (a
+    matrix product would also touch about 1 MB more of the BLAS
+    buffers)."""
+    rhs = np.empty((pts.size, 4))
+    rhs[:, 0] = stopped + (pts + problem.costs.lambda_s * awake)
+    rhs[:, 1] = stopped / problem.costs.lambda_f
+    rhs[:, 2] = pts
+    rhs[:, 3] = awake
+    return rhs
+
+
 def _evaluate_policy(
     problem: Problem, pts: np.ndarray, acts: _ActionSet, stop: np.ndarray, best: np.ndarray
 ) -> np.ndarray:
@@ -948,14 +1048,17 @@ def _evaluate_policy(
     once, so no wider copy is held while the solver copies ``P_C[:,
     C]``; when C is an interval a fold's rows are a view, worked in place
     and restored.
+    A single action whose C is a leading interval [0, k) is instead read
+    from ``acts.window`` (``_threshold_window``), made again only when
+    k leaves it.  Each factorization, of either kind, adds one to
+    ``acts.factorizations``.
     ``numpy.linalg`` is used rather than ``scipy.linalg``: importing the
     latter costs more resident memory and import time than the transient
     copy numpy's solver makes, and a tier-1 test checks that importing
     the package leaves it unloaded.
     """
     g = pts.size
-    lam_f, lam_s = problem.costs.lambda_f, problem.costs.lambda_s
-    values = np.where(stop, lam_f * (1.0 - pts), 0.0)
+    values = np.where(stop, problem.costs.lambda_f * (1.0 - pts), 0.0)
     terms = np.zeros((4, g))
     terms[0], terms[1] = values, np.where(stop, 1.0 - pts, 0.0)
     C = np.flatnonzero(~stop)
@@ -963,7 +1066,12 @@ def _evaluate_policy(
         return terms
     lo, hi = C[0], C[-1] + 1
     interval = hi - lo == C.size
-    rhs = np.zeros((C.size, 4))
+    if acts.weights is not None and lo == 0 and interval:
+        window = acts.window
+        if window is None or not window.lo <= hi <= window.hi:
+            window = acts.window = _threshold_window(problem, pts, acts, hi)
+        terms[:, :hi] = window.terms(hi)
+        return terms
     if not acts.binomial:
         # Awake counts and a single action are sorted.  Columns from hi on
         # are all in S.  A fold is one block: its continue rows are lo:hi.
@@ -971,7 +1079,7 @@ def _evaluate_policy(
         awake = acts.awake[j]
         rows = slice(lo, hi) if acts.actions.size == 1 and interval else j * g + C
         P = acts.stack[rows, :hi]
-        rhs[:, 0] = acts.stack[rows, hi:] @ values[hi:]
+        stopped = acts.stack[rows, hi:] @ values[hi:] + P @ values[:hi]
     else:
         w = np.zeros((hi - lo, problem.n + 1))
         w[C - lo] = _binomial_table(problem.n, best[C])
@@ -979,16 +1087,40 @@ def _evaluate_policy(
         P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
         if not interval:
             P = P[C - lo]
-    rhs[:, 0] += P @ values[:P.shape[1]]
-    # A's stop value is J's over lambda_f, and so is its continuation:
-    # no second product with P (a matrix product would also touch about
-    # 1 MB more of the BLAS buffers).
-    rhs[:, 1] = rhs[:, 0] / lam_f
-    rhs[:, 0] += pts[C] + lam_s * awake
-    rhs[:, 2] = pts[C]
-    rhs[:, 3] = awake
+        stopped = P @ values
+    rhs = _cost_streams(problem, pts[C], awake, stopped)
     terms[:, C] = _solve_identity_minus(P[:, lo:hi] if interval else P[:, C], rhs).T
+    acts.factorizations += 1
     return terms
+
+
+def _threshold_window(problem: Problem, pts: np.ndarray, acts: _ActionSet, k: int) -> _Window:
+    """The window of a single action that continues on [0, k): the nodes
+    [lo, hi), ``hi = min(g - 1, k + COARSE_STRIDE)`` and ``lo = hi - 2 *
+    COARSE_STRIDE`` (at least 0), over one factorization of ``I - F`` on
+    [0, lo), formed in the fold's own rows and restored.
+
+    The coarse start lies within a coarse cell of the fine threshold, so
+    the fine rounds' thresholds stay in the window.  Factoring below the
+    window keeps the solver's scratch, ``lo * (lo + 4 + 2 *
+    COARSE_STRIDE)`` numbers, under the fold's ``g^2``, so it reuses
+    memory freed by earlier folds.  A factorization on [0, hi) needed
+    more near belief 1, and fresh pages for it raised the peak resident
+    memory of a ``sweep-q`` and ``calibrate`` run by about 6 MB.
+    """
+    g = pts.size
+    hi = min(g - 1, k + COARSE_STRIDE)
+    lo = max(0, hi - 2 * COARSE_STRIDE)
+    stop_cost = problem.costs.lambda_f * (1.0 - pts)
+    F = acts.stack
+    stop = np.zeros((hi - lo, 4))
+    stop[:, 0], stop[:, 1] = stop_cost[lo:hi], 1.0 - pts[lo:hi]
+    rhs = _cost_streams(problem, pts[:hi], acts.awake[0], F[:hi, hi:] @ stop_cost[hi:])
+    x = _solve_identity_minus(F[:lo, :lo], np.hstack((rhs[:lo], F[:lo, lo:hi])))
+    acts.factorizations += 1
+    X, G = x[:, :4], x[:, 4:]
+    rows = F[lo:hi, :lo]
+    return _Window(lo, hi, X, G, F[lo:hi, lo:hi] + rows @ G, rhs[lo:] + rows @ X, stop)
 
 
 def _policy_rounds(
@@ -1011,7 +1143,7 @@ def _policy_rounds(
     delta = 0.0
     polish = acts.binomial
     for rounds in range(1, MAX_ROUNDS + 1):
-        maps = _sweep(values, problem, pts, acts)
+        maps = _sweep(values, problem, pts, acts, stopped=stop.all())
         switch = maps.new_values < values - margin
         if switch.any():
             stop = np.where(switch, stop_cost <= maps.continue_values, stop)
@@ -1070,8 +1202,9 @@ def value_iteration(
         fixed_m: Constant awake count (fixed_m only).
         operator: Prebuilt expectation maps to reuse across solves, built
             on ``grid`` for this problem's n, p and sensor model, with a
-            dense stack; its coarse level is built on first use and kept
-            with it.  Built with the default method when None.
+            dense stack; its coarse level and a single action's
+            ``stop_image`` are built on first use and kept with it.
+            Built with the default method when None.
 
     Returns:
         The converged ValueFunction, which carries its policy's cost
@@ -1139,6 +1272,7 @@ def value_iteration(
         mean_delay=float(np.interp(rho, pts, J.mean_delay)),
         mean_sensor_slots=float(np.interp(rho, pts, J.mean_sensor_slots)),
         coarse_iterations=coarse_rounds,
+        factorizations=acts.factorizations,
     )
     return J, report
 

@@ -44,7 +44,7 @@ from .dp import (
     _logit_array, _resolve_grid, _resolve_operator, value_iteration,
 )
 from .model import Problem, SensorModel
-from .policy import Policy, extract_policy
+from .policy import Policy
 
 # Episodes advanced together on one generator.  Long enough that each
 # slot's numpy calls amortize their fixed cost over many episodes; short
@@ -349,39 +349,30 @@ def sweep_open_loop_q(
     *,
     grid=None,
     operator: ExpectationOperator | None = None,
-    replications: int = 0,
-    base_seed: int = 0,
 ) -> SweepResult:
     """Solve the fixed-q problem for each q and report J*(rho) per q.
 
     Each solve is ``value_iteration``'s, with its fixed residual check and
-    round cap.  With ``replications`` > 0 each solved policy is also
-    simulated and the row carries its mean detection delay (NaN with 0).
+    round cap, and each row carries its solve's exact mean delay
+    ``E[(tau - T)^+]`` at rho (``SolveReport.mean_delay``).
     Returns all rows plus the minimizing q (first minimum on value ties).
-    An empty or out-of-range ``q_values``, a negative ``replications`` or
-    an operator built for another grid, n, p or sensor model raises
-    ``ValueError`` before any solve.
+    An empty or out-of-range ``q_values`` or an operator built for another
+    grid, n, p or sensor model raises ``ValueError`` before any solve.
     """
     q_values = np.asarray(q_values, dtype=float)
     if q_values.size == 0:
         raise ValueError("q_values must not be empty")
     if np.any((q_values < 0.0) | (q_values > 1.0)):
         raise ValueError("q_values must lie in [0, 1]")
-    if replications < 0:
-        raise ValueError(f"replications must be >= 0, got {replications!r}")
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)
     rho = problem.prior.rho
     rows = []
     for q in q_values:
-        J, _ = value_iteration(problem, "open_loop", grid, q=float(q), operator=operator)
-        value = float(J(rho))
-        if replications > 0:
-            pol = extract_policy(J, problem, "open_loop", operator=operator, q=float(q))
-            mean_delay = estimate_metrics(problem, pol, replications, base_seed).mean_delay
-        else:
-            mean_delay = math.nan
-        rows.append(SweepRow(q=float(q), value_at_start=value, mean_delay=mean_delay))
+        J, report = value_iteration(problem, "open_loop", grid, q=float(q), operator=operator)
+        rows.append(
+            SweepRow(q=float(q), value_at_start=float(J(rho)), mean_delay=report.mean_delay)
+        )
     values = np.array([r.value_at_start for r in rows])
     best = int(np.argmin(values))
     return SweepResult(rows=tuple(rows), argmin_q=rows[best].q, argmin_index=best)

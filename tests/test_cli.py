@@ -142,6 +142,9 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "solved control_m" in stdout and "built operator in" in stdout
     assert "after 0 coarse rounds" in stdout
+    # A cold start's first policy stops everywhere: no factorization.
+    assert report["factorizations"] == report["iterations"] - 1
+    assert f"LU factorizations: {report['factorizations']})" in stdout
 
 
 def test_solve_exit_code_on_non_convergence(tmp_path, capsys, monkeypatch):
@@ -389,7 +392,9 @@ def test_sweep_q_artifact(tmp_path):
     assert rows[0] == ["q", "value_at_start", "mean_delay", "is_argmin"]
     assert len(rows) == 4
     assert [r[3] for r in rows[1:]].count("1") == 1
-    assert rows[1][2] == "nan"  # replications 0: no delay estimate
+    # Each row's delay is its solve's, written to 12 significant digits.
+    sweep = quickwake.sweep_open_loop_q(make_benchmark_problem(), [0.0, 0.02, 0.3], grid=51)
+    assert [r[2] for r in rows[1:]] == [format(r.mean_delay, ".12g") for r in sweep.rows]
     marked = next(r for r in rows[1:] if r[3] == "1")
     assert float(marked[1]) == min(float(r[1]) for r in rows[1:])
 

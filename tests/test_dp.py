@@ -896,6 +896,72 @@ def test_single_action_fold_matches_block_mixing(problem, grid201, operator201, 
     assert np.abs(acts.stack - ref).max() < 1e-14
 
 
+@pytest.mark.parametrize("strategy,kw", [("open_loop", {"q": 0.5}), ("fixed_m", {"fixed_m": 3})])
+def test_single_action_that_stops_everywhere_makes_no_fold(
+    problem, grid201, operator201, strategy, kw, monkeypatch
+):
+    """A single action that stops at once is swept from the operator's
+    image of 1 - pi: no contraction of the stack, and the stopping cost
+    returned exactly, in one fine round after one coarse round."""
+    folds = []
+    fold = ExpectationOperator.fold
+    monkeypatch.setattr(
+        ExpectationOperator, "fold", lambda op, w: folds.append(op) or fold(op, w)
+    )
+    J, report = value_iteration(problem, strategy, grid201, operator=operator201, **kw)
+    assert folds == []
+    stop = problem.costs.lambda_f * (1.0 - grid201.points)
+    assert np.array_equal(J.values, stop)
+    assert np.array_equal(J.p_false_alarm, 1.0 - grid201.points)
+    assert not J.mean_delay.any() and not J.mean_sensor_slots.any()
+    assert (report.iterations, report.coarse_iterations) == (1, 1)
+    assert report.bellman_residual == 0.0 and report.factorizations == 0
+    # Any other cost does fold.
+    bellman_maps(J, problem, strategy, operator=operator201, **kw)
+    assert len(folds) == 1
+
+
+@pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
+def test_threshold_window_matches_the_direct_solve(problem, grid201, operator201, strategy):
+    """One factorization evaluates every threshold k of its window
+    [K - 2 * COARSE_STRIDE, K], K = k0 + COARSE_STRIDE, as the dense
+    reference solve does; a threshold outside it factors again."""
+    kw = STRATEGY_KW[strategy]
+    pts = grid201.points
+    g, lam_f, stride = grid201.size, problem.costs.lambda_f, dp.COARSE_STRIDE
+    best, weights, awake = _random_policy(problem, strategy, g, np.random.default_rng(0))
+    P = np.einsum("im,mij->ij", weights, operator201.stack.reshape(-1, g, g))
+    acts = _strategy_action_set(problem, operator201, strategy, kw)
+
+    def reference(k):
+        stop = np.arange(g) >= k
+        A = np.eye(g) - np.where(stop[:, None], 0.0, P)
+        zero = np.zeros(g)
+        cost = pts + problem.costs.lambda_s * awake
+        rhs = np.where(stop, [lam_f * (1.0 - pts), 1.0 - pts, zero, zero], [cost, zero, pts, awake])
+        return np.linalg.solve(A, rhs.T).T
+
+    k0 = 150
+    for k in [k0, *range(k0 + stride, k0 - stride - 1, -1)]:
+        terms = _evaluate_policy(problem, pts, acts, np.arange(g) >= k, best)
+        np.testing.assert_allclose(terms, reference(k), rtol=0, atol=1e-12)
+        assert (acts.window.lo, acts.window.hi) == (k0 - stride, k0 + stride)
+        assert acts.factorizations == 1
+    for k, factorizations in ((k0 - stride - 1, 2), (g - 3, 3)):
+        terms = _evaluate_policy(problem, pts, acts, np.arange(g) >= k, best)
+        np.testing.assert_allclose(terms, reference(k), rtol=0, atol=1e-12)
+        assert acts.factorizations == factorizations
+    # Next to belief 1 the window ends at the last interior node.
+    assert (acts.window.lo, acts.window.hi) == (g - 1 - 2 * stride, g - 1)
+
+
+def test_factorizations_on_the_reference_instance(solved_control_m, solved_open_loop):
+    """control_m factors once per round; open_loop's rounds share one
+    threshold window."""
+    assert solved_control_m[1].factorizations == solved_control_m[1].iterations == 3
+    assert solved_open_loop[1].factorizations == 1 < solved_open_loop[1].iterations
+
+
 @pytest.mark.parametrize(
     "solved", ["solved_control_m", "solved_control_q", "solved_open_loop", "solved_fixed_1"]
 )

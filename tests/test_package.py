@@ -104,7 +104,8 @@ def _readme_keys(artifact: str) -> set:
 
 def test_readme_artifact_keys_are_the_ones_written(tmp_path):
     """The README's key lists for report.json (over the four strategies)
-    and calibration.json are the keys that solve and calibrate write."""
+    and calibration.json are the keys that solve and calibrate write, and
+    its sweep.csv header is the one sweep-q writes."""
     doc = {
         "schema": 1,
         "problem": {
@@ -113,7 +114,7 @@ def test_readme_artifact_keys_are_the_ones_written(tmp_path):
         },
         "strategy": "control-m", "open_loop_q": 0.3, "fixed_m": 1,
         "solver": {"grid_size": 51}, "sim": {"replications": 50},
-        "calibrate": {"tolerance": 0.5},
+        "calibrate": {"tolerance": 0.5}, "sweep": {"q_values": [0.1]},
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -127,6 +128,10 @@ def test_readme_artifact_keys_are_the_ones_written(tmp_path):
     assert main(["calibrate", "--config", str(config), "--out", str(tmp_path)]) == 0
     calibration = json.loads((tmp_path / "calibration.json").read_text())
     assert set(calibration) == _readme_keys("calibration.json")
+    assert main(["sweep-q", "--config", str(config), "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    readme = (ROOT / "README.md").read_text()
+    assert header == re.search(r"`sweep-q` writes `sweep.csv` \(`([^`]+)`", readme).group(1)
 
 
 def test_readme_grid_false_alarm_reading_is_the_solves(solved_control_m, metrics_control_m):

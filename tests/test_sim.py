@@ -218,28 +218,30 @@ def test_sweep_open_loop_rows(problem, grid201, operator201):
     assert res.rows[res.argmin_index].value_at_start == min(
         r.value_at_start for r in res.rows
     )
-    assert math.isnan(res.rows[0].mean_delay)  # no replications requested
+    # Each row's exact delay: q = 0.3 stops at once.
+    assert res.rows[1].mean_delay > 0.0 and res.rows[2].mean_delay == 0.0
     with pytest.raises(ValueError):
         sweep_open_loop_q(problem, [], grid=grid201, operator=operator201)
     with pytest.raises(ValueError):
         sweep_open_loop_q(problem, [0.5, 1.2], grid=grid201, operator=operator201)
 
 
-def test_sweep_reports_delay_with_replications(problem, grid201, operator201):
-    res = sweep_open_loop_q(
-        problem, [0.05], grid=grid201, operator=operator201, replications=300, base_seed=9
-    )
-    assert res.rows[0].mean_delay > 0.0
+def test_sweep_rows_carry_each_solves_mean_delay(problem, grid201, operator201):
+    """A row's delay is its solve's exact E[(tau - T)^+] at rho."""
+    q_values = [0.0, 0.03, 0.5]
+    res = sweep_open_loop_q(problem, q_values, grid=grid201, operator=operator201)
+    for q, row in zip(q_values, res.rows):
+        J, report = value_iteration(problem, "open_loop", grid201, q=q, operator=operator201)
+        assert (row.value_at_start, row.mean_delay) == (J(problem.prior.rho), report.mean_delay)
 
 
-def test_sweep_checks_replications_before_any_solve(problem, monkeypatch):
+def test_sweep_checks_q_values_before_any_solve(problem, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("solved before the argument checks")
 
     monkeypatch.setattr(sim, "value_iteration", no_solve)
-    # A negative episode count is refused, not read as "no simulation".
-    with pytest.raises(ValueError, match="replications must be >= 0"):
-        sweep_open_loop_q(problem, [0.05], grid=51, replications=-5)
+    with pytest.raises(ValueError, match="q_values must lie in"):
+        sweep_open_loop_q(problem, [0.05, 1.5], grid=51)
 
 
 def solver_at(problem, strategy: str, grid_size: int):
@@ -261,6 +263,25 @@ def test_calibration_reaches_target(problem):
     # The result's solve is the last trial's, at the result's lambda_f.
     assert result.trace[-1] == (result.lambda_f, result.alpha)
     assert result.value_function.p_false_alarm[0] == result.alpha
+
+
+def test_calibration_factors_once_per_trial_that_continues(problem, grid1001, operator):
+    """open_loop q = 0.03 with the benchmark's target and bracket: every
+    trial's fine rounds share one factorization, none if it stops at once."""
+    reports = []
+
+    def solve_at(trial):
+        J, report = value_iteration(trial, "open_loop", grid1001, q=0.03, operator=operator)
+        reports.append(report)
+        return J, report
+
+    result = calibrate_lambda_f(
+        problem, solve_at, target_alpha=0.04, tolerance=0.005, lambda_lo=10.0, lambda_hi=1000.0,
+        max_trials=40,
+    )
+    assert result.trials == len(reports) == 3
+    assert [r.factorizations for r in reports] == [int(r.p_false_alarm < 1.0) for r in reports]
+    assert [r.iterations for r in reports] == [1, 3, 3]
 
 
 def test_grid_may_be_a_numpy_integer(problem):
