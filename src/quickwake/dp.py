@@ -47,9 +47,9 @@ complement, the block form of the Sherman-Morrison-Woodbury update;
 Hager 1989).  Finite horizons take plain sweeps.
 
 Policy iteration reaches the same fixed point from any proper starting
-policy, so a stationary solve first solves the strategy on a nested
+policy, so every stationary solve first solves the strategy on a nested
 coarse grid (every ``COARSE_STRIDE``-th node plus the last) and starts
-the fine rounds from that policy, mapped by nearest coarse node.  The
+the fine rounds from that policy, mapped by ``_nearest_nodes``.  The
 coarse nodes are fine nodes, so a piecewise-linear J on them is
 piecewise-linear on the fine grid: with ``R`` the interpolation from
 coarse to fine values, the coarse rows of the stack times ``R`` are
@@ -106,7 +106,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, ndtr
 
-from .model import Problem, SensorModel
+from .model import Problem, SensorModel, _is_integer
 
 DEFAULT_GRID_SIZE = 1001
 # A stationary solve is refused if its Bellman residual exceeds
@@ -125,9 +125,8 @@ MC_AHEAD = 2
 # dense atom build, shared out among the build's worker threads.
 BLOCK_ROWS = 32
 # A stationary solve starts from the policy on every COARSE_STRIDE-th
-# node plus the last, unless that leaves fewer than COARSE_MIN_NODES.
+# node plus the last.
 COARSE_STRIDE = 8
-COARSE_MIN_NODES = 16
 # control_q's root finder stops a node once its step in q falls to
 # ROOT_TOLERANCE, and every node after ROOT_MAX_STEPS (bisection needs 50).
 ROOT_TOLERANCE = 1e-15
@@ -227,10 +226,10 @@ class SolveReport:
     ``iterations`` counts the policy-improvement rounds on the fine grid,
     the last of which finds the policy unchanged; ``coarse_iterations``
     counts the rounds of the coarse solve that gave their starting
-    policy (0 when the grid has no coarse level).  ``factorizations``
-    counts the LU factorizations of the fine rounds' evaluations: none
-    for a policy that stops everywhere, and one for every round of a
-    single action whose threshold stays in one window.
+    policy.  ``factorizations`` counts the LU factorizations of the fine
+    rounds' evaluations: none for a policy that stops everywhere, and
+    one for every round of a single action whose threshold stays in one
+    window.
     ``bellman_residual`` is ``||TJ - J||_inf`` of the returned J, which
     must not exceed ``tolerance``, ``TOLERANCE_SCALE * lambda_f``.
     ``p_false_alarm``, ``mean_delay`` and ``mean_sensor_slots`` are the
@@ -382,6 +381,13 @@ def _interp_matrix(
     return sparse.csr_matrix((data, (rows, cols)), shape=(query.shape[0], grid.size))
 
 
+def _nearest_nodes(points: np.ndarray, x):
+    """Index of the node of ``points`` nearest to each ``x``; a point
+    midway between two nodes takes the lower one."""
+    upper = np.searchsorted(points, x).clip(1, points.size - 1)
+    return upper - (x - points[upper - 1] <= points[upper] - x)
+
+
 class ExpectationOperator:
     """Linear map ``values -> E[J(next belief)]`` for every awake count.
 
@@ -434,16 +440,14 @@ class ExpectationOperator:
         return self.apply_all(1.0 - self.grid.points)
 
     @functools.cached_property
-    def coarse(self) -> "ExpectationOperator | None":
+    def coarse(self) -> "ExpectationOperator":
         """The same map on every ``COARSE_STRIDE``-th node plus the last
         (see the module docstring), built once from a dense stack and
         filled in place, a block at a time, so the blocks are never held
-        twice; None if that leaves under ``COARSE_MIN_NODES``."""
+        twice.  A grid of two nodes is its own coarse grid."""
         stack = self._dense_stack()
         g = self.grid.size
         keep = np.unique(np.append(np.arange(0, g, COARSE_STRIDE), g - 1))
-        if keep.size < COARSE_MIN_NODES:
-            return None
         grid = BeliefGrid(self.grid.points[keep])
         R = _interp_matrix(grid, self.grid.points)
         coarse = np.empty(((self.n + 1) * keep.size, keep.size))
@@ -492,7 +496,8 @@ def _fill_blocks(make_fill, n: int) -> None:
     calling thread, whose heap already holds freed memory to reuse;
     scratch first allocated in a pool thread would add to the peak.  Row
     arithmetic does not depend on the block size, so the stack is the
-    same for any worker count.  With one worker no thread is started.
+    same for any worker count.  With one worker no task is submitted, so
+    the pool starts no thread.
     """
     workers = _build_workers(n)
     fills = [make_fill(max(1, BLOCK_ROWS // workers)) for _ in range(workers)]
@@ -507,10 +512,7 @@ def _fill_blocks(make_fill, n: int) -> None:
                 return
             fill(m)
 
-    if workers == 1:
-        work(fills[0])
-        return
-    with ThreadPoolExecutor(workers - 1) as pool:
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         futures = [pool.submit(work, fill) for fill in fills[1:]]
         work(fills[0])
     for future in futures:
@@ -928,30 +930,33 @@ def _sweep(
 
 
 def _check_action(problem: Problem, strategy: str, q: float | None, fixed_m: int | None) -> None:
-    """Refuse an unknown strategy, or a missing or out-of-range ``q`` or
-    ``fixed_m`` for its strategy, before any operator is built."""
+    """Refuse an unknown strategy, or a missing, out-of-range or bool ``q``
+    or ``fixed_m`` (which must be an integer), before any operator is built."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if strategy == "open_loop" and (q is None or not 0.0 <= q <= 1.0):
+    if strategy == "open_loop" and (q is None or isinstance(q, bool) or not 0.0 <= q <= 1.0):
         raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
-    if strategy == "fixed_m" and (fixed_m is None or not 0 <= fixed_m <= problem.n):
+    if strategy == "fixed_m" and not (_is_integer(fixed_m) and 0 <= fixed_m <= problem.n):
         raise ValueError(f"fixed_m needs an awake count in 0..{problem.n}, got {fixed_m!r}")
 
 
 def _action_set(
     problem: Problem,
-    operator: ExpectationOperator,
     strategy: str,
+    grid,
+    operator: ExpectationOperator | None,
     q: float | None,
     fixed_m: int | None,
 ) -> _ActionSet:
-    """The one action set every sweep of ``strategy`` reads (its arguments
-    checked by ``_check_action``).  control_q reads control_m's, mixed
-    over a wake probability; either takes a dense or a CSR stack.
-    open_loop and fixed_m keep their mixture over the awake counts, which
-    their set folds into one ``g x g`` map (``ExpectationOperator.fold``)
-    when a sweep or an evaluation first needs it; a CSR stack is
-    rejected here, before any fold."""
+    """The one action set every sweep of ``strategy`` reads, on
+    ``_resolve_operator``'s operator, once ``_check_action`` has passed
+    the arguments.  control_q reads control_m's, mixed over a wake
+    probability; either takes a dense or a CSR stack.  open_loop and
+    fixed_m keep their mixture over the awake counts, which their set
+    folds into one ``g x g`` map (``ExpectationOperator.fold``, which
+    refuses a CSR stack) when a sweep or an evaluation first needs it."""
+    _check_action(problem, strategy, q, fixed_m)
+    operator = _resolve_operator(problem, _resolve_grid(grid), operator)
     n = problem.n
     if strategy in ("control_m", "control_q"):
         counts = np.arange(n + 1)
@@ -960,7 +965,6 @@ def _action_set(
         weights, awake, action = _binomial_table(n, np.array([q], dtype=float)), n * q, q
     else:
         weights, awake, action = np.eye(n + 1)[[fixed_m]], fixed_m, fixed_m
-    operator._dense_stack()
     return _ActionSet(operator, np.array([awake]), np.array([action]), weights)
 
 
@@ -1046,8 +1050,7 @@ def _evaluate_policy(
     read one block (an awake count, or a fold) are gathered up to column
     ``hi`` only, the columns past it entering the right-hand side at
     once, so no wider copy is held while the solver copies ``P_C[:,
-    C]``; when C is an interval a fold's rows are a view, worked in place
-    and restored.
+    C]``.
     A single action whose C is a leading interval [0, k) is instead read
     from ``acts.window`` (``_threshold_window``), made again only when
     k leaves it.  Each factorization, of either kind, adds one to
@@ -1074,10 +1077,10 @@ def _evaluate_policy(
         return terms
     if not acts.binomial:
         # Awake counts and a single action are sorted.  Columns from hi on
-        # are all in S.  A fold is one block: its continue rows are lo:hi.
+        # are all in S.
         j = np.searchsorted(acts.actions, best[C])
         awake = acts.awake[j]
-        rows = slice(lo, hi) if acts.actions.size == 1 and interval else j * g + C
+        rows = j * g + C
         P = acts.stack[rows, :hi]
         stopped = acts.stack[rows, hi:] @ values[hi:] + P @ values[:hi]
     else:
@@ -1187,12 +1190,12 @@ def value_iteration(
     takes every continue node's argmin; the result is then the same from
     any start to round-off, not only to that margin.
 
-    The fine rounds start from the decisions of the nearest node of
-    ``operator.coarse``, solved the same way from stopping everywhere in
-    at most ``MAX_ROUNDS`` rounds and never raising.  Its nodes are fine
-    nodes, so its stack is exactly the coarse grid's operator (see the
-    module docstring); from any proper start the rounds reach the same
-    fixed point.
+    The fine rounds start, at any grid size, from the decisions of the
+    nearest node (``_nearest_nodes``) of ``operator.coarse``, solved the
+    same way from stopping everywhere in at most ``MAX_ROUNDS`` rounds
+    and never raising.  Its nodes are fine nodes, so its stack is exactly
+    the coarse grid's operator (see the module docstring); from any
+    proper start the rounds reach the same fixed point.
 
     Args:
         problem: The instance to solve.
@@ -1223,27 +1226,19 @@ def value_iteration(
             limits are module constants; a solve that ends normally is
             far inside them.
     """
-    _check_action(problem, strategy, q, fixed_m)
-    grid = _resolve_grid(grid)
-    operator = _resolve_operator(problem, grid, operator)
-    acts = _action_set(problem, operator, strategy, q, fixed_m)
+    acts = _action_set(problem, strategy, grid, operator, q, fixed_m)
     start = time.perf_counter()
-    pts = grid.points
-    stop = np.ones(grid.size, dtype=bool)
-    best = np.zeros(grid.size)
-    coarse_rounds = 0
-    coarse = operator.coarse  # raises on a CSR stack, before any round
-    if coarse is not None:
-        cpts = coarse.grid.points
-        coarse_acts = _action_set(problem, coarse, strategy, q, fixed_m)
-        _, stop, best, coarse_rounds, _, _ = _policy_rounds(
-            problem, cpts, coarse_acts, np.ones(cpts.size, dtype=bool), np.zeros(cpts.size)
-        )
-        # Nearest coarse node; a fine node midway takes the lower one.
-        hi = np.searchsorted(cpts, pts).clip(1, cpts.size - 1)
-        near = hi - (pts - cpts[hi - 1] <= cpts[hi] - pts)
-        stop, best = stop[near], best[near]
-    terms, _, _, rounds, delta, residual = _policy_rounds(problem, pts, acts, stop, best)
+    grid, pts = acts.operator.grid, acts.operator.grid.points
+    coarse = acts.operator.coarse  # raises on a CSR stack, before any round
+    cpts = coarse.grid.points
+    _, stop, best, coarse_rounds, _, _ = _policy_rounds(
+        problem, cpts, _action_set(problem, strategy, coarse.grid, coarse, q, fixed_m),
+        np.ones(cpts.size, dtype=bool), np.zeros(cpts.size),
+    )
+    near = _nearest_nodes(cpts, pts)
+    terms, _, _, rounds, delta, residual = _policy_rounds(
+        problem, pts, acts, stop[near], best[near]
+    )
     if residual is None:
         raise ConvergenceError(
             f"value iteration hit its round cap of {rounds} with the policy still "
@@ -1294,10 +1289,8 @@ def solve_finite_horizon(
     """
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
-    _check_action(problem, strategy, q, fixed_m)
-    grid = _resolve_grid(grid)
-    operator = _resolve_operator(problem, grid, operator)
-    acts = _action_set(problem, operator, strategy, q, fixed_m)
+    acts = _action_set(problem, strategy, grid, operator, q, fixed_m)
+    grid = acts.operator.grid
     values = problem.costs.lambda_f * (1.0 - grid.points)
     for _ in range(sweeps):
         values = _sweep(values, problem, grid.points, acts).new_values
@@ -1319,7 +1312,5 @@ def bellman_maps(
     off the continuation values and minimizing actions.  It sweeps the
     same action set as the solves, so a single action builds its fold.
     """
-    _check_action(problem, strategy, q, fixed_m)
-    operator = _resolve_operator(problem, J.grid, operator)
-    acts = _action_set(problem, operator, strategy, q, fixed_m)
+    acts = _action_set(problem, strategy, J.grid, operator, q, fixed_m)
     return _sweep(J.values, problem, J.grid.points, acts)

@@ -9,10 +9,10 @@ the post-change density.  Keeping a sensor awake for one slot costs
 ``lambda_s`` and declaring the change before it happens costs ``lambda_f``;
 undetected change slots cost one unit each.
 
-All likelihood arithmetic downstream happens in log space, so the density
-interface exposes both ``pdf`` and ``log_pdf`` alongside a sampler.  Any
-object with those three methods plus ``log_likelihood_ratio`` can stand in
-for :class:`SensorModel` when the observations are not Gaussian.
+All likelihood arithmetic downstream happens in log space.  The Monte
+Carlo build and the simulator read a model only through ``sample(regime,
+size, rng)`` and ``log_likelihood_ratio(x)``, so any object with those
+two methods can stand in for :class:`SensorModel` for non-Gaussian data.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class SensorModel:
         mu, sigma = self._params(regime)
         z = (np.asarray(x, dtype=float) - mu) / sigma
         return -0.5 * z * z - math.log(sigma) - 0.5 * _LOG_2PI
-
-    def pdf(self, regime: str, x):
-        return np.exp(self.log_pdf(regime, x))
 
     def log_likelihood_ratio(self, x):
         """log f_post(x) - log f_pre(x), vectorized over ``x``."""

@@ -19,6 +19,7 @@ from .dp import (
     BeliefGrid,
     ExpectationOperator,
     ValueFunction,
+    _nearest_nodes,
     bellman_maps,
 )
 from .model import Problem
@@ -69,20 +70,18 @@ class Policy:
         object.__setattr__(self, "actions", actions)
 
     def _continue_indices(self, pi) -> np.ndarray:
-        """Nearest grid node to each belief, clamped below the threshold.
+        """Nearest grid node to each belief (``dp._nearest_nodes``, ties
+        to the lower node, the rule of the solve's coarse start), clamped
+        below the threshold.
 
         A belief just under gamma must never pick up a stop-node entry,
         so indices are capped at the last node strictly below gamma.
-        Ties between two nodes go to the lower one.
         """
         pts = self.grid.points
         end = int(np.searchsorted(pts, self.gamma, side="left")) - 1
         if end < 0:
             raise ValueError("policy stops everywhere; no continue-region action")
-        pi = np.asarray(pi, dtype=float)
-        upper = np.clip(np.searchsorted(pts, pi), 1, pts.size - 1)
-        idx = np.where(pi - pts[upper - 1] <= pts[upper] - pi, upper - 1, upper)
-        return np.minimum(idx, end)
+        return np.minimum(_nearest_nodes(pts, np.asarray(pi, dtype=float)), end)
 
 
 def _threshold_from_continuation(

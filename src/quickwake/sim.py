@@ -362,7 +362,7 @@ def sweep_open_loop_q(
     q_values = np.asarray(q_values, dtype=float)
     if q_values.size == 0:
         raise ValueError("q_values must not be empty")
-    if np.any((q_values < 0.0) | (q_values > 1.0)):
+    if not np.all((q_values >= 0.0) & (q_values <= 1.0)):  # NaN fails too
         raise ValueError("q_values must lie in [0, 1]")
     grid = _resolve_grid(grid)
     operator = _resolve_operator(problem, grid, operator)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import expit
 
 from quickwake import SensorModel
@@ -84,8 +85,8 @@ def test_posterior_update_matches_direct_bayes():
         pi = float(rng.uniform(0.001, 0.999))
         xs = rng.normal(0.3, 1.0, size=int(rng.integers(1, 6)))
         pred = pi + (1 - pi) * p
-        num = pred * np.prod(MODEL.pdf("post", xs))
-        den = num + (1 - pred) * np.prod(MODEL.pdf("pre", xs))
+        num = pred * np.prod(stats.norm.pdf(xs, MODEL.mu1, MODEL.sigma1))
+        den = num + (1 - pred) * np.prod(stats.norm.pdf(xs, MODEL.mu0, MODEL.sigma0))
         direct = num / den
         assert step(pi, p, xs) == pytest.approx(direct, abs=1e-12)
         assert posterior_update(pi, p, xs, MODEL) == pytest.approx(direct, abs=1e-12)

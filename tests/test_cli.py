@@ -138,12 +138,13 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert report["awake_rule_mismatches"] >= 0
     assert 0.0 <= report["bellman_residual"] <= 1e-10
     assert report["operator_build_seconds"] > 0.0
-    assert report["coarse_iterations"] == 0  # 51 nodes have no coarse level
+    assert report["coarse_iterations"] > 0  # every grid starts from its coarse level
     stdout = capsys.readouterr().out
     assert "solved control_m" in stdout and "built operator in" in stdout
-    assert "after 0 coarse rounds" in stdout
-    # A cold start's first policy stops everywhere: no factorization.
-    assert report["factorizations"] == report["iterations"] - 1
+    assert f"after {report['coarse_iterations']} coarse rounds" in stdout
+    # control_m factors once in every fine round: the coarse start
+    # continues somewhere, so even the first round's policy does.
+    assert report["factorizations"] == report["iterations"]
     assert f"LU factorizations: {report['factorizations']})" in stdout
 
 

@@ -326,6 +326,18 @@ def test_stack_does_not_depend_on_worker_count(case, monkeypatch):
     assert all(np.array_equal(stacks[0], other) for other in stacks[1:])
 
 
+def test_one_worker_build_starts_no_thread(monkeypatch):
+    """An n = 1 build has one worker, so its pool is given no task and
+    starts no thread."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    prob, grid = _exact_case("absorbing")
+    assert prob.n == 1 and dp._build_workers(prob.n) == 1
+    assert isinstance(build_expectation_operator(prob, grid, "exact").stack, np.ndarray)
+    assert started == []
+
+
 def _one_draw_atoms(model, n):
     """Monte Carlo atoms from one ``sample`` call per (m, regime), the
     unblocked draw order the blocked build must reproduce."""
@@ -739,8 +751,9 @@ def test_fixed_all_awake_degenerates_to_stopping(problem, grid1001, operator):
 
 
 def test_strategy_argument_validation(problem, monkeypatch):
-    """A wrong strategy, a missing q or an out-of-range fixed_m raises
-    before the operator that would be built without one."""
+    """A wrong strategy, a missing, out-of-range or bool q, or a missing,
+    out-of-range or non-integer fixed_m raises before the operator that
+    would be built without one."""
     def no_build(*args, **kw):
         raise AssertionError("operator built before the argument checks")
 
@@ -752,6 +765,10 @@ def test_strategy_argument_validation(problem, monkeypatch):
         ("open_loop", {}, "open_loop needs a wake probability"),
         ("fixed_m", {}, "fixed_m needs an awake count"),
         ("fixed_m", {"fixed_m": problem.n + 1}, "fixed_m needs an awake count"),
+        ("fixed_m", {"fixed_m": 1.5}, "fixed_m needs an awake count"),
+        ("fixed_m", {"fixed_m": True}, "fixed_m needs an awake count"),
+        ("fixed_m", {"fixed_m": np.float64(2.0)}, "fixed_m needs an awake count"),
+        ("open_loop", {"q": True}, "open_loop needs a wake probability"),
     )
     for strategy, kw, fragment in bad:
         calls = (
@@ -825,7 +842,7 @@ STRATEGY_KW = {
 
 def _strategy_action_set(problem, operator, strategy, kw):
     """The action set that every sweep of ``strategy`` reads."""
-    return _action_set(problem, operator, strategy, kw.get("q"), kw.get("fixed_m"))
+    return _action_set(problem, strategy, operator.grid, operator, kw.get("q"), kw.get("fixed_m"))
 
 
 def _random_policy(problem, strategy, g, rng):
@@ -1160,17 +1177,12 @@ def mc_case201(grid201):
     return prob, build_expectation_operator(prob, grid201)
 
 
-@pytest.mark.parametrize("storage", ["exact", "monte_carlo"])
-@pytest.mark.parametrize("strategy", list(STRATEGY_KW))
-def test_coarse_start_matches_cold_start(
-    problem, grid201, operator201, mc_case201, strategy, storage
-):
+def _check_coarse_start(prob, op, strategy):
     """Policy iteration from the coarse policy ends where it ends from
-    stopping everywhere."""
+    stopping everywhere, in no more fine rounds."""
     kw = STRATEGY_KW[strategy]
-    prob, op = (problem, operator201) if storage == "exact" else mc_case201
-    g, pts = grid201.size, grid201.points
-    J, report = value_iteration(prob, strategy, grid201, operator=op, **kw)
+    g, pts = op.grid.size, op.grid.points
+    J, report = value_iteration(prob, strategy, op.grid, operator=op, **kw)
     assert report.coarse_iterations > 0
     acts = _strategy_action_set(prob, op, strategy, kw)
     (cold, *_), _, _, rounds, _, residual = _policy_rounds(
@@ -1180,20 +1192,30 @@ def test_coarse_start_matches_cold_start(
     np.testing.assert_allclose(J.values, cold, rtol=0, atol=1e-12)
     gamma, cold_gamma = (
         extract_policy(V, prob, strategy, operator=op, **kw).gamma
-        for V in (J, ValueFunction(grid201, cold))
+        for V in (J, ValueFunction(op.grid, cold))
     )
     assert gamma == pytest.approx(cold_gamma, abs=1e-10)
+
+
+@pytest.mark.parametrize("storage", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("strategy", list(STRATEGY_KW))
+def test_coarse_start_matches_cold_start(problem, operator201, mc_case201, strategy, storage):
+    prob, op = (problem, operator201) if storage == "exact" else mc_case201
+    _check_coarse_start(prob, op, strategy)
+
+
+@pytest.mark.parametrize("size", [2, 9, 51, 101])
+@pytest.mark.parametrize("strategy", list(STRATEGY_KW))
+def test_coarse_start_matches_cold_start_on_small_grids(problem, strategy, size):
+    """Every grid takes the coarse start, down to two nodes, whose coarse
+    grid is the grid itself."""
+    op = build_expectation_operator(problem, BeliefGrid.uniform(size))
+    _check_coarse_start(problem, op, strategy)
+    if size == 2:
+        assert np.array_equal(op.coarse.stack, op.stack)
 
 
 def test_coarse_start_rounds_at_grid_1001(solved_control_m, solved_control_q):
     for _, report in (solved_control_m, solved_control_q):
         assert report.coarse_iterations > 0
         assert report.iterations <= 4
-
-
-def test_small_grid_starts_cold(problem):
-    """101 nodes leave 14 coarse ones, under the cutoff: no coarse level."""
-    op = build_expectation_operator(problem, BeliefGrid.uniform(101))
-    assert op.coarse is None
-    _, report = value_iteration(problem, "control_m", 101, operator=op)
-    assert report.coarse_iterations == 0

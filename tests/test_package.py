@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import quickwake
-from quickwake import cli, sim
+from quickwake import cli, dp, sim
 from quickwake.cli import load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,3 +144,17 @@ def test_readme_grid_false_alarm_reading_is_the_solves(solved_control_m, metrics
     assert float(grid) == round(solved_control_m[1].p_false_alarm, 4)
     assert float(sim_alpha) == round(metrics_control_m.prob_false_alarm, 4)
     assert float(half) == round(metrics_control_m.false_alarm_half_width, 4)
+
+
+def test_readme_solver_numbers_are_the_solvers():
+    """The README's coarse stride, switching margin, residual check and
+    round cap are the solver's constants."""
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    (stride,) = re.findall(r"every (\d+)th grid node plus the last", readme)
+    (margin,) = re.findall(r"more than `([^`]+) \* lambda_f`", readme)
+    (scale,) = re.findall(r"must not exceed `([^`]+) \* lambda_f`", readme)
+    (rounds,) = re.findall(r"within ([\d,]+) rounds", readme)
+    assert int(stride) == dp.COARSE_STRIDE
+    assert float(margin) == dp.TIE_BREAK
+    assert float(scale) == dp.TOLERANCE_SCALE
+    assert int(rounds.replace(",", "")) == dp.MAX_ROUNDS

@@ -8,7 +8,7 @@ from quickwake import (
     extract_policy,
     value_iteration,
 )
-from quickwake.dp import STRATEGIES, TIE_BREAK, _binomial_table
+from quickwake.dp import STRATEGIES, TIE_BREAK, _binomial_table, _nearest_nodes
 from quickwake.policy import _threshold_from_continuation
 
 from grid_reference import nearest_index
@@ -229,6 +229,41 @@ def test_array_lookup_matches_scalar_lookup(policy_control_m, policy_control_q):
         nearest = [min(nearest_index(pts, float(pi)), end) for pi in probes]
         assert batched.tolist() == scalar == nearest
         assert batched[-2] == end
+
+
+def _brute_nearest(points, x, chunk=1024):
+    """argmin |x - p| over every node, the lower node on a tie."""
+    return np.concatenate([
+        np.argmin(np.abs(x[lo:lo + chunk, None] - points), axis=1)
+        for lo in range(0, x.size, chunk)
+    ])
+
+
+@pytest.mark.parametrize(
+    "points", [np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 201) ** 2],
+    ids=["uniform1001", "squared201"],
+)
+def test_nearest_nodes_match_brute_force(points):
+    """The nearest-node rule of the coarse start and the policy lookup
+    against a search of every node: at each node and midpoint, one float
+    to either side of each, and at 10^5 uniform beliefs.  The lookup
+    never returns a node at or above gamma."""
+    grid = BeliefGrid(points)
+    pts = grid.points
+    exact = np.concatenate((pts, 0.5 * (pts[:-1] + pts[1:])))
+    x = np.concatenate((
+        exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+        np.random.default_rng(5).random(100_000),
+    ))
+    brute = _brute_nearest(pts, x)
+    assert np.array_equal(_nearest_nodes(pts, x), brute)
+    g = pts.size
+    for gamma in (pts[1], 0.5 * (pts[g // 2] + pts[g // 2 + 1]), pts[g // 3],
+                  np.nextafter(pts[g - 5], 0.0), 1.0):
+        pol = Policy(kind="control_m", gamma=gamma, grid=grid, n=3, actions=np.zeros(g))
+        idx = pol._continue_indices(x)
+        assert np.all(pts[idx] < gamma)
+        assert np.array_equal(idx, np.minimum(brute, np.count_nonzero(pts < gamma) - 1))
 
 
 def test_extract_policy_open_loop_carries_q(problem, solved_open_loop, operator):

@@ -240,8 +240,9 @@ def test_sweep_checks_q_values_before_any_solve(problem, monkeypatch):
         raise AssertionError("solved before the argument checks")
 
     monkeypatch.setattr(sim, "value_iteration", no_solve)
-    with pytest.raises(ValueError, match="q_values must lie in"):
-        sweep_open_loop_q(problem, [0.05, 1.5], grid=51)
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError, match="q_values must lie in"):
+            sweep_open_loop_q(problem, [0.05, bad], grid=51)
 
 
 def solver_at(problem, strategy: str, grid_size: int):
