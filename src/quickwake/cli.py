@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``solve``     - stationary solve + policy extraction: J.csv, policy.csv,
-                  report.json
+* ``solve``     - stationary solve, its policy read from the solve's last
+                  sweep: J.csv, policy.csv, report.json
 * ``simulate``  - Monte Carlo evaluation of a solved policy:
                   episodes.csv, metrics.json (and episode 0's trace.csv with
                   --trace)
@@ -12,7 +12,8 @@ Subcommands:
                   rate meets a target, then simulate the result's policy
                   once: calibration.json
 * ``figures``   - the full benchmark set (differential costs, policies,
-                  thresholds, sweep curves) in one invocation
+                  thresholds, sweep curves) in one invocation; needs
+                  ``problem.n >= 3`` for its three differential costs
 
 Exit codes: 0 success, 1 invalid config or mismatched inputs, 2 a solve
 that fails the solver's fixed residual check or round cap, or a
@@ -47,7 +48,7 @@ from .dp import (
     value_iteration,
 )
 from .model import ChangePrior, Costs, Problem, SensorModel
-from .policy import Policy, extract_policy
+from .policy import Policy, _policy_from_sweep
 from .sim import (
     calibrate_lambda_f, estimate_metrics, metrics_from_episodes, run_episodes, sweep_open_loop_q,
 )
@@ -253,24 +254,14 @@ def _operator(cfg: RunConfig):
     return build_expectation_operator(cfg.problem, BeliefGrid.uniform(cfg.grid_size))
 
 
-def _value(cfg: RunConfig, operator):
-    """Solve ``cfg.strategy`` on ``operator``'s grid."""
-    return value_iteration(
+def _solve(cfg: RunConfig, operator):
+    """Solve ``cfg.strategy`` on ``operator``'s grid and read its policy
+    from ``J.last_sweep``, with no second sweep or fold."""
+    J, report = value_iteration(
         cfg.problem, cfg.strategy, operator.grid,
         q=cfg.open_loop_q, fixed_m=cfg.fixed_m, operator=operator,
     )
-
-
-def _policy(cfg: RunConfig, J, operator) -> Policy:
-    return extract_policy(
-        J, cfg.problem, cfg.strategy, operator=operator, q=cfg.open_loop_q, fixed_m=cfg.fixed_m,
-    )
-
-
-def _solve(cfg: RunConfig, operator):
-    """Solve ``cfg.strategy`` on ``operator``'s grid and extract its policy."""
-    J, report = _value(cfg, operator)
-    return J, report, _policy(cfg, J, operator)
+    return J, report, _policy_from_sweep(J.last_sweep, J.grid, cfg.problem, cfg.strategy)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -423,17 +414,18 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     """Search lambda_f on the solve's P_FA, then simulate the result's
-    policy once, with ``sim.replications`` and ``sim.base_seed``."""
+    policy once, with ``sim.replications`` and ``sim.base_seed``; it is read
+    from the result's ``last_sweep``, so nothing is folded after the search."""
     operator = _operator(cfg)
     result = calibrate_lambda_f(
-        cfg.problem, lambda trial: _value(replace(cfg, problem=trial), operator),
+        cfg.problem, lambda trial: _solve(replace(cfg, problem=trial), operator)[:2],
         cfg.target_alpha, cfg.calibrate_tolerance,
         lambda_lo=cfg.lambda_lo, lambda_hi=cfg.lambda_hi, max_trials=cfg.max_trials,
     )
-    costs = replace(cfg.problem.costs, lambda_f=result.lambda_f)
-    met = replace(cfg, problem=replace(cfg.problem, costs=costs))
-    policy = _policy(met, result.value_function, operator)
-    metrics = estimate_metrics(met.problem, policy, cfg.replications, cfg.base_seed)
+    J = result.value_function
+    problem = replace(cfg.problem, costs=replace(cfg.problem.costs, lambda_f=result.lambda_f))
+    policy = _policy_from_sweep(J.last_sweep, J.grid, problem, cfg.strategy)
+    metrics = estimate_metrics(problem, policy, cfg.replications, cfg.base_seed)
     _write_json(cfg.out_dir / "calibration.json", {
         "schema": SCHEMA_VERSION,
         "strategy": cfg.strategy,
@@ -464,7 +456,7 @@ def cmd_figures(cfg: RunConfig) -> int:
     problem = cfg.problem
 
     Jm, _, pol_m = _solve(replace(cfg, strategy="control_m"), operator)
-    B = operator.apply_all(Jm.values)
+    B = Jm.last_sweep.expected_next
     _write_csv(
         out / "differential_cost.csv", ["pi", "d1", "d2", "d3"],
         ([pi] + [B[m - 1, i] - B[m, i] for m in (1, 2, 3)] for i, pi in enumerate(grid.points)),
@@ -543,6 +535,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         if args.command in ("simulate", "calibrate") and cfg.replications < 1:
             raise ConfigError(f"field sim.replications must be >= 1 for {args.command}")
+        if args.command == "figures" and cfg.problem.n < 3:
+            raise ConfigError("field problem.n must be >= 3 for figures")
         if args.command == "simulate":
             return cmd_simulate(cfg, args.policy, args.trace)
         commands = {

@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 import time
@@ -193,7 +194,9 @@ class ValueFunction:
     the false-alarm probability ``p_false_alarm`` (A), the expected delay
     ``mean_delay`` (D, the mean of ``(tau - T)^+``) and the expected
     sensor-slots ``mean_sensor_slots`` (S), with ``values = lambda_f * A
-    + D + lambda_s * S`` to round-off; they are None otherwise.
+    + D + lambda_s * S`` to round-off, and ``last_sweep``, the sweep of
+    ``values`` that confirmed the policy, whose decisions it holds; they
+    are None otherwise.
     """
 
     grid: BeliefGrid
@@ -201,6 +204,7 @@ class ValueFunction:
     p_false_alarm: np.ndarray | None = None
     mean_delay: np.ndarray | None = None
     mean_sensor_slots: np.ndarray | None = None
+    last_sweep: BellmanMaps | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -930,11 +934,13 @@ def _sweep(
 
 
 def _check_action(problem: Problem, strategy: str, q: float | None, fixed_m: int | None) -> None:
-    """Refuse an unknown strategy, or a missing, out-of-range or bool ``q``
-    or ``fixed_m`` (which must be an integer), before any operator is built."""
+    """Refuse an unknown strategy, a ``q`` that is not a real number in [0,
+    1] (bools, numpy's too, are not), or a missing, out-of-range or
+    non-integer ``fixed_m``, before any operator is built."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if strategy == "open_loop" and (q is None or isinstance(q, bool) or not 0.0 <= q <= 1.0):
+    real = isinstance(q, numbers.Real) and not isinstance(q, bool)
+    if strategy == "open_loop" and not (real and 0.0 <= q <= 1.0):
         raise ValueError(f"open_loop needs a wake probability q in [0, 1], got {q!r}")
     if strategy == "fixed_m" and not (_is_integer(fixed_m) and 0 <= fixed_m <= problem.n):
         raise ValueError(f"fixed_m needs an awake count in 0..{problem.n}, got {fixed_m!r}")
@@ -1128,14 +1134,14 @@ def _threshold_window(problem: Problem, pts: np.ndarray, acts: _ActionSet, k: in
 
 def _policy_rounds(
     problem: Problem, pts: np.ndarray, acts: _ActionSet, stop: np.ndarray, best: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float, float | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float, BellmanMaps | None]:
     """The rounds of ``value_iteration`` from the policy that stops on
     ``stop`` and plays ``best`` elsewhere, which is evaluated first.
     Returns the last evaluation's rows J, A, D and S
     (``_evaluate_policy``), the last decisions ``(stop, best)``, the
     rounds run (the last of which changes nothing), the last round's
-    change of J, and the Bellman residual of J, or None if
-    ``MAX_ROUNDS`` rounds, read at call time, end in a change."""
+    change of J, and that last round's sweep of J (``BellmanMaps``), or
+    None if ``MAX_ROUNDS`` rounds, read at call time, end in a change."""
     stop_cost = problem.costs.lambda_f * (1.0 - pts)
     # The current policy's backup of its own J is J, so a node switches
     # only when the sweep beats J by more than round-off; near-ties keep
@@ -1160,8 +1166,7 @@ def _policy_rounds(
             best = np.where(stop, best, maps.best_action)
             polish = False
         else:
-            residual = float(np.max(np.abs(maps.new_values - values)))
-            return terms, stop, best, rounds, 0.0, residual
+            return terms, stop, best, rounds, 0.0, maps
         terms = _evaluate_policy(problem, pts, acts, stop, best)
         delta = float(np.max(np.abs(terms[0] - values)))
         values = terms[0]
@@ -1211,7 +1216,8 @@ def value_iteration(
 
     Returns:
         The converged ValueFunction, which carries its policy's cost
-        terms at every node, and a SolveReport, which gives them at rho.
+        terms at every node and, as ``last_sweep``, the sweep that confirmed
+        the policy, and a SolveReport, which gives the terms at rho.
 
     Raises:
         ValueError: If the strategy, ``q`` or ``fixed_m`` is invalid,
@@ -1236,10 +1242,10 @@ def value_iteration(
         np.ones(cpts.size, dtype=bool), np.zeros(cpts.size),
     )
     near = _nearest_nodes(cpts, pts)
-    terms, _, _, rounds, delta, residual = _policy_rounds(
+    terms, _, _, rounds, delta, maps = _policy_rounds(
         problem, pts, acts, stop[near], best[near]
     )
-    if residual is None:
+    if maps is None:
         raise ConvergenceError(
             f"value iteration hit its round cap of {rounds} with the policy still "
             f"changing (last sup-norm delta {delta:g})",
@@ -1247,6 +1253,7 @@ def value_iteration(
             last_delta=delta,
         )
     tolerance = TOLERANCE_SCALE * problem.costs.lambda_f
+    residual = float(np.max(np.abs(maps.new_values - terms[0])))
     if residual > tolerance:
         raise ConvergenceError(
             f"value iteration did not reach tolerance {tolerance:g} after "
@@ -1254,7 +1261,7 @@ def value_iteration(
             iterations=rounds,
             last_delta=residual,
         )
-    J = ValueFunction(grid, *terms)
+    J = ValueFunction(grid, *terms, last_sweep=maps)
     rho = problem.prior.rho
     report = SolveReport(
         strategy=strategy,
@@ -1308,9 +1315,9 @@ def bellman_maps(
 ) -> BellmanMaps:
     """One sweep over the whole grid, exposing the per-point decisions.
 
-    Policy extraction applies this to a converged value function to read
-    off the continuation values and minimizing actions.  It sweeps the
-    same action set as the solves, so a single action builds its fold.
+    ``extract_policy`` reads a policy from it.  It sweeps the solves'
+    action set, so a single action builds its fold; a stationary solve
+    already returns this sweep as ``J.last_sweep``.
     """
     acts = _action_set(problem, strategy, J.grid, operator, q, fixed_m)
     return _sweep(J.values, problem, J.grid.points, acts)

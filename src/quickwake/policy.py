@@ -17,6 +17,7 @@ from .dp import (
     STRATEGIES,
     TIE_BREAK,
     BeliefGrid,
+    BellmanMaps,
     ExpectationOperator,
     ValueFunction,
     _nearest_nodes,
@@ -120,12 +121,22 @@ def _threshold_from_continuation(
     return float(lo + (hi - lo) * gap[first - 1] / (gap[first - 1] - gap[first]))
 
 
-def _differential_rule_map(B: np.ndarray, problem: Problem) -> np.ndarray:
-    """Largest m whose marginal value ``B[m-1] - B[m]`` covers lambda_s."""
-    d = B[:-1] - B[1:]
-    hits = d >= problem.costs.lambda_s
-    counts = np.arange(1, problem.n + 1)[:, None] * hits
-    return counts.max(axis=0)
+def _policy_from_sweep(
+    maps: BellmanMaps, grid: BeliefGrid, problem: Problem, strategy: str
+) -> Policy:
+    """Threshold plus action map for ``strategy`` from ``maps``, a sweep
+    of its converged J on ``grid`` (``J.last_sweep`` or ``bellman_maps``).
+    The map is the sweep's argmin action at every node; for control_m,
+    ``awake_rule_mismatches`` counts the nodes below the threshold where
+    the marginal-value rule disagrees with it."""
+    gamma = _threshold_from_continuation(grid, maps.continue_values, problem.costs.lambda_f)
+    mismatches = 0
+    if strategy == "control_m":
+        # The rule: the largest m whose marginal value B[m-1] - B[m] covers lambda_s.
+        covers = maps.expected_next[:-1] - maps.expected_next[1:] >= problem.costs.lambda_s
+        rule = (np.arange(1, problem.n + 1)[:, None] * covers).max(axis=0)
+        mismatches = int(np.sum((rule != maps.best_action) & (grid.points < gamma)))
+    return Policy(strategy, gamma, grid, problem.n, maps.best_action, mismatches)
 
 
 def extract_policy(
@@ -137,21 +148,8 @@ def extract_policy(
     q: float | None = None,
     fixed_m: int | None = None,
 ) -> Policy:
-    """Threshold plus action map for ``strategy`` from a converged ``J``.
-
-    The action map is the sweep's argmin action at every node, for every
-    strategy.  For control_m, nodes below the threshold where the
-    marginal-value rule disagrees with it are tallied in
-    ``awake_rule_mismatches``.
-    """
+    """``_policy_from_sweep`` on one ``bellman_maps`` sweep of ``J``, for
+    a J without ``last_sweep`` (from ``solve_finite_horizon`` or by hand);
+    for one with it, the sweep gives the same policy again."""
     maps = bellman_maps(J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m)
-    gamma = _threshold_from_continuation(J.grid, maps.continue_values, problem.costs.lambda_f)
-    mismatches = 0
-    if strategy == "control_m":
-        rule = _differential_rule_map(maps.expected_next, problem)
-        below = J.grid.points < gamma
-        mismatches = int(np.sum((rule != maps.best_action) & below))
-    return Policy(
-        kind=strategy, gamma=gamma, grid=J.grid, n=problem.n, actions=maps.best_action,
-        awake_rule_mismatches=mismatches,
-    )
+    return _policy_from_sweep(maps, J.grid, problem, strategy)

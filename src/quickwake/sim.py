@@ -382,7 +382,7 @@ def sweep_open_loop_q(
 class CalibrationResult:
     """A calibrated ``lambda_f``, its grid P_FA ``alpha``, the trials run
     with their (lambda_f, grid P_FA) ``trace``, and ``value_function``,
-    the solve at ``lambda_f``, from which a caller extracts the policy."""
+    the solve at ``lambda_f``, whose ``last_sweep`` holds its policy."""
 
     lambda_f: float
     alpha: float

@@ -541,6 +541,87 @@ def test_figures_bundle(tmp_path):
         assert float(row[2]) <= float(row[1]) + 1e-9
 
 
+def test_figures_needs_three_sensors(tmp_path, capsys):
+    # differential_cost.csv holds the marginal values of sensors 1 to 3.
+    out = tmp_path / "x"
+    cfg = write_config(tmp_path, {"problem.n": 2}, out_dir=str(out))
+    assert main(["figures", "--config", cfg]) == 1
+    assert "field problem.n must be >= 3 for figures" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class FineFolds:
+    """Counts ``ExpectationOperator.fold`` calls on a ``size``-node grid
+    (the coarse level's folds are not counted): ``per_solve`` one entry
+    per stationary solve a command runs, ``outside`` those made outside
+    every solve."""
+
+    def __init__(self, monkeypatch, size):
+        self.per_solve, self.outside, inside = [], 0, []
+        fold, solve = quickwake.dp.ExpectationOperator.fold, quickwake.dp.value_iteration
+
+        def counted_fold(op, weights):
+            if op.grid.size == size and inside:
+                self.per_solve[-1] += 1
+            elif op.grid.size == size:
+                self.outside += 1
+            return fold(op, weights)
+
+        def counted_solve(*args, **kw):
+            self.per_solve.append(0)
+            inside.append(True)
+            try:
+                return solve(*args, **kw)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(quickwake.dp.ExpectationOperator, "fold", counted_fold)
+        for module in (cli, quickwake.sim):
+            monkeypatch.setattr(module, "value_iteration", counted_solve)
+
+
+BENCH_CONFIG = {
+    "solver.grid_size": 1001, "open_loop_q": 0.03, "fixed_m": 1,
+    "sim.replications": 1000, "sim.base_seed": 20260818,
+    "calibrate.target_alpha": 0.04, "calibrate.tolerance": 0.005,
+    "calibrate.lambda_lo": 10.0, "calibrate.lambda_hi": 1000.0,
+    "sweep.q_values": [0.0, 0.03, 0.5],
+}
+
+
+@pytest.mark.parametrize("strategy", ["open-loop", "fixed-m"])
+def test_solve_folds_once(tmp_path, monkeypatch, strategy):
+    """The policy is read from the solve's last sweep, so a single-action
+    solve that continues somewhere folds the stack once, in the solve."""
+    folds = FineFolds(monkeypatch, 1001)
+    cfg = write_config(tmp_path, BENCH_CONFIG, out_dir=str(tmp_path / "x"))
+    assert main(["solve", "--config", cfg, "--strategy", strategy]) == 0
+    assert (folds.per_solve, folds.outside) == ([1], 0)
+
+
+def test_calibrate_folds_only_in_trials_that_continue(tmp_path, monkeypatch):
+    """One fold per open-loop trial whose policy continues somewhere (its
+    P_FA at rho = 0 is below 1), and none after the search."""
+    folds = FineFolds(monkeypatch, 1001)
+    out = tmp_path / "x"
+    cfg = write_config(tmp_path, BENCH_CONFIG, out_dir=str(out), strategy="open-loop")
+    assert main(["calibrate", "--config", cfg]) == 0
+    trace = json.loads((out / "calibration.json").read_text())["trace"]
+    assert folds.per_solve == [int(alpha < 1.0) for _, alpha in trace]
+    assert (sum(folds.per_solve), folds.outside) == (2, 0)
+
+
+def test_figures_folds_only_in_its_solves(tmp_path, monkeypatch):
+    """fixed-m m = 1 and five of the six open-loop sweep solves continue
+    somewhere (q = 0.5 with sensing cost stops everywhere), and nothing
+    outside a solve folds."""
+    folds = FineFolds(monkeypatch, 1001)
+    cfg = write_config(tmp_path, BENCH_CONFIG, out_dir=str(tmp_path / "x"))
+    assert main(["figures", "--config", cfg]) == 0
+    assert max(folds.per_solve) == 1
+    assert (sum(folds.per_solve), folds.outside) == (6, 0)
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "m"))
     # The child finds the package where this process imported it from,

@@ -769,6 +769,7 @@ def test_strategy_argument_validation(problem, monkeypatch):
         ("fixed_m", {"fixed_m": True}, "fixed_m needs an awake count"),
         ("fixed_m", {"fixed_m": np.float64(2.0)}, "fixed_m needs an awake count"),
         ("open_loop", {"q": True}, "open_loop needs a wake probability"),
+        ("open_loop", {"q": np.True_}, "open_loop needs a wake probability"),
     )
     for strategy, kw, fragment in bad:
         calls = (
@@ -1185,10 +1186,10 @@ def _check_coarse_start(prob, op, strategy):
     J, report = value_iteration(prob, strategy, op.grid, operator=op, **kw)
     assert report.coarse_iterations > 0
     acts = _strategy_action_set(prob, op, strategy, kw)
-    (cold, *_), _, _, rounds, _, residual = _policy_rounds(
+    (cold, *_), _, _, rounds, _, last_sweep = _policy_rounds(
         prob, pts, acts, np.ones(g, dtype=bool), np.zeros(g)
     )
-    assert residual is not None and report.iterations <= rounds
+    assert last_sweep is not None and report.iterations <= rounds
     np.testing.assert_allclose(J.values, cold, rtol=0, atol=1e-12)
     gamma, cold_gamma = (
         extract_policy(V, prob, strategy, operator=op, **kw).gamma

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from quickwake import (
     BeliefGrid,
     Policy,
+    SensorModel,
     bellman_maps,
+    build_expectation_operator,
     extract_policy,
     value_iteration,
 )
 from quickwake.dp import STRATEGIES, TIE_BREAK, _binomial_table, _nearest_nodes
-from quickwake.policy import _threshold_from_continuation
+from quickwake.policy import _policy_from_sweep, _threshold_from_continuation
 
 from grid_reference import nearest_index
 
@@ -88,6 +92,40 @@ def test_closed_form_threshold_matches_bisection(problem, grid201, operator201, 
     assert 0.0 < gamma < 1.0
     assert abs(gamma - _bisected_threshold(grid201, cont, lam_f)) <= 1e-15
     assert extract_policy(J, problem, strategy, operator=operator201, **kw).gamma == gamma
+
+
+def _check_policy_from_last_sweep(problem, operator, strategy, kw):
+    """On 10 log-spaced lambda_f in [10, 1000], the policy read from the
+    solve's last sweep is ``extract_policy``'s, exactly, and its threshold
+    cell ends at the solve's first stop node (from which J is the stopping
+    cost): the policy simulated is the one whose A, D and S the solve
+    reported."""
+    pts = operator.grid.points
+    for lambda_f in np.geomspace(10.0, 1000.0, 10):
+        prob = replace(problem, costs=replace(problem.costs, lambda_f=float(lambda_f)))
+        J, _ = value_iteration(prob, strategy, operator.grid, operator=operator, **kw)
+        read = _policy_from_sweep(J.last_sweep, J.grid, prob, strategy)
+        swept = extract_policy(J, prob, strategy, operator=operator, **kw)
+        assert read.gamma == swept.gamma
+        assert np.array_equal(read.actions, swept.actions)
+        assert read.awake_rule_mismatches == swept.awake_rule_mismatches
+        continues = np.flatnonzero(J.values != prob.costs.lambda_f * (1.0 - pts))
+        first_stop = continues[-1] + 1 if continues.size else 0
+        assert np.searchsorted(pts, read.gamma) == first_stop
+
+
+@pytest.mark.parametrize(
+    "strategy,kw",
+    [("control_m", {}), ("control_q", {}), ("open_loop", {"q": 0.03}), ("open_loop", {"q": 0.5}),
+     ("fixed_m", {"fixed_m": 1}), ("fixed_m", {"fixed_m": 3})],
+)
+def test_policy_from_last_sweep_is_extract_policys(problem, operator201, strategy, kw):
+    _check_policy_from_last_sweep(problem, operator201, strategy, kw)
+
+
+def test_policy_from_last_sweep_on_a_monte_carlo_operator(problem, grid201):
+    prob = replace(problem, model=SensorModel(0.0, 1.0, 1.0, 1.2))
+    _check_policy_from_last_sweep(prob, build_expectation_operator(prob, grid201), "control_m", {})
 
 
 def test_fixed_two_stops_everywhere(problem, grid1001, operator):
