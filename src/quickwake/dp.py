@@ -63,7 +63,10 @@ closed form, with no integration parameter at all: a piecewise-linear
 value function integrates against each mixture component as Gaussian
 masses between the preimages of the grid nodes.  Adjacent segments share
 a boundary, so each boundary costs one small-tail CDF per regime, built
-for a block of belief rows at a time.  The clamped log-odds
+for a block of belief rows at a time.  A boundary's standardized
+position rises along each row, so the node where a row's tails switch
+sides is found once per awake count and regime, and each block then
+takes the tails and a few cheap passes over them.  The clamped log-odds
 (``_logit_array``) and the slot's log likelihood ratio as an affine map
 of the sum (``_llr_coefficients``) are the same helpers the simulator's
 posterior update uses.
@@ -406,10 +409,10 @@ class ExpectationOperator:
     beside ``coarse``: each single-action solve on the operator sweeps
     its stop-everywhere cost from it (see ``_sweep``).
     Dense stacks are filled from segment sums, their m-blocks
-    concurrently on the process's CPUs and each a few rows at a time, so
-    building one needs only one serial block's worth of temporaries
-    (``BLOCK_ROWS`` rows) beyond the stack itself.  The stack does not
-    depend on the worker count.
+    concurrently on the process's CPUs and each a few rows at a time, and
+    block 0 is written in place, so building one needs only one serial
+    block's worth of temporaries (``BLOCK_ROWS`` rows) beyond the stack
+    itself.  The stack does not depend on the worker count.
     ``model`` is the sensor model ``build_expectation_operator`` built the
     stack from, which solves check; None for a caller's atoms.
     """
@@ -570,7 +573,7 @@ def _dense_atom_operator(
     t = pts + (1.0 - pts) * p
     l0 = _logit_array(t)
     stack = np.empty(((atoms.n + 1) * g, g))
-    stack[:g] = _interp_matrix(grid, t).toarray()
+    _interp_matrix(grid, t).toarray(out=stack[:g])
     interior = _logit_array(pts[1:-1])
     step = np.diff(pts)
     scale0 = np.exp(-l0)
@@ -644,7 +647,13 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
     post-regime mass, so a row needs only each regime's segment masses.
     Each is a difference of the small tails ``T = Phi(-|z|)`` at its two
     boundaries (``1 - T_lo - T_hi`` on the segment that straddles 0), so
-    no two numbers near 1 are ever subtracted.
+    no two numbers near 1 are ever subtracted.  A boundary's z is a node
+    term less a row term, ``U[j] - Q[i]``, rising along the row, so one
+    ``searchsorted`` per count and regime finds every row's first node
+    with z > 0; left of it the tails rise and right of it they fall, so
+    a segment's mass is the absolute difference of its tails, and only
+    the straddling segment is written apart.  Each tail is at most 1/2,
+    so no mass is negative.
     """
     pts = grid.points
     g = grid.size
@@ -655,42 +664,44 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
     # Rows at or above 1 - EPS are absorbing; t increases with the row.
     live = int(np.searchsorted(t, 1.0 - EPS))
     stack = np.empty(((n + 1) * g, g))
-    stack[:g] = _interp_matrix(grid, t).toarray()
+    _interp_matrix(grid, t).toarray(out=stack[:g])
 
     def make_fill(block_rows: int):
-        # One block's scratch: the cuts, z and the tails; z > 0 and where
-        # it flips between neighbours; each regime's segment masses.
-        real = np.empty((3, block_rows, g))
-        flags = np.empty((2, block_rows, g), dtype=bool)
+        # One block's scratch: the tails, and each regime's segment masses.
+        tails = np.empty((block_rows, g))
         masses = np.empty((2, block_rows, g - 1))
-        return lambda m: fill(m, block_rows, real, flags, masses)
+        return lambda m: fill(m, block_rows, tails, masses)
 
-    def fill(m: int, block_rows: int, real, flags, masses) -> None:
+    def fill(m: int, block_rows: int, tails, masses) -> None:
         a, b = _llr_coefficients(model, m)
-        # Dividing by a signed sd orders every row's z upward whatever a's sign.
+        # A signed sd makes a * sd > 0, so z = U - Q rises along every row
+        # whatever a's sign.
         sd = math.copysign(math.sqrt(m) * model.sigma0, a)
-        real[0, :, 0], real[0, :, -1] = -np.inf * a, np.inf * a
+        Q = l0[:live] / (a * sd)
+        U = np.empty((2, g))
+        U[:, 0], U[:, -1] = -np.inf, np.inf
+        U[:, 1:-1] = interior / (a * sd)
+        for u, mu in zip(U, (model.mu0, model.mu1)):
+            u[1:-1] -= (b / a + m * mu) / sd
+        # U - Q > 0 exactly when U > Q, so K splits the rows as z > 0
+        # does; a z of 0 stays left, a tail of 1/2.
+        K = [np.searchsorted(u, Q, side="right") for u in U]
         block = stack[m * g:(m + 1) * g]
         block[live:] = 0.0
         block[live:, -1] = 1.0
         for lo in range(0, live, block_rows):
             r = slice(lo, min(lo + block_rows, live))
-            cut, z, tail = real[:, :r.stop - lo]
-            pos, flip = flags[:, :r.stop - lo]
-            d0, d1 = masses[:, :r.stop - lo]
-            cut[:, 1:-1] = (interior - l0[r, None] - b) / a
-            for seg, mu in ((d0, model.mu0), (d1, model.mu1)):
-                np.subtract(cut, m * mu, out=z)
-                z /= sd
-                np.greater(z, 0, out=pos)
-                np.negative(np.abs(z, out=tail), out=tail)
+            rows = np.arange(r.stop - lo)
+            tail = tails[:rows.size]
+            d0, d1 = masses[:, :rows.size]
+            for seg, u, k in zip((d0, d1), U, K):
+                np.subtract(u, Q[r, None], out=tail)
+                np.copysign(tail, -1.0, out=tail)
                 ndtr(tail, out=tail)
-                # Phi(z) is the tail for z <= 0 and 1 - tail above; the 1
-                # enters only the segment that straddles 0.
-                np.negative(tail, out=tail, where=pos)
                 np.subtract(tail[:, 1:], tail[:, :-1], out=seg)
-                seg += np.not_equal(pos[:, 1:], pos[:, :-1], out=flip[:, 1:])
-                np.maximum(seg, 0.0, out=seg)
+                np.abs(seg, out=seg)
+                right = k[r]
+                seg[rows, right - 1] = (-tail[rows, right] - tail[rows, right - 1]) + 1.0
             # Weighted by the prior: d1 becomes the post-regime mass and d0
             # the total.
             tr = t[r, None]
@@ -1050,9 +1061,10 @@ def _evaluate_policy(
     ``values`` is J's stopping cost on the stop set S and 0 on C, so
     ``P_C @ values`` is ``P_CS J_S`` and J's solve is ``(I - P_C[:, C])
     J_C = pi_C + c(a_C) + P_C @ values``; the other terms take their own
-    running costs and stop values.  A mixture is one ``einsum``
-    over the rows ``lo:hi`` of every block, the hull of C, with zero
-    weights on its holes, of which C's rows are kept.  Rows that each
+    running costs and stop values.  A mixture is one batched
+    ``matmul`` of each row's weights with that row of every block, over
+    the rows ``lo:hi``, the hull of C, read in place from the stack, with
+    zero weights on its holes, of which C's rows are kept.  Rows that each
     read one block (an awake count, or a fold) are gathered up to column
     ``hi`` only, the columns past it entering the right-hand side at
     once, so no wider copy is held while the solver copies ``P_C[:,
@@ -1093,7 +1105,8 @@ def _evaluate_policy(
         w = np.zeros((hi - lo, problem.n + 1))
         w[C - lo] = _binomial_table(problem.n, best[C])
         awake = problem.n * best[C]
-        P = np.einsum("cm,mcd->cd", w, acts.stack.reshape(-1, g, g)[:, lo:hi])
+        V = acts.stack.reshape(-1, g, g)[:, lo:hi]
+        P = np.matmul(w[:, None, :], V.transpose(1, 0, 2))[:, 0]
         if not interval:
             P = P[C - lo]
         stopped = P @ values

@@ -412,9 +412,11 @@ def calibrate_lambda_f(
     (Dowell & Jarratt 1971) on log P_FA against log lambda_f, where P_FA
     falls roughly as a power of lambda_f; a point that falls outside the
     bracket, or cannot be interpolated (a P_FA of 0), is replaced by the
-    bracket's geometric midpoint.  The grid P_FA is a step function of
-    lambda_f, constant while the policy is; if the target lies inside a
-    jump, the bracket closes on it until its ends are adjacent floats.
+    bracket's geometric midpoint, or by its arithmetic midpoint when the
+    geometric one rounds onto an end.  The grid P_FA is a step function
+    of lambda_f, constant while the policy is; if the target lies inside
+    a jump, the bracket closes on it until its ends are adjacent floats,
+    which is when neither midpoint lies strictly between them.
 
     Args:
         problem: Template instance; its lambda_f is overridden per trial.
@@ -481,6 +483,10 @@ def calibrate_lambda_f(
             lam = math.exp((x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo))
             if not lo.lambda_f < lam < hi.lambda_f:  # NaN too
                 lam = math.sqrt(lo.lambda_f) * math.sqrt(hi.lambda_f)
+            if not lo.lambda_f < lam < hi.lambda_f:
+                # The geometric midpoint can round onto an end while a float
+                # still lies between them; the arithmetic one cannot.
+                lam = (lo.lambda_f + hi.lambda_f) / 2.0
             if not lo.lambda_f < lam < hi.lambda_f:
                 raise ConvergenceError(
                     f"the grid P_FA jumps across |P_FA - {target_alpha}| <= {tolerance} "

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from quickwake import (
     BeliefGrid,
     ChangePrior,
+    ConvergenceError,
     Costs,
     Problem,
     SensorModel,
@@ -296,6 +298,30 @@ def test_calibration_bracket_must_straddle(problem):
             problem, solver_at(problem, "control_m", 201), target_alpha=0.5, tolerance=0.001,
             lambda_lo=5_000.0, lambda_hi=10_000.0,
         )
+
+
+def test_calibration_tries_the_float_inside_a_two_ulp_bracket(problem):
+    """The geometric midpoint of this bracket rounds onto its lower end
+    while one float lies between the ends; the search tries that float,
+    where the fake P_FA still reads high, and reports the jump only
+    between adjacent floats."""
+    lo = 72.3868790736938
+    mid = math.nextafter(lo, math.inf)
+    hi = math.nextafter(mid, math.inf)
+    assert math.sqrt(lo) * math.sqrt(hi) == lo
+    tried = []
+
+    def solve_at(trial):
+        lam = trial.costs.lambda_f
+        tried.append(lam)
+        return None, SimpleNamespace(p_false_alarm=0.05 if lam <= mid else 0.03)
+
+    with pytest.raises(ConvergenceError, match="between adjacent lambda_f") as err:
+        calibrate_lambda_f(
+            problem, solve_at, target_alpha=0.04, tolerance=1e-9, lambda_lo=lo, lambda_hi=hi,
+        )
+    assert tried == [lo, hi, mid]
+    assert f"at {mid!r}, " in str(err.value) and f"at {hi!r}" in str(err.value)
 
 
 @pytest.mark.parametrize(
