@@ -16,7 +16,6 @@ from .dp import (
     ValueFunction,
     bellman_maps,
     build_expectation_operator,
-    monte_carlo_atoms,
     operator_from_atoms,
     solve_finite_horizon,
     value_iteration,
@@ -63,7 +62,6 @@ __all__ = [
     "extract_policy",
     "likelihood_atoms",
     "metrics_from_episodes",
-    "monte_carlo_atoms",
     "operator_from_atoms",
     "run_episodes",
     "solve_finite_horizon",

@@ -255,11 +255,10 @@ def _operator(cfg: RunConfig):
 
 
 def _solve(cfg: RunConfig, operator):
-    """Solve ``cfg.strategy`` on ``operator``'s grid and read its policy
-    from ``J.last_sweep``, with no second sweep or fold."""
+    """Solve ``cfg.strategy`` on ``operator`` and read its policy from
+    ``J.last_sweep``, with no second sweep or fold."""
     J, report = value_iteration(
-        cfg.problem, cfg.strategy, operator.grid,
-        q=cfg.open_loop_q, fixed_m=cfg.fixed_m, operator=operator,
+        cfg.problem, cfg.strategy, q=cfg.open_loop_q, fixed_m=cfg.fixed_m, operator=operator
     )
     return J, report, _policy_from_sweep(J.last_sweep, J.grid, cfg.problem, cfg.strategy)
 
@@ -401,7 +400,7 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
     if q_values is None:
         q_values = np.linspace(0.0, 1.0, 101)
     operator = _operator(cfg)
-    result = sweep_open_loop_q(cfg.problem, q_values, grid=operator.grid, operator=operator)
+    result = sweep_open_loop_q(cfg.problem, q_values, operator=operator)
     _write_csv(
         cfg.out_dir / "sweep.csv", ["q", "value_at_start", "mean_delay", "is_argmin"],
         ([row.q, row.value_at_start, row.mean_delay, int(i == result.argmin_index)]
@@ -414,11 +413,15 @@ def cmd_sweep_q(cfg: RunConfig) -> int:
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     """Search lambda_f on the solve's P_FA, then simulate the result's
-    policy once, with ``sim.replications`` and ``sim.base_seed``; it is read
-    from the result's ``last_sweep``, so nothing is folded after the search."""
+    policy once, with ``sim.replications`` and ``sim.base_seed``.  The
+    trials read no policy; the result's is read once from its
+    ``last_sweep``, so nothing is folded after the search."""
     operator = _operator(cfg)
     result = calibrate_lambda_f(
-        cfg.problem, lambda trial: _solve(replace(cfg, problem=trial), operator)[:2],
+        cfg.problem,
+        lambda trial: value_iteration(
+            trial, cfg.strategy, q=cfg.open_loop_q, fixed_m=cfg.fixed_m, operator=operator
+        ),
         cfg.target_alpha, cfg.calibrate_tolerance,
         lambda_lo=cfg.lambda_lo, lambda_hi=cfg.lambda_hi, max_trials=cfg.max_trials,
     )
@@ -477,10 +480,7 @@ def cmd_figures(cfg: RunConfig) -> int:
     if q_values is None:
         q_values = np.linspace(0.0, 1.0, 41)
     zero_s = replace(problem, costs=replace(problem.costs, lambda_s=0.0))
-    curve, curve0 = (
-        sweep_open_loop_q(pr, q_values, grid=grid, operator=operator)
-        for pr in (problem, zero_s)
-    )
+    curve, curve0 = (sweep_open_loop_q(pr, q_values, operator=operator) for pr in (problem, zero_s))
     _write_csv(
         out / "open_loop_sweep.csv",
         ["q", "value_sensing_cost", "value_free_sensing", "is_argmin"],

@@ -15,7 +15,9 @@ Three continuation rules are covered:
 Everything expensive lives in the map ``J -> E[J(next belief)]`` for each
 awake count ``m``.  On a fixed grid with piecewise-linear interpolation
 that map is linear in the grid values, so it is assembled once as one
-stacked matrix over all ``m`` and a sweep is one mat-vec.  The four
+stacked matrix over all ``m`` and a sweep is one mat-vec.  Its owner
+builds it (``build_expectation_operator``) and passes it to every solve
+as the required ``operator``, whose grid is the solve's grid.  The four
 strategies differ only in their action set: a sensing cost per action
 and a mixture over awake counts.  control_m plays one count.  control_q
 mixes them with Binomial(n, q) weights, and a sweep takes the exact
@@ -947,7 +949,7 @@ def _sweep(
 def _check_action(problem: Problem, strategy: str, q: float | None, fixed_m: int | None) -> None:
     """Refuse an unknown strategy, a ``q`` that is not a real number in [0,
     1] (bools, numpy's too, are not), or a missing, out-of-range or
-    non-integer ``fixed_m``, before any operator is built."""
+    non-integer ``fixed_m``, before the operator is read."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     real = isinstance(q, numbers.Real) and not isinstance(q, bool)
@@ -960,20 +962,20 @@ def _check_action(problem: Problem, strategy: str, q: float | None, fixed_m: int
 def _action_set(
     problem: Problem,
     strategy: str,
-    grid,
-    operator: ExpectationOperator | None,
+    grid: BeliefGrid | None,
+    operator: ExpectationOperator,
     q: float | None,
     fixed_m: int | None,
 ) -> _ActionSet:
     """The one action set every sweep of ``strategy`` reads, on
-    ``_resolve_operator``'s operator, once ``_check_action`` has passed
-    the arguments.  control_q reads control_m's, mixed over a wake
+    ``operator`` once ``_check_action`` and ``_check_operator`` have
+    passed the arguments.  control_q reads control_m's, mixed over a wake
     probability; either takes a dense or a CSR stack.  open_loop and
     fixed_m keep their mixture over the awake counts, which their set
     folds into one ``g x g`` map (``ExpectationOperator.fold``, which
     refuses a CSR stack) when a sweep or an evaluation first needs it."""
     _check_action(problem, strategy, q, fixed_m)
-    operator = _resolve_operator(problem, _resolve_grid(grid), operator)
+    _check_operator(problem, grid, operator)
     n = problem.n
     if strategy in ("control_m", "control_q"):
         counts = np.arange(n + 1)
@@ -985,28 +987,18 @@ def _action_set(
     return _ActionSet(operator, np.array([awake]), np.array([action]), weights)
 
 
-def _resolve_operator(
-    problem: Problem, grid: BeliefGrid, operator: ExpectationOperator | None
-) -> ExpectationOperator:
-    """``operator``, refused unless its grid, n, p and sensor model (if it
-    records one) are the solve's; one built for ``problem`` when None."""
-    if operator is None:
-        return build_expectation_operator(problem, grid)
+def _check_operator(
+    problem: Problem, grid: BeliefGrid | None, operator: ExpectationOperator
+) -> None:
+    """Refuse ``operator`` unless its n, p and sensor model (if it records
+    one) are the problem's and, when ``grid`` is not None, its grid has
+    ``grid``'s points; refuse a ``grid`` that is not a ``BeliefGrid``."""
+    if grid is not None and not isinstance(grid, BeliefGrid):
+        raise ValueError(f"grid must be a BeliefGrid or None, got {type(grid).__name__}")
     if (operator.n != problem.n or operator.p != problem.prior.p
-            or not np.array_equal(operator.grid.points, grid.points)
+            or (grid is not None and not np.array_equal(operator.grid.points, grid.points))
             or (operator.model is not None and operator.model != problem.model)):
         raise ValueError("operator does not match the grid, n, p or sensor model")
-    return operator
-
-
-def _resolve_grid(grid) -> BeliefGrid:
-    if grid is None:
-        return BeliefGrid.uniform(DEFAULT_GRID_SIZE)
-    if isinstance(grid, BeliefGrid):
-        return grid
-    if isinstance(grid, (int, np.integer)):
-        return BeliefGrid.uniform(int(grid))
-    return BeliefGrid(np.asarray(grid, dtype=float))
 
 
 def _solve_identity_minus(P: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -1189,11 +1181,11 @@ def _policy_rounds(
 def value_iteration(
     problem: Problem,
     strategy: str,
-    grid=None,
+    grid: BeliefGrid | None = None,
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    operator: ExpectationOperator | None = None,
+    operator: ExpectationOperator,
 ) -> tuple[ValueFunction, SolveReport]:
     """Solve the stationary Bellman equation on a belief grid exactly.
 
@@ -1218,14 +1210,14 @@ def value_iteration(
     Args:
         problem: The instance to solve.
         strategy: One of control_m, control_q, open_loop, fixed_m.
-        grid: BeliefGrid, point count, or None for the 1001-point default.
+        grid: Only a check: None, or a BeliefGrid with the operator's
+            points.  The solve runs on ``operator.grid``.
         q: Wake probability (open_loop only).
         fixed_m: Constant awake count (fixed_m only).
-        operator: Prebuilt expectation maps to reuse across solves, built
-            on ``grid`` for this problem's n, p and sensor model, with a
-            dense stack; its coarse level and a single action's
+        operator: Required.  The expectation maps, built for this
+            problem's n, p and sensor model with a dense stack, and
+            reused across solves; its coarse level and a single action's
             ``stop_image`` are built on first use and kept with it.
-            Built with the default method when None.
 
     Returns:
         The converged ValueFunction, which carries its policy's cost
@@ -1233,11 +1225,12 @@ def value_iteration(
         the policy, and a SolveReport, which gives the terms at rho.
 
     Raises:
+        TypeError: If ``operator`` is not given.
         ValueError: If the strategy, ``q`` or ``fixed_m`` is invalid,
-            before any operator is built; if ``operator`` does not match
-            the solve (``_resolve_operator``); or if it holds a CSR stack,
-            before any round, as that serves only the sweeps of
-            ``solve_finite_horizon``.
+            before the operator is read; if ``operator`` does not match
+            the problem or ``grid`` (``_check_operator``); or if it holds
+            a CSR stack, before any round, as that serves only the sweeps
+            of ``solve_finite_horizon``.
         ConvergenceError: If the policy still changes after
             ``MAX_ROUNDS`` fine rounds (carrying the last change of J), or
             the result's Bellman residual ``||TJ - J||_inf`` exceeds
@@ -1296,16 +1289,19 @@ def solve_finite_horizon(
     problem: Problem,
     sweeps: int,
     strategy: str = "control_m",
-    grid=None,
+    grid: BeliefGrid | None = None,
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    operator: ExpectationOperator | None = None,
+    operator: ExpectationOperator,
 ) -> ValueFunction:
-    """Exactly ``sweeps`` Bellman applications to the stopping cost.
+    """Exactly ``sweeps`` Bellman applications to the stopping cost, on
+    ``operator.grid``.
 
     The result is the optimal cost when the scheduler must declare within
     ``sweeps`` slots.  Zero sweeps returns the stopping cost itself.
+    ``operator`` and ``grid`` are checked as ``value_iteration`` checks
+    them; a CSR stack serves control_m's and control_q's sweeps.
     """
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
@@ -1324,9 +1320,10 @@ def bellman_maps(
     *,
     q: float | None = None,
     fixed_m: int | None = None,
-    operator: ExpectationOperator | None = None,
+    operator: ExpectationOperator,
 ) -> BellmanMaps:
-    """One sweep over the whole grid, exposing the per-point decisions.
+    """One sweep of ``J`` on ``operator``, which must be built on
+    ``J.grid`` for this problem, exposing the per-point decisions.
 
     ``extract_policy`` reads a policy from it.  It sweeps the solves'
     action set, so a single action builds its fold; a stationary solve

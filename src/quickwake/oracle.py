@@ -29,7 +29,8 @@ class DiscreteInstance:
     """Binary-observation change-detection instance small enough to enumerate.
 
     ``g0`` and ``g1`` are the pre- and post-change pmfs over the alphabet
-    {0, 1}, given as (P[X=0], P[X=1]).
+    {0, 1}, given as (P[X=0], P[X=1]) in any sequence and kept as tuples
+    of floats.
     """
 
     horizon: int
@@ -51,7 +52,9 @@ class DiscreteInstance:
             raise ValueError(
                 f"enumeration bound exceeded: n must be 1..{MAX_SENSORS}, got {self.n!r}"
             )
-        for name, pmf in (("g0", self.g0), ("g1", self.g1)):
+        for name in ("g0", "g1"):
+            pmf = tuple(float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, pmf)
             if len(pmf) != 2 or not all(0.0 <= v <= 1.0 for v in pmf):  # NaN fails too
                 raise ValueError(f"{name} must be two masses in [0, 1]")
             if abs(sum(pmf) - 1.0) > PMF_TOLERANCE:

@@ -144,12 +144,13 @@ def extract_policy(
     problem: Problem,
     strategy: str,
     *,
-    operator: ExpectationOperator | None = None,
+    operator: ExpectationOperator,
     q: float | None = None,
     fixed_m: int | None = None,
 ) -> Policy:
-    """``_policy_from_sweep`` on one ``bellman_maps`` sweep of ``J``, for
-    a J without ``last_sweep`` (from ``solve_finite_horizon`` or by hand);
+    """``_policy_from_sweep`` on one ``bellman_maps`` sweep of ``J`` on
+    ``operator`` (required, built on ``J.grid`` for ``problem``), for a J
+    without ``last_sweep`` (from ``solve_finite_horizon`` or by hand);
     for one with it, the sweep gives the same policy again."""
     maps = bellman_maps(J, problem, strategy, operator=operator, q=q, fixed_m=fixed_m)
     return _policy_from_sweep(maps, J.grid, problem, strategy)

@@ -40,8 +40,8 @@ import numpy as np
 from scipy.special import expit
 
 from .dp import (
-    ConvergenceError, ExpectationOperator, SolveReport, ValueFunction, _llr_coefficients,
-    _logit_array, _resolve_grid, _resolve_operator, value_iteration,
+    BeliefGrid, ConvergenceError, ExpectationOperator, SolveReport, ValueFunction,
+    _llr_coefficients, _logit_array, value_iteration,
 )
 from .model import Problem, SensorModel
 from .policy import Policy
@@ -347,25 +347,25 @@ def sweep_open_loop_q(
     problem: Problem,
     q_values,
     *,
-    grid=None,
-    operator: ExpectationOperator | None = None,
+    grid: BeliefGrid | None = None,
+    operator: ExpectationOperator,
 ) -> SweepResult:
-    """Solve the fixed-q problem for each q and report J*(rho) per q.
+    """Solve the fixed-q problem for each q on ``operator``'s grid and
+    report J*(rho) per q.
 
     Each solve is ``value_iteration``'s, with its fixed residual check and
     round cap, and each row carries its solve's exact mean delay
     ``E[(tau - T)^+]`` at rho (``SolveReport.mean_delay``).
     Returns all rows plus the minimizing q (first minimum on value ties).
-    An empty or out-of-range ``q_values`` or an operator built for another
-    grid, n, p or sensor model raises ``ValueError`` before any solve.
+    ``q_values`` that are not a non-empty 1-D sequence in [0, 1], or an
+    operator that does not match the problem or ``grid`` (only a check,
+    as in ``value_iteration``), raise ``ValueError`` before any solve.
     """
     q_values = np.asarray(q_values, dtype=float)
-    if q_values.size == 0:
-        raise ValueError("q_values must not be empty")
+    if q_values.ndim != 1 or q_values.size == 0:
+        raise ValueError("q_values must be a non-empty 1-D sequence")
     if not np.all((q_values >= 0.0) & (q_values <= 1.0)):  # NaN fails too
         raise ValueError("q_values must lie in [0, 1]")
-    grid = _resolve_grid(grid)
-    operator = _resolve_operator(problem, grid, operator)
     rho = problem.prior.rho
     rows = []
     for q in q_values:

@@ -394,7 +394,9 @@ def test_sweep_q_artifact(tmp_path):
     assert len(rows) == 4
     assert [r[3] for r in rows[1:]].count("1") == 1
     # Each row's delay is its solve's, written to 12 significant digits.
-    sweep = quickwake.sweep_open_loop_q(make_benchmark_problem(), [0.0, 0.02, 0.3], grid=51)
+    problem = make_benchmark_problem()
+    op = quickwake.build_expectation_operator(problem, quickwake.BeliefGrid.uniform(51))
+    sweep = quickwake.sweep_open_loop_q(problem, [0.0, 0.02, 0.3], operator=op)
     assert [r[2] for r in rows[1:]] == [format(r.mean_delay, ".12g") for r in sweep.rows]
     marked = next(r for r in rows[1:] if r[3] == "1")
     assert float(marked[1]) == min(float(r[1]) for r in rows[1:])
@@ -609,6 +611,20 @@ def test_calibrate_folds_only_in_trials_that_continue(tmp_path, monkeypatch):
     trace = json.loads((out / "calibration.json").read_text())["trace"]
     assert folds.per_solve == [int(alpha < 1.0) for _, alpha in trace]
     assert (sum(folds.per_solve), folds.outside) == (2, 0)
+
+
+def test_calibrate_reads_one_policy(tmp_path, monkeypatch):
+    """The trials read no policy; the result's is read once, after the
+    search (the bench's calibrate config at grid 201 runs four trials)."""
+    reads = []
+    read = cli._policy_from_sweep
+    monkeypatch.setattr(cli, "_policy_from_sweep", lambda *args: reads.append(args) or read(*args))
+    out = tmp_path / "x"
+    config = dict(BENCH_CONFIG, **{"solver.grid_size": 201})
+    cfg = write_config(tmp_path, config, out_dir=str(out), strategy="open-loop")
+    assert main(["calibrate", "--config", cfg]) == 0
+    assert json.loads((out / "calibration.json").read_text())["trials"] == 4
+    assert len(reads) == 1
 
 
 def test_figures_folds_only_in_its_solves(tmp_path, monkeypatch):

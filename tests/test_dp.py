@@ -26,7 +26,6 @@ from quickwake import (
     build_expectation_operator,
     extract_policy,
     likelihood_atoms,
-    monte_carlo_atoms,
     operator_from_atoms,
     solve_finite_horizon,
     sweep_open_loop_q,
@@ -42,6 +41,7 @@ from quickwake.dp import (
     _evaluate_policy,
     _policy_rounds,
     _solve_identity_minus,
+    monte_carlo_atoms,
 )
 from tests.conftest import make_benchmark_problem
 
@@ -795,15 +795,18 @@ def test_fixed_all_awake_degenerates_to_stopping(problem, grid1001, operator):
     np.testing.assert_allclose(J.values, 100.0 * (1.0 - grid1001.points), atol=1e-9)
 
 
-def test_strategy_argument_validation(problem, monkeypatch):
+def test_strategy_argument_validation(problem, operator201, monkeypatch):
     """A wrong strategy, a missing, out-of-range or bool q, or a missing,
-    out-of-range or non-integer fixed_m raises before the operator that
-    would be built without one."""
-    def no_build(*args, **kw):
-        raise AssertionError("operator built before the argument checks")
+    out-of-range or non-integer fixed_m raises before any sweep, fold or
+    coarse level of the operator it is given."""
+    def untouched(*args, **kw):
+        raise AssertionError("operator read before the argument checks")
 
-    monkeypatch.setattr(dp, "build_expectation_operator", no_build)
-    grid = BeliefGrid.uniform(1001)
+    monkeypatch.setattr(dp, "_sweep", untouched)
+    monkeypatch.setattr(ExpectationOperator, "fold", untouched)
+    monkeypatch.setattr(ExpectationOperator, "coarse", property(untouched))
+    op = operator201
+    grid = op.grid
     J = ValueFunction(grid, problem.costs.lambda_f * (1.0 - grid.points))
     bad = (
         ("optimal", {}, "strategy must be one of"),
@@ -818,10 +821,10 @@ def test_strategy_argument_validation(problem, monkeypatch):
     )
     for strategy, kw, fragment in bad:
         calls = (
-            lambda: value_iteration(problem, strategy, grid, **kw),
-            lambda: solve_finite_horizon(problem, 2, strategy, grid, **kw),
-            lambda: bellman_maps(J, problem, strategy, **kw),
-            lambda: extract_policy(J, problem, strategy, **kw),
+            lambda: value_iteration(problem, strategy, grid, operator=op, **kw),
+            lambda: solve_finite_horizon(problem, 2, strategy, grid, operator=op, **kw),
+            lambda: bellman_maps(J, problem, strategy, operator=op, **kw),
+            lambda: extract_policy(J, problem, strategy, operator=op, **kw),
         )
         for call in calls:
             with pytest.raises(ValueError, match=fragment):
@@ -1147,6 +1150,30 @@ def test_operator_must_be_built_on_the_grid():
     value_iteration(prob, "control_m", same, operator=op)
 
 
+def test_solves_run_on_the_operators_grid(problem, grid201, operator201):
+    """An operator passed alone sets the solve's grid, which a grid
+    argument only checks; a call without an operator is refused."""
+    J, report = value_iteration(problem, "control_m", operator=operator201)
+    assert J.grid is grid201 and report.grid_size == 201
+    assert solve_finite_horizon(problem, 2, operator=operator201).grid is grid201
+    J_q, _ = value_iteration(problem, "open_loop", grid201, q=0.03, operator=operator201)
+    sweep = sweep_open_loop_q(problem, [0.03], operator=operator201)
+    assert sweep.rows[0].value_at_start == J_q(problem.prior.rho)
+    for grid in (201, np.int64(201), grid201.points):
+        with pytest.raises(ValueError, match="grid must be a BeliefGrid or None"):
+            value_iteration(problem, "control_m", grid, operator=operator201)
+    calls = (
+        lambda: value_iteration(problem, "control_m", grid201),
+        lambda: solve_finite_horizon(problem, 2, "control_m", grid201),
+        lambda: bellman_maps(J, problem, "control_m"),
+        lambda: extract_policy(J, problem, "control_m"),
+        lambda: sweep_open_loop_q(problem, [0.03]),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="operator"):
+            call()
+
+
 def test_operator_must_be_built_for_the_change_hazard():
     """The stack folds in the change hazard p, so an operator built for
     another p is rejected, not read as if it were the problem's."""
@@ -1159,7 +1186,7 @@ def test_operator_must_be_built_for_the_change_hazard():
         lambda: value_iteration(prob, "control_m", grid, operator=other),
         lambda: solve_finite_horizon(prob, 2, "control_m", grid, operator=other),
         lambda: extract_policy(J, prob, "control_m", operator=other),
-        lambda: sweep_open_loop_q(prob, [0.5], grid=grid, operator=other),
+        lambda: sweep_open_loop_q(prob, [0.5], operator=other),
     )
     for call in calls:
         with pytest.raises(ValueError, match="does not match the grid, n, p or sensor model"):
@@ -1180,7 +1207,7 @@ def test_operator_must_be_built_for_the_sensor_model():
         lambda: value_iteration(prob, "control_m", grid, operator=other),
         lambda: solve_finite_horizon(prob, 2, "control_m", grid, operator=other),
         lambda: extract_policy(J, prob, "control_m", operator=other),
-        lambda: sweep_open_loop_q(prob, [0.5], grid=grid, operator=other),
+        lambda: sweep_open_loop_q(prob, [0.5], operator=other),
     )
     for call in calls:
         with pytest.raises(ValueError, match="does not match the grid, n, p or sensor model"):

@@ -100,6 +100,22 @@ def test_enumeration_bounds_enforced():
         )
 
 
+def test_instance_checks_its_pmfs_as_tuples_of_floats():
+    """A list or an ndarray pmf is compared, checked and hashed as the
+    tuple of floats it holds."""
+    fields = dict(horizon=2, n=1, rho=0.0, p=0.2, lambda_s=0.3, lambda_f=5.0)
+    for g1 in ([0.7, 0.3], np.array([0.7, 0.3])):
+        with pytest.raises(ValueError, match="identical"):
+            DiscreteInstance(g0=(0.7, 0.3), g1=g1, **fields)
+    inst = DiscreteInstance(g0=np.array([0.7, 0.3]), g1=[0.2, 0.8], **fields)
+    assert (inst.g0, inst.g1) == ((0.7, 0.3), (0.2, 0.8))
+    assert {type(v) for v in inst.g0 + inst.g1} == {float}
+    assert hash(inst) == hash(DiscreteInstance(g0=(0.7, 0.3), g1=(0.2, 0.8), **fields))
+    assert brute_force_value(inst, 0.1) == brute_force_value(
+        DiscreteInstance(g0=(0.7, 0.3), g1=(0.2, 0.8), **fields), 0.1
+    )
+
+
 @pytest.mark.parametrize(
     "field,value,fragment",
     [

@@ -8,6 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import quickwake
 from quickwake import cli, dp, sim
 from quickwake.cli import load_config, main
@@ -144,6 +147,48 @@ def test_readme_grid_false_alarm_reading_is_the_solves(solved_control_m, metrics
     assert float(grid) == round(solved_control_m[1].p_false_alarm, 4)
     assert float(sim_alpha) == round(metrics_control_m.prob_false_alarm, 4)
     assert float(half) == round(metrics_control_m.false_alarm_half_width, 4)
+
+
+def test_readme_sweep_defaults_are_the_commands(tmp_path, monkeypatch):
+    """The README's default q values for sweep-q and figures are the ones
+    each command sweeps when the config gives none."""
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    counts = re.search(
+        r"`sweep.q_values` defaults to (\d+) values for `sweep-q` and (\d+) for `figures`, "
+        r"evenly spaced on \[0, 1\]", readme
+    ).groups()
+
+    class Swept(Exception):
+        pass
+
+    def sweep(problem, q_values, **kw):
+        raise Swept(q_values)
+
+    monkeypatch.setattr(cli, "sweep_open_loop_q", sweep)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema": 1, "strategy": "control-m", "solver": {"grid_size": 51},
+        "problem": {
+            "n": 3, "rho": 0.0, "p": 0.05, "lambda_s": 0.5, "lambda_f": 100.0,
+            "mu0": 0.0, "sigma0": 1.0, "mu1": 1.0, "sigma1": 1.0,
+        },
+    }))
+    for command, count in zip(("sweep-q", "figures"), counts):
+        with pytest.raises(Swept) as swept:
+            main([command, "--config", str(config), "--out", str(tmp_path)])
+        np.testing.assert_array_equal(swept.value.args[0], np.linspace(0.0, 1.0, int(count)))
+
+
+def test_readme_module_names_resolve():
+    """Every `dp.NAME`, `sim.NAME` or `cli.NAME` the README gives is a
+    config field or a name in that module."""
+    readme = (ROOT / "README.md").read_text()
+    names = re.findall(r"`((dp|sim|cli)\.([A-Za-z_]\w*))`", readme)
+    assert {"dp.MC_ROWS", "dp.MC_AHEAD"} <= {full for full, _, _ in names}
+    fields = {field[0] for field in cli._FIELDS}
+    modules = {"dp": dp, "sim": sim, "cli": cli}
+    for full, module, name in names:
+        assert full in fields or hasattr(modules[module], name), full
 
 
 def test_readme_solver_numbers_are_the_solvers():

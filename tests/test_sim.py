@@ -237,14 +237,17 @@ def test_sweep_rows_carry_each_solves_mean_delay(problem, grid201, operator201):
         assert (row.value_at_start, row.mean_delay) == (J(problem.prior.rho), report.mean_delay)
 
 
-def test_sweep_checks_q_values_before_any_solve(problem, monkeypatch):
+def test_sweep_checks_q_values_before_any_solve(problem, operator201, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("solved before the argument checks")
 
     monkeypatch.setattr(sim, "value_iteration", no_solve)
     for bad in (1.5, np.nan):
         with pytest.raises(ValueError, match="q_values must lie in"):
-            sweep_open_loop_q(problem, [0.05, bad], grid=51)
+            sweep_open_loop_q(problem, [0.05, bad], operator=operator201)
+    for bad in ([[0.1, 0.2]], 0.1):
+        with pytest.raises(ValueError, match="q_values must be a non-empty 1-D sequence"):
+            sweep_open_loop_q(problem, bad, operator=operator201)
 
 
 def solver_at(problem, strategy: str, grid_size: int):
@@ -285,11 +288,6 @@ def test_calibration_factors_once_per_trial_that_continues(problem, grid1001, op
     assert result.trials == len(reports) == 3
     assert [r.factorizations for r in reports] == [int(r.p_false_alarm < 1.0) for r in reports]
     assert [r.iterations for r in reports] == [1, 3, 3]
-
-
-def test_grid_may_be_a_numpy_integer(problem):
-    sweep = sweep_open_loop_q(problem, [0.0, 0.05], grid=np.int64(51))
-    assert sweep.rows == sweep_open_loop_q(problem, [0.0, 0.05], grid=51).rows
 
 
 def test_calibration_bracket_must_straddle(problem):
