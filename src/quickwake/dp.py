@@ -15,7 +15,11 @@ Three continuation rules are covered:
 Everything expensive lives in the map ``J -> E[J(next belief)]`` for each
 awake count ``m``.  On a fixed grid with piecewise-linear interpolation
 that map is linear in the grid values, so it is assembled once as one
-stacked matrix over all ``m`` and a sweep is one mat-vec.  Its owner
+stacked matrix over the observing counts ``m = 1..n`` and a sweep is one
+mat-vec.  With every sensor asleep the next belief is the predicted one,
+``t = pi + (1 - pi) * p``, so that map is a shift, J read at t, with two
+weights per row: the operator keeps each row's node below t and the
+weight on the node above, not a ``g x g`` block.  Its owner
 builds it (``build_expectation_operator``) and passes it to every solve
 as the required ``operator``, whose grid is the solve's grid.  The four
 strategies differ only in their action set: a sensing cost per action
@@ -34,11 +38,12 @@ The stationary problem is solved by policy iteration: a sweep picks the
 stop set and actions, and one linear solve on the continue set C gives
 that policy's exact cost.  The solve reads only the policy's continue
 rows, ``|C| x g``, formed once per round from slices of the dense
-stack's blocks.  Its cost is ``lambda_f * A + D + lambda_s * S``, where
-A, D and S are the policy's false-alarm probability, expected delay and
-expected sensor-slots, each the policy's value under one cost stream
-(Puterman 1994, ch. 6-7); they share the continue-set matrix, so the
-same solve gives all four with four right-hand sides.  A single action
+stack's blocks and the shift's two entries per row.  Its cost is
+``lambda_f * A + D + lambda_s * S``, where A, D and S are the policy's
+false-alarm probability, expected delay and expected sensor-slots, each
+the policy's value under one cost stream (Puterman 1994, ch. 6-7); they
+share the continue-set matrix, so the same solve gives all four with
+four right-hand sides.  A single action
 is a threshold rule: it continues on a leading interval [0, k) of the
 grid, and its rounds move k by a few nodes.  With K a coarse cell past
 k, one factorization on [0, K - 2 * COARSE_STRIDE), whose extra
@@ -371,6 +376,15 @@ def monte_carlo_atoms(model, n: int) -> LikelihoodAtoms:
     )
 
 
+def _brackets(pts: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The node of ``pts`` below each ``query`` point and the weight
+    linear interpolation puts on the node above it (the lower one takes
+    the rest); points past either end take the end cell's node."""
+    idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, pts.size - 2)
+    frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
+    return idx, frac
+
+
 def _interp_matrix(
     grid: BeliefGrid, query: np.ndarray, weights: np.ndarray | None = None
 ) -> sparse.csr_matrix:
@@ -381,9 +395,7 @@ def _interp_matrix(
     query = query.reshape(query.shape[0], -1)
     if weights is None:
         weights = np.ones_like(query)
-    pts = grid.points
-    idx = np.clip(np.searchsorted(pts, query, side="right") - 1, 0, pts.size - 2)
-    frac = np.clip((query - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
+    idx, frac = _brackets(grid.points, query)
     rows = np.repeat(np.arange(query.shape[0]), 2 * query.shape[1])
     cols = np.stack([idx, idx + 1], axis=-1).ravel()
     data = np.stack([weights * (1.0 - frac), weights * frac], axis=-1).ravel()
@@ -400,19 +412,26 @@ def _nearest_nodes(points: np.ndarray, x):
 class ExpectationOperator:
     """Linear map ``values -> E[J(next belief)]`` for every awake count.
 
-    ``stack`` has shape ``((n + 1) * g, g)``: block ``m`` (rows ``m*g`` to
-    ``(m+1)*g``) maps grid values to the expected cost-to-go when ``m``
-    sensors observe the next slot, with the one-step change hazard folded
-    in; block 0 is prediction plus interpolation.  It is dense, or CSR
-    for a caller's few atoms on a fine grid (see ``operator_from_atoms``),
-    which serves only control_m and control_q sweeps; the coarse level,
-    and so every stationary solve, and single-action folds read
-    ``_dense_stack``.  ``stop_image``, ``apply_all(1 - pi)``, is cached
-    beside ``coarse``: each single-action solve on the operator sweeps
-    its stop-everywhere cost from it (see ``_sweep``).
+    With every sensor asleep the next belief is the predicted one, ``t =
+    pi + (1 - pi) * p``, so that map is a shift: ``values`` read at t by
+    interpolation.  ``shift`` holds it, made once from the grid and p:
+    each grid row's node below its t and the weight on the node above
+    (``_brackets``).  ``stack`` holds only the ``n`` observation blocks,
+    shape ``(n * g, g)``: awake count ``m >= 1`` is rows ``(m - 1) * g``
+    to ``m * g``, mapping grid values to the expected cost-to-go when
+    ``m`` sensors observe the next slot, with the one-step change hazard
+    folded in.  A stack of any other shape is refused.  ``apply_all`` and
+    ``fold`` put the shift back as awake count 0.
+    The stack is dense, or CSR for a caller's few atoms on a fine grid
+    (see ``operator_from_atoms``), which serves only control_m and
+    control_q sweeps; the coarse level, and so every stationary solve,
+    and single-action folds read ``_dense_stack``.  ``stop_image``,
+    ``apply_all(1 - pi)``, is cached beside ``coarse``: each
+    single-action solve on the operator sweeps its stop-everywhere cost
+    from it (see ``_sweep``).
     Dense stacks are filled from segment sums, their m-blocks
-    concurrently on the process's CPUs and each a few rows at a time, and
-    block 0 is written in place, so building one needs only one serial
+    concurrently on the process's CPUs and each a few rows at a time,
+    and no sleep block is written, so building one needs only one serial
     block's worth of temporaries (``BLOCK_ROWS`` rows) beyond the stack
     itself.  The stack does not depend on the worker count.
     ``model`` is the sensor model ``build_expectation_operator`` built the
@@ -420,15 +439,41 @@ class ExpectationOperator:
     """
 
     def __init__(self, grid: BeliefGrid, p: float, n: int, stack, model=None):
+        g = grid.size
+        if stack.shape != (n * g, g):
+            raise ValueError(
+                f"stack must hold the n = {n} observation blocks of {g} x {g}, shape "
+                f"{(n * g, g)}; got {stack.shape}"
+            )
         self.grid = grid
         self.p = p
         self.n = n
         self.stack = stack
         self.model = model
+        self.shift = _brackets(grid.points, grid.points + (1.0 - grid.points) * p)
+
+    def sleep(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """E[J(next belief)] with every sensor asleep, ``values`` read at
+        the predicted belief of the grid rows ``rows`` (all by default)."""
+        idx, frac = (a[rows] for a in self.shift)
+        return (1.0 - frac) * values[idx] + frac * values[idx + 1]
+
+    def sleep_entries(self, rows=slice(None)):
+        """The sleep map's nonzero entries on the grid rows ``rows``, as
+        ``(r, column, weight)`` with ``r`` the position in ``rows``: the
+        node below each row's predicted belief, then the node above."""
+        idx, frac = (a[rows] for a in self.shift)
+        r = np.arange(idx.size)
+        return (np.concatenate((r, r)), np.concatenate((idx, idx + 1)),
+                np.concatenate((1.0 - frac, frac)))
 
     def apply_all(self, values: np.ndarray) -> np.ndarray:
-        """E[J(next belief)] per awake count (rows) and grid belief (columns)."""
-        return (self.stack @ values).reshape(self.n + 1, self.grid.size)
+        """E[J(next belief)] per awake count 0..n (rows) and grid belief
+        (columns); row 0 is the shift, with no matrix."""
+        out = np.empty((self.n + 1, self.grid.size))
+        out[0] = self.sleep(values)
+        out[1:] = (self.stack @ values).reshape(self.n, self.grid.size)
+        return out
 
     def _dense_stack(self) -> np.ndarray:
         if not isinstance(self.stack, np.ndarray):
@@ -437,11 +482,16 @@ class ExpectationOperator:
         return self.stack
 
     def fold(self, weights: np.ndarray) -> np.ndarray:
-        """The blocks mixed by ``weights`` (one per awake count) into one
-        ``g x g`` map, in one BLAS contraction of the dense stack viewed
-        as rows of ``g * g``."""
+        """The maps mixed by ``weights`` (one per awake count 0..n) into
+        one ``g x g`` map: one BLAS contraction of ``weights[1:]`` with the
+        dense stack viewed as rows of ``g * g``, then ``weights[0]`` times
+        the shift added into each row's two sleep entries."""
         g = self.grid.size
-        return (weights @ self._dense_stack().reshape(self.n + 1, g * g)).reshape(g, g)
+        w = np.ravel(weights)
+        F = (w[1:] @ self._dense_stack().reshape(self.n, g * g)).reshape(g, g)
+        r, col, share = self.sleep_entries()
+        F[r, col] += w[0] * share
+        return F
 
     @functools.cached_property
     def stop_image(self) -> np.ndarray:
@@ -453,14 +503,15 @@ class ExpectationOperator:
         """The same map on every ``COARSE_STRIDE``-th node plus the last
         (see the module docstring), built once from a dense stack and
         filled in place, a block at a time, so the blocks are never held
-        twice.  A grid of two nodes is its own coarse grid."""
+        twice; the coarse operator makes its own shift from its own grid.
+        A grid of two nodes is its own coarse grid."""
         stack = self._dense_stack()
         g = self.grid.size
         keep = np.unique(np.append(np.arange(0, g, COARSE_STRIDE), g - 1))
         grid = BeliefGrid(self.grid.points[keep])
         R = _interp_matrix(grid, self.grid.points)
-        coarse = np.empty(((self.n + 1) * keep.size, keep.size))
-        for m, rows in enumerate(np.split(coarse, self.n + 1)):
+        coarse = np.empty((self.n * keep.size, keep.size))
+        for m, rows in enumerate(np.split(coarse, self.n)):
             rows[...] = stack[m * g + keep] @ R
         return ExpectationOperator(grid, self.p, self.n, coarse, self.model)
 
@@ -532,7 +583,8 @@ def operator_from_atoms(
     atoms: LikelihoodAtoms, grid: BeliefGrid, p: float
 ) -> ExpectationOperator:
     """Expectation maps from likelihood-ratio atoms: atom-weighted
-    interpolation, dense by segment sums or CSR by pairs.
+    interpolation, dense by segment sums or CSR by pairs, one block per
+    observing count m = 1..n (the sleep map is the operator's shift).
 
     Each atom puts two entries in a row, so once twice the largest
     per-regime count reaches the grid size the stack is dense
@@ -546,7 +598,7 @@ def operator_from_atoms(
         return _dense_atom_operator(atoms, grid, p)
     t = grid.points + (1.0 - grid.points) * p
     l0 = _logit_array(t)
-    blocks = [_interp_matrix(grid, t)]
+    blocks = []
     for m in range(1, atoms.n + 1):
         blocks.append(
             _interp_matrix(grid, expit(l0[:, None] + atoms.llr1[m]), t[:, None] * atoms.w1[m])
@@ -560,7 +612,8 @@ def operator_from_atoms(
 def _dense_atom_operator(
     atoms: LikelihoodAtoms, grid: BeliefGrid, p: float, model=None
 ) -> ExpectationOperator:
-    """Dense expectation maps from any number of likelihood-ratio atoms.
+    """Dense expectation maps from any number of likelihood-ratio atoms,
+    ``n * g`` rows of ``g``: the observing counts only, no sleep block.
 
     Rows are built a block at a time (see ``_fill_blocks``) from segment
     sums: both regimes' atoms are sorted together once per ``m``, one
@@ -574,8 +627,7 @@ def _dense_atom_operator(
     g = grid.size
     t = pts + (1.0 - pts) * p
     l0 = _logit_array(t)
-    stack = np.empty(((atoms.n + 1) * g, g))
-    _interp_matrix(grid, t).toarray(out=stack[:g])
+    stack = np.empty((atoms.n * g, g))
     interior = _logit_array(pts[1:-1])
     step = np.diff(pts)
     scale0 = np.exp(-l0)
@@ -601,7 +653,7 @@ def _dense_atom_operator(
         with np.errstate(over="ignore"):
             scale = np.exp(-llr)
         count = llr.size
-        block = stack[m * g:(m + 1) * g]
+        block = stack[(m - 1) * g:m * g]
         z_rows = z_buf[:block_rows * (count + 1)].reshape(block_rows, count + 1)
         for lo in range(0, g, block_rows):
             r = slice(lo, min(lo + block_rows, g))
@@ -640,8 +692,9 @@ def _dense_atom_operator(
 
 
 def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> ExpectationOperator:
-    """Closed-form stack, a block of rows of an m-block at a time (see
-    ``_fill_blocks``).
+    """Closed-form stack of the observing counts m = 1..n, ``n * g`` rows
+    of ``g`` with no sleep block, a block of rows of an m-block at a time
+    (see ``_fill_blocks``).
 
     A row splits the observation-sum axis at the preimages of the grid
     nodes; on each segment the interpolated value function is affine in
@@ -665,8 +718,7 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
     step = np.diff(pts)
     # Rows at or above 1 - EPS are absorbing; t increases with the row.
     live = int(np.searchsorted(t, 1.0 - EPS))
-    stack = np.empty(((n + 1) * g, g))
-    _interp_matrix(grid, t).toarray(out=stack[:g])
+    stack = np.empty((n * g, g))
 
     def make_fill(block_rows: int):
         # One block's scratch: the tails, and each regime's segment masses.
@@ -688,7 +740,7 @@ def _exact_operator(model: SensorModel, n: int, grid: BeliefGrid, p: float) -> E
         # U - Q > 0 exactly when U > Q, so K splits the rows as z > 0
         # does; a z of 0 stays left, a tail of 1/2.
         K = [np.searchsorted(u, Q, side="right") for u in U]
-        block = stack[m * g:(m + 1) * g]
+        block = stack[(m - 1) * g:m * g]
         block[live:] = 0.0
         block[live:, -1] = 1.0
         for lo in range(0, live, block_rows):
@@ -893,17 +945,18 @@ class _Window:
 class _ActionSet:
     """A strategy as every sweep and evaluation of one solve level sees it.
 
-    Row ``a`` of ``lambda_s * awake[:, None] + (stack @ J).reshape(-1,
-    g)`` is the continuation cost of action ``actions[a]``, which plays
-    block ``a`` of the stack (control_m's awake counts, or a single
-    action's fold, a stack of one block) and keeps ``awake[a]`` sensors
-    awake on average.  ``binomial`` marks control_q: its actions are
-    wake probabilities, each mixing those rows with Binomial(n, q)
+    Row ``a`` of ``lambda_s * awake[:, None] + B``, with ``B`` the
+    expected cost-to-go per action (``_sweep``), is the continuation cost
+    of action ``actions[a]``, which keeps ``awake[a]`` sensors awake on
+    average.  control_m's actions are the awake counts, whose rows are
+    ``operator.apply_all(J)``; ``binomial`` marks control_q: its actions
+    are wake probabilities, each mixing those rows with Binomial(n, q)
     weights, and a sweep takes the exact minimum over q.
     A single action keeps its mixture over the awake counts, ``weights``,
-    and folds ``operator``'s stack only when ``stack`` is first read;
-    control_m and control_q have no ``weights`` and read the operator's
-    stack.  ``window`` is the single action's last threshold window
+    and folds ``operator``'s maps into one ``g x g`` ``stack`` only when
+    that is first read; control_m and control_q have no ``weights`` and
+    read the operator's observation blocks as ``stack``.  ``window`` is
+    the single action's last threshold window
     (``_evaluate_policy``), and ``factorizations`` counts the LU
     factorizations the set's evaluations have made.
     """
@@ -931,10 +984,12 @@ def _sweep(
     ``values`` is the stop-everywhere cost ``lambda_f * (1 - pi)``, which
     a single action sweeps from the operator's ``stop_image``, with no
     fold."""
-    if stopped and acts.weights is not None:
+    if acts.weights is None:
+        B = acts.operator.apply_all(values)
+    elif stopped:
         B = problem.costs.lambda_f * (acts.weights @ acts.operator.stop_image)
     else:
-        B = (acts.stack @ values).reshape(-1, pts.size)
+        B = (acts.stack @ values)[None]
     table = problem.costs.lambda_s * acts.awake[:, None] + B
     if acts.binomial:
         best, cont = _least_over_q(table)
@@ -990,9 +1045,15 @@ def _action_set(
 def _check_operator(
     problem: Problem, grid: BeliefGrid | None, operator: ExpectationOperator
 ) -> None:
-    """Refuse ``operator`` unless its n, p and sensor model (if it records
-    one) are the problem's and, when ``grid`` is not None, its grid has
+    """Refuse an ``operator`` that is not an ``ExpectationOperator`` (a
+    ``TypeError``), or one whose n, p or sensor model (if it records one)
+    is not the problem's or, when ``grid`` is not None, whose grid lacks
     ``grid``'s points; refuse a ``grid`` that is not a ``BeliefGrid``."""
+    if not isinstance(operator, ExpectationOperator):
+        raise TypeError(
+            "operator is required: pass the ExpectationOperator built for this problem "
+            f"(build_expectation_operator), got {type(operator).__name__}"
+        )
     if grid is not None and not isinstance(grid, BeliefGrid):
         raise ValueError(f"grid must be a BeliefGrid or None, got {type(grid).__name__}")
     if (operator.n != problem.n or operator.p != problem.prior.p
@@ -1047,20 +1108,24 @@ def _evaluate_policy(
     lambda_f * A + D + lambda_s * S``, and the four are one solve of the
     continue-set matrix with four right-hand sides.
     Forms ``P_C``, the continue rows (``|C| x g``) of the policy's
-    transition matrix, once, from the dense stack: row i is block ``m_i``
-    of the stack for an awake count, the binomial mixture of the blocks
-    for a wake probability, and the folded map's row for a single action.
+    transition matrix, once, from the dense stack and the operator's
+    shift: row i is the stack's block for an awake count ``m_i >= 1`` and
+    the shift's two entries for ``m_i = 0``, the binomial mixture of the
+    counts for a wake probability, and the folded map's row for a single
+    action.
     ``values`` is J's stopping cost on the stop set S and 0 on C, so
     ``P_C @ values`` is ``P_CS J_S`` and J's solve is ``(I - P_C[:, C])
     J_C = pi_C + c(a_C) + P_C @ values``; the other terms take their own
     running costs and stop values.  A mixture is one batched
-    ``matmul`` of each row's weights with that row of every block, over
-    the rows ``lo:hi``, the hull of C, read in place from the stack, with
-    zero weights on its holes, of which C's rows are kept.  Rows that each
-    read one block (an awake count, or a fold) are gathered up to column
-    ``hi`` only, the columns past it entering the right-hand side at
-    once, so no wider copy is held while the solver copies ``P_C[:,
-    C]``.
+    ``matmul`` of each row's observing weights with that row of every
+    block, over the rows ``lo:hi``, the hull of C, read in place from the
+    stack, with zero weights on its holes, of which C's rows are kept;
+    each row's sleep weight is then added into its two shift entries.
+    Rows that each read one block (an awake count, or a fold) are
+    gathered up to column ``hi`` only, the columns past it entering the
+    right-hand side at once, so no wider copy is held while the solver
+    copies ``P_C[:, C]``; a sleeping row is gathered from count 1's
+    block and rewritten from the shift, its right-hand side too.
     A single action whose C is a leading interval [0, k) is instead read
     from ``acts.window`` (``_threshold_window``), made again only when
     k leaves it.  Each factorization, of either kind, adds one to
@@ -1087,18 +1152,30 @@ def _evaluate_policy(
         return terms
     if not acts.binomial:
         # Awake counts and a single action are sorted.  Columns from hi on
-        # are all in S.
+        # are all in S.  Awake count m >= 1 reads stack block m - 1 and a
+        # single action its fold; a sleeping row reads count 1's row and is
+        # rewritten from the shift.
         j = np.searchsorted(acts.actions, best[C])
         awake = acts.awake[j]
-        rows = j * g + C
+        rows = np.maximum(j - 1, 0) * g + C
         P = acts.stack[rows, :hi]
         stopped = acts.stack[rows, hi:] @ values[hi:] + P @ values[:hi]
+        if acts.weights is None and not j.all():
+            sleep = np.flatnonzero(j == 0)
+            r, col, share = acts.operator.sleep_entries(C[sleep])
+            inside = col < hi
+            P[sleep] = 0.0
+            P[sleep[r[inside]], col[inside]] = share[inside]
+            stopped[sleep] = acts.operator.sleep(values, C[sleep])
     else:
-        w = np.zeros((hi - lo, problem.n + 1))
-        w[C - lo] = _binomial_table(problem.n, best[C])
+        table = _binomial_table(problem.n, best[C])
+        w = np.zeros((hi - lo, problem.n))
+        w[C - lo] = table[:, 1:]
         awake = problem.n * best[C]
         V = acts.stack.reshape(-1, g, g)[:, lo:hi]
         P = np.matmul(w[:, None, :], V.transpose(1, 0, 2))[:, 0]
+        r, col, share = acts.operator.sleep_entries(C)
+        P[C[r] - lo, col] += table[r, 0] * share
         if not interval:
             P = P[C - lo]
         stopped = P @ values
@@ -1225,7 +1302,8 @@ def value_iteration(
         the policy, and a SolveReport, which gives the terms at rho.
 
     Raises:
-        TypeError: If ``operator`` is not given.
+        TypeError: If ``operator`` is not given or is not an
+            ``ExpectationOperator`` (None included), before any sweep.
         ValueError: If the strategy, ``q`` or ``fixed_m`` is invalid,
             before the operator is read; if ``operator`` does not match
             the problem or ``grid`` (``_check_operator``); or if it holds

@@ -127,8 +127,9 @@ def _exact_case(name):
 def coo_atom_stack(atoms, grid, p):
     """Reference atom map: two COO entries per (row, atom), summed by scipy.
 
-    Each m-block is the CSR sum of the post- and pre-change regimes'
-    interpolation matrices, built over all rows at once.
+    Each observation block m = 1..n is the CSR sum of the post- and
+    pre-change regimes' interpolation matrices, built over all rows at
+    once.
     """
     pts = grid.points
     g = grid.size
@@ -144,7 +145,7 @@ def coo_atom_stack(atoms, grid, p):
         data = np.stack([weights * (1.0 - frac), weights * frac], axis=-1).ravel()
         return sparse.csr_matrix((data, (rows, cols)), shape=(query.shape[0], g))
 
-    blocks = [interp(t[:, None], np.ones((g, 1)))]
+    blocks = []
     for m in range(1, atoms.n + 1):
         blocks.append(
             interp(expit(l0[:, None] + atoms.llr1[m]), t[:, None] * atoms.w1[m])
@@ -243,7 +244,7 @@ def test_monte_carlo_operator_rows_match_direct_sum_at_grid_1001(grid1001):
                 frac = np.clip((post - pts[idx]) / (pts[idx + 1] - pts[idx]), 0.0, 1.0)
                 np.add.at(direct, idx, weight * wts * (1.0 - frac))
                 np.add.at(direct, idx + 1, weight * wts * frac)
-            assert np.abs(op.stack[m * g + i] - direct).max() < 1e-12
+            assert np.abs(op.stack[(m - 1) * g + i] - direct).max() < 1e-12
 
 
 def test_binomial_weights_match_scipy():
@@ -281,6 +282,20 @@ def _predicted(op):
     return op.grid.points + (1.0 - op.grid.points) * op.p
 
 
+def _sleep_map(op):
+    """The dense g x g map with every sensor asleep: interpolation at the
+    predicted belief."""
+    return dp._interp_matrix(op.grid, _predicted(op)).toarray()
+
+
+def _all_blocks(op):
+    """Every awake count's g x g map, 0..n, as one dense array: the sleep
+    map, then the stack's observation blocks."""
+    g = op.grid.size
+    stack = op.stack.toarray() if sparse.issparse(op.stack) else op.stack
+    return np.concatenate((_sleep_map(op)[None], stack.reshape(op.n, g, g)))
+
+
 def test_exact_operator_mass_and_martingale(problem, operator):
     """Row sums are 1 and E[next belief] is the predicted belief, per m."""
     ones = np.ones(operator.grid.size)
@@ -302,7 +317,7 @@ def test_exact_operator_matches_row_reference(case):
     g = grid.size
     for m in range(1, prob.n + 1):
         ref = np.array([exact_row(prob.model, grid.points, t, m) for t in _predicted(op)])
-        assert np.abs(op.stack[m * g:(m + 1) * g] - ref).max() < 1e-11
+        assert np.abs(op.stack[(m - 1) * g:m * g] - ref).max() < 1e-11
         if case == "one_sided":
             # Both edges occur at each count: a live row whose pre-change z
             # is > 0 at every interior boundary (its tails switch sides at
@@ -363,7 +378,7 @@ def test_one_worker_build_starts_no_thread(monkeypatch):
 # of rows by the grid or atom count) and a few arrays per count.  Measured
 # with tracemalloc at grid 1001 on two workers: 1.5 MB for the exact build
 # and 5.3 MB for the Monte Carlo atoms.  The bounds leave headroom and stay
-# under the 8.0 MB of one g x g block, which a dense temporary of block 0
+# under the 8.0 MB of one g x g block, which any dense g x g temporary
 # would add.
 @pytest.mark.parametrize("build,bound_mb", [("exact", 3.0), ("atoms", 6.5)], ids=["exact", "atoms"])
 def test_build_holds_less_than_a_block_beyond_the_stack(build, bound_mb, problem, grid1001, monkeypatch):
@@ -381,6 +396,55 @@ def test_build_holds_less_than_a_block_beyond_the_stack(build, bound_mb, problem
         tracemalloc.stop()
     assert isinstance(op.stack, np.ndarray)
     assert (peak - op.stack.nbytes) / 1e6 < bound_mb
+
+
+def test_stack_holds_only_the_observation_blocks(operator, operator201, mc_case201):
+    """Both dense builds store n blocks of g x g and no sleep block:
+    80,160,080 B at grid 1001 with n = 10."""
+    for op in (operator, operator201, mc_case201[1]):
+        n, g = op.n, op.grid.size
+        assert isinstance(op.stack, np.ndarray)
+        assert op.stack.shape == (n * g, g)
+        assert op.stack.nbytes == n * g * g * 8
+    assert operator.stack.nbytes == 80_160_080
+
+
+@pytest.mark.parametrize("case", ["exact", "monte_carlo", "csr"])
+def test_shift_and_fold_match_a_sleep_block(case, operator201, mc_case201, oracle_case201):
+    """The sleep action reads values at the predicted belief with no
+    matrix: ``apply_all``'s row 0 is the interpolation matrix at the
+    predicted belief times the values, and a fold of a dense stack is the
+    contraction of every count's block, that matrix first."""
+    op = {"exact": operator201, "monte_carlo": mc_case201[1], "csr": oracle_case201[2]}[case]
+    rng = np.random.default_rng(4)
+    values = rng.random(op.grid.size)
+    sleep = dp._interp_matrix(op.grid, _predicted(op))
+    assert np.abs(op.apply_all(values)[0] - sleep @ values).max() < 1e-15
+    if case == "csr":
+        return
+    blocks = _all_blocks(op)
+    n = op.n
+    for weights in (np.eye(n + 1)[0], np.eye(n + 1)[1], _binomial_table(n, np.array([0.3])),
+                    rng.dirichlet(np.ones(n + 1))):
+        ref = np.tensordot(np.ravel(weights), blocks, axes=1)
+        assert np.abs(op.fold(weights) - ref).max() < 1e-14
+
+
+def test_operator_refuses_a_stack_of_another_shape(operator201, oracle_case201):
+    """A stack with a sleep block, ((n + 1) * g, g), would be read one
+    block off, so it is refused, dense or CSR."""
+    for op in (operator201, oracle_case201[2]):
+        sleep = dp._interp_matrix(op.grid, _predicted(op))
+        if sparse.issparse(op.stack):
+            stack = sparse.vstack((sleep, op.stack), format="csr")
+        else:
+            stack = np.vstack((sleep.toarray(), op.stack))
+        assert stack.shape == ((op.n + 1) * op.grid.size, op.grid.size)
+        with pytest.raises(ValueError, match="observation blocks"):
+            ExpectationOperator(op.grid, op.p, op.n, stack)
+        with pytest.raises(ValueError, match="observation blocks"):
+            ExpectationOperator(op.grid, op.p, op.n + 1, op.stack)
+        assert ExpectationOperator(op.grid, op.p, op.n, op.stack).stack is op.stack
 
 
 def _one_draw_atoms(model, n):
@@ -914,19 +978,21 @@ def _random_policy(problem, strategy, g, rng):
 @pytest.mark.parametrize("strategy", list(STRATEGY_KW))
 def test_policy_evaluation_matches_dense_reference(problem, grid201, operator201, strategy):
     """Policy evaluation against a solve of the policy's full g x g
-    transition matrix, assembled row by row from the stack blocks, on a
-    continue set with and without a hole: the cost J and its terms, the
-    false-alarm probability, the delay and the sensor-slots."""
+    transition matrix, on a continue set with and without a hole: the cost
+    J and its terms, the false-alarm probability, the delay and the
+    sensor-slots.  The matrix mixes the stack's observation blocks by one
+    batched matmul, as the evaluation does, then adds the dense sleep map,
+    so the bound measures the continue-set solve.  The mixture's summation
+    order alone moves control_q's terms here by up to 2.3e-12, which is
+    how far either order lies from an extended-precision solve."""
     kw = STRATEGY_KW[strategy]
     pts = grid201.points
     g, n, lam_f = grid201.size, problem.n, problem.costs.lambda_f
     rng = np.random.default_rng(11)
     best, weights, awake = _random_policy(problem, strategy, g, rng)
-    stack = operator201.stack
-    P = np.zeros((g, g))
-    for i in range(g):
-        for m in range(n + 1):
-            P[i] += weights[i, m] * stack[m * g + i]
+    observe = np.ascontiguousarray(weights[:, 1:])[:, None, :]
+    P = np.matmul(observe, operator201.stack.reshape(n, g, g).transpose(1, 0, 2))[:, 0]
+    P += weights[:, :1] * _sleep_map(operator201)
     interval = pts >= 0.8
     holed = interval.copy()
     holed[50:55] = True
@@ -954,7 +1020,7 @@ def test_single_action_fold_matches_block_mixing(problem, grid201, operator201, 
         weights = _binomial_table(n, np.array([kw["q"]]))[0]
     else:
         weights = np.eye(n + 1)[kw["fixed_m"]]
-    blocks = operator201.stack.reshape(n + 1, g, g)
+    blocks = _all_blocks(operator201)
     ref = sum(w * block for w, block in zip(weights, blocks))
     acts = _strategy_action_set(problem, operator201, strategy, kw)
     assert not acts.binomial and acts.actions.size == 1
@@ -996,7 +1062,7 @@ def test_threshold_window_matches_the_direct_solve(problem, grid201, operator201
     pts = grid201.points
     g, lam_f, stride = grid201.size, problem.costs.lambda_f, dp.COARSE_STRIDE
     best, weights, awake = _random_policy(problem, strategy, g, np.random.default_rng(0))
-    P = np.einsum("im,mij->ij", weights, operator201.stack.reshape(-1, g, g))
+    P = np.einsum("im,mij->ij", weights, _all_blocks(operator201))
     acts = _strategy_action_set(problem, operator201, strategy, kw)
 
     def reference(k):
@@ -1172,6 +1238,25 @@ def test_solves_run_on_the_operators_grid(problem, grid201, operator201):
     for call in calls:
         with pytest.raises(TypeError, match="operator"):
             call()
+
+
+def test_entry_points_refuse_a_missing_operator(problem, grid201, monkeypatch):
+    """``operator=None`` is refused with a TypeError that names the
+    operator, by all five entry points, before any sweep."""
+    sweeps = []
+    monkeypatch.setattr(dp, "_sweep", lambda *args, **kw: sweeps.append(args))
+    J = ValueFunction(grid201, problem.costs.lambda_f * (1.0 - grid201.points))
+    calls = (
+        lambda: value_iteration(problem, "control_m", grid201, operator=None),
+        lambda: solve_finite_horizon(problem, 2, "control_q", grid201, operator=None),
+        lambda: bellman_maps(J, problem, "open_loop", q=0.3, operator=None),
+        lambda: extract_policy(J, problem, "fixed_m", fixed_m=1, operator=None),
+        lambda: sweep_open_loop_q(problem, [0.03], operator=None),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="operator is required"):
+            call()
+    assert sweeps == []
 
 
 def test_operator_must_be_built_for_the_change_hazard():

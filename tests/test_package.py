@@ -191,6 +191,26 @@ def test_readme_module_names_resolve():
         assert full in fields or hasattr(modules[module], name), full
 
 
+def test_readme_stack_shape_is_the_builds():
+    """The README's stack shape, n * g rows of g, is the shape both dense
+    builds make at grid 201, and its byte count at grid 1001 follows."""
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    shape, size = re.search(
+        r"its stack has shape `(\([^`]+\))` for `g` grid nodes, .*? which is ([\d,]+) B "
+        r"at grid 1001 with `n = 10`", readme
+    ).groups()
+    problem = quickwake.Problem(
+        quickwake.SensorModel(0.0, 1.0, 1.0, 1.0), quickwake.ChangePrior(0.0, 0.01),
+        quickwake.Costs(0.5, 100.0), 3,
+    )
+    grid = quickwake.BeliefGrid.uniform(201)
+    for method in ("exact", "monte_carlo"):
+        op = quickwake.build_expectation_operator(problem, grid, method)
+        assert op.stack.shape == eval(shape, {"n": problem.n, "g": grid.size})
+    rows, cols = eval(shape, {"n": 10, "g": 1001})
+    assert int(size.replace(",", "")) == rows * cols * 8
+
+
 def test_readme_solver_numbers_are_the_solvers():
     """The README's coarse stride, switching margin, residual check and
     round cap are the solver's constants."""
