@@ -37,8 +37,9 @@ that stops everywhere builds no fold.
 The stationary problem is solved by policy iteration: a sweep picks the
 stop set and actions, and one linear solve on the continue set C gives
 that policy's exact cost.  The solve reads only the policy's continue
-rows, ``|C| x g``, formed once per round from slices of the dense
-stack's blocks and the shift's two entries per row.  Its cost is
+rows, ``|C| x g``, formed once per round for every strategy alike: each
+row mixes the dense stack's blocks and the shift's two entries by its
+action's weights over the awake counts.  Its cost is
 ``lambda_f * A + D + lambda_s * S``, where A, D and S are the policy's
 false-alarm probability, expected delay and expected sensor-slots, each
 the policy's value under one cost stream (Puterman 1994, ch. 6-7); they
@@ -187,8 +188,8 @@ class BeliefGrid:
 
     @classmethod
     def uniform(cls, size: int = DEFAULT_GRID_SIZE) -> "BeliefGrid":
-        if size < 2:
-            raise ValueError(f"grid size must be >= 2, got {size}")
+        if not (_is_integer(size) and size >= 2):
+            raise ValueError(f"grid size must be >= 2 and an integer, got {size!r}")
         return cls(np.linspace(0.0, 1.0, size))
 
     @property
@@ -272,7 +273,9 @@ class LikelihoodAtoms:
     one law under the pre-change regime and another under post.  Each is
     represented by nodes and weights: ``sum(w0[m]) ~ 1`` and
     ``sum(w0[m][k] * h(llr0[m][k]))`` approximates the pre-change mean of
-    ``h(L)``.  Index 0 is empty (no observation, pure prediction).
+    ``h(L)``.  Index 0 is empty (no observation, pure prediction).  For
+    m = 1..n each regime's nodes and weights are real 1-D arrays of one
+    length, finite, with no negative weight.
     """
 
     n: int
@@ -286,6 +289,14 @@ class LikelihoodAtoms:
             arrs = getattr(self, name)
             if len(arrs) != self.n + 1:
                 raise ValueError(f"{name} must have n + 1 = {self.n + 1} entries")
+        for names, llrs, wts in (("llr0/w0", self.llr0, self.w0), ("llr1/w1", self.llr1, self.w1)):
+            for m in range(1, self.n + 1):
+                llr, w = llrs[m], wts[m]
+                if not (all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iuf"
+                            for a in (llr, w)) and llr.size == w.size):
+                    raise ValueError(f"{names}[{m}] must be real 1-D arrays of one length")
+                if not (np.isfinite(llr).all() and np.isfinite(w).all() and (w >= 0).all()):
+                    raise ValueError(f"{names}[{m}] must be finite, with no negative weight")
 
 
 # Clamp bound applied to beliefs before log-odds arithmetic only. Stored
@@ -421,7 +432,9 @@ class ExpectationOperator:
     to ``m * g``, mapping grid values to the expected cost-to-go when
     ``m`` sensors observe the next slot, with the one-step change hazard
     folded in.  A stack of any other shape is refused.  ``apply_all`` and
-    ``fold`` put the shift back as awake count 0.
+    ``fold`` put the shift back as awake count 0, and a policy
+    evaluation adds each continue row's sleep weight into that row's
+    two ``sleep_entries``.
     The stack is dense, or CSR for a caller's few atoms on a fine grid
     (see ``operator_from_atoms``), which serves only control_m and
     control_q sweeps; the coarse level, and so every stationary solve,
@@ -452,10 +465,10 @@ class ExpectationOperator:
         self.model = model
         self.shift = _brackets(grid.points, grid.points + (1.0 - grid.points) * p)
 
-    def sleep(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def sleep(self, values: np.ndarray) -> np.ndarray:
         """E[J(next belief)] with every sensor asleep, ``values`` read at
-        the predicted belief of the grid rows ``rows`` (all by default)."""
-        idx, frac = (a[rows] for a in self.shift)
+        each grid row's predicted belief."""
+        idx, frac = self.shift
         return (1.0 - frac) * values[idx] + frac * values[idx + 1]
 
     def sleep_entries(self, rows=slice(None)):
@@ -953,12 +966,12 @@ class _ActionSet:
     are wake probabilities, each mixing those rows with Binomial(n, q)
     weights, and a sweep takes the exact minimum over q.
     A single action keeps its mixture over the awake counts, ``weights``,
-    and folds ``operator``'s maps into one ``g x g`` ``stack`` only when
-    that is first read; control_m and control_q have no ``weights`` and
-    read the operator's observation blocks as ``stack``.  ``window`` is
-    the single action's last threshold window
-    (``_evaluate_policy``), and ``factorizations`` counts the LU
-    factorizations the set's evaluations have made.
+    and folds ``operator``'s maps into one ``g x g`` map, ``fold``, only
+    when that is first read.  ``mixture`` gives every policy evaluation
+    its nodes' weights over the awake counts.  ``window`` is the single
+    action's last threshold window (``_evaluate_policy``), and
+    ``factorizations`` counts the LU factorizations the set's
+    evaluations have made.
     """
 
     operator: ExpectationOperator
@@ -970,10 +983,20 @@ class _ActionSet:
     factorizations: int = 0
 
     @functools.cached_property
-    def stack(self):
-        if self.weights is None:
-            return self.operator.stack
+    def fold(self) -> np.ndarray:
         return self.operator.fold(self.weights)
+
+    def mixture(self, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weights over the awake counts 0..n (columns) and mean awake
+        count of playing ``best`` at each node: a single action's own at
+        every node, one-hot rows for control_m's awake counts and
+        Binomial(n, q) rows for control_q's wake probabilities."""
+        n = self.operator.n
+        if self.weights is not None:
+            return np.repeat(self.weights, best.size, axis=0), np.repeat(self.awake, best.size)
+        if self.binomial:
+            return _binomial_table(n, best), n * best
+        return np.eye(n + 1)[best.astype(int)], best
 
 
 def _sweep(
@@ -989,7 +1012,7 @@ def _sweep(
     elif stopped:
         B = problem.costs.lambda_f * (acts.weights @ acts.operator.stop_image)
     else:
-        B = (acts.stack @ values)[None]
+        B = (acts.fold @ values)[None]
     table = problem.costs.lambda_s * acts.awake[:, None] + B
     if acts.binomial:
         best, cont = _least_over_q(table)
@@ -1108,24 +1131,17 @@ def _evaluate_policy(
     lambda_f * A + D + lambda_s * S``, and the four are one solve of the
     continue-set matrix with four right-hand sides.
     Forms ``P_C``, the continue rows (``|C| x g``) of the policy's
-    transition matrix, once, from the dense stack and the operator's
-    shift: row i is the stack's block for an awake count ``m_i >= 1`` and
-    the shift's two entries for ``m_i = 0``, the binomial mixture of the
-    counts for a wake probability, and the folded map's row for a single
-    action.
+    transition matrix, once, the same way for every strategy: row i
+    mixes the dense stack's blocks and the operator's shift by its node's
+    weights over the awake counts (``_ActionSet.mixture``).
     ``values`` is J's stopping cost on the stop set S and 0 on C, so
     ``P_C @ values`` is ``P_CS J_S`` and J's solve is ``(I - P_C[:, C])
     J_C = pi_C + c(a_C) + P_C @ values``; the other terms take their own
-    running costs and stop values.  A mixture is one batched
+    running costs and stop values.  The mixture is one batched
     ``matmul`` of each row's observing weights with that row of every
     block, over the rows ``lo:hi``, the hull of C, read in place from the
     stack, with zero weights on its holes, of which C's rows are kept;
     each row's sleep weight is then added into its two shift entries.
-    Rows that each read one block (an awake count, or a fold) are
-    gathered up to column ``hi`` only, the columns past it entering the
-    right-hand side at once, so no wider copy is held while the solver
-    copies ``P_C[:, C]``; a sleeping row is gathered from count 1's
-    block and rewritten from the shift, its right-hand side too.
     A single action whose C is a leading interval [0, k) is instead read
     from ``acts.window`` (``_threshold_window``), made again only when
     k leaves it.  Each factorization, of either kind, adds one to
@@ -1150,35 +1166,16 @@ def _evaluate_policy(
             window = acts.window = _threshold_window(problem, pts, acts, hi)
         terms[:, :hi] = window.terms(hi)
         return terms
-    if not acts.binomial:
-        # Awake counts and a single action are sorted.  Columns from hi on
-        # are all in S.  Awake count m >= 1 reads stack block m - 1 and a
-        # single action its fold; a sleeping row reads count 1's row and is
-        # rewritten from the shift.
-        j = np.searchsorted(acts.actions, best[C])
-        awake = acts.awake[j]
-        rows = np.maximum(j - 1, 0) * g + C
-        P = acts.stack[rows, :hi]
-        stopped = acts.stack[rows, hi:] @ values[hi:] + P @ values[:hi]
-        if acts.weights is None and not j.all():
-            sleep = np.flatnonzero(j == 0)
-            r, col, share = acts.operator.sleep_entries(C[sleep])
-            inside = col < hi
-            P[sleep] = 0.0
-            P[sleep[r[inside]], col[inside]] = share[inside]
-            stopped[sleep] = acts.operator.sleep(values, C[sleep])
-    else:
-        table = _binomial_table(problem.n, best[C])
-        w = np.zeros((hi - lo, problem.n))
-        w[C - lo] = table[:, 1:]
-        awake = problem.n * best[C]
-        V = acts.stack.reshape(-1, g, g)[:, lo:hi]
-        P = np.matmul(w[:, None, :], V.transpose(1, 0, 2))[:, 0]
-        r, col, share = acts.operator.sleep_entries(C)
-        P[C[r] - lo, col] += table[r, 0] * share
-        if not interval:
-            P = P[C - lo]
-        stopped = P @ values
+    weights, awake = acts.mixture(best[C])
+    w = np.zeros((hi - lo, problem.n))
+    w[C - lo] = weights[:, 1:]
+    V = acts.operator.stack.reshape(-1, g, g)[:, lo:hi]
+    P = np.matmul(w[:, None, :], V.transpose(1, 0, 2))[:, 0]
+    r, col, share = acts.operator.sleep_entries(C)
+    P[C[r] - lo, col] += weights[r, 0] * share
+    if not interval:
+        P = P[C - lo]
+    stopped = P @ values
     rhs = _cost_streams(problem, pts[C], awake, stopped)
     terms[:, C] = _solve_identity_minus(P[:, lo:hi] if interval else P[:, C], rhs).T
     acts.factorizations += 1
@@ -1203,7 +1200,7 @@ def _threshold_window(problem: Problem, pts: np.ndarray, acts: _ActionSet, k: in
     hi = min(g - 1, k + COARSE_STRIDE)
     lo = max(0, hi - 2 * COARSE_STRIDE)
     stop_cost = problem.costs.lambda_f * (1.0 - pts)
-    F = acts.stack
+    F = acts.fold
     stop = np.zeros((hi - lo, 4))
     stop[:, 0], stop[:, 1] = stop_cost[lo:hi], 1.0 - pts[lo:hi]
     rhs = _cost_streams(problem, pts[:hi], acts.awake[0], F[:hi, hi:] @ stop_cost[hi:])
@@ -1381,8 +1378,8 @@ def solve_finite_horizon(
     ``operator`` and ``grid`` are checked as ``value_iteration`` checks
     them; a CSR stack serves control_m's and control_q's sweeps.
     """
-    if sweeps < 0:
-        raise ValueError(f"sweeps must be >= 0, got {sweeps!r}")
+    if not (_is_integer(sweeps) and sweeps >= 0):
+        raise ValueError(f"sweeps must be >= 0 and an integer, got {sweeps!r}")
     acts = _action_set(problem, strategy, grid, operator, q, fixed_m)
     grid = acts.operator.grid
     values = problem.costs.lambda_f * (1.0 - grid.points)

@@ -23,7 +23,7 @@ from .dp import (
     _nearest_nodes,
     bellman_maps,
 )
-from .model import Problem
+from .model import Problem, _is_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +55,8 @@ class Policy:
     def __post_init__(self) -> None:
         if self.kind not in STRATEGIES:
             raise ValueError(f"kind must be one of {STRATEGIES}, got {self.kind!r}")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.gamma!r}")
         actions = np.asarray(self.actions, dtype=float)

@@ -43,7 +43,7 @@ from .dp import (
     BeliefGrid, ConvergenceError, ExpectationOperator, SolveReport, ValueFunction,
     _llr_coefficients, _logit_array, value_iteration,
 )
-from .model import Problem, SensorModel
+from .model import Problem, SensorModel, _is_integer
 from .policy import Policy
 
 # Episodes advanced together on one generator.  Long enough that each
@@ -209,8 +209,10 @@ def _simulate(
     trace: list | None = None,
 ):
     """Every block of a run, concatenated in episode order."""
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications!r}")
+    if not (_is_integer(replications) and replications >= 1):
+        raise ValueError(f"replications must be >= 1 and an integer, got {replications!r}")
+    if not (_is_integer(base_seed) and base_seed >= 0):
+        raise ValueError(f"base_seed must be >= 0 and an integer, got {base_seed!r}")
     blocks = -(-replications // BLOCK_EPISODES)
     seeds = np.random.SeedSequence(base_seed).spawn(blocks)
     parts = [
@@ -444,8 +446,8 @@ def calibrate_lambda_f(
         raise ValueError(f"target_alpha must lie in (0, 1), got {target_alpha!r}")
     if not tolerance > 0.0:  # NaN fails too
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    if max_trials < 1:
-        raise ValueError(f"max_trials must be >= 1, got {max_trials!r}")
+    if not (_is_integer(max_trials) and max_trials >= 1):
+        raise ValueError(f"max_trials must be >= 1 and an integer, got {max_trials!r}")
     if not 0.0 < lambda_lo < lambda_hi < math.inf:
         raise ValueError(
             f"need 0 < lambda_lo < lambda_hi, both finite, got {lambda_lo!r}, {lambda_hi!r}"

@@ -221,6 +221,37 @@ def test_atom_operator_matches_coo_reference(case):
     assert np.abs(op.apply_all(np.ones(grid.size)) - 1.0).max() < 1e-12
 
 
+def test_likelihood_atoms_check_their_arrays():
+    """For m = 1..n each regime's nodes and weights are real 1-D arrays of
+    one length, finite, with no negative weight; anything else is refused
+    before a build could turn it into rows that do not sum to 1 or an
+    IndexError.  The Monte Carlo and oracle atoms pass."""
+    empty = np.empty(0)
+    llr, w = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    shape = "real 1-D arrays of one length"
+    bad = (
+        (llr, np.array([1.0]), shape),
+        (llr[:, None], w[:, None], shape),
+        (list(llr), w, shape),
+        (llr.astype(complex), w, shape),
+        (llr, np.array([0.5, np.nan]), "finite"),
+        (np.array([-np.inf, 1.0]), w, "finite"),
+        (llr, np.array([1.5, -0.5]), "no negative weight"),
+    )
+    def atoms(llr0, w0, llr1, w1):
+        return LikelihoodAtoms(
+            n=1, llr0=(empty, llr0), w0=(empty, w0), llr1=(empty, llr1), w1=(empty, w1)
+        )
+
+    for x, y, fragment in bad:
+        for laws in ((x, y, llr, w), (llr, w, x, y)):
+            with pytest.raises(ValueError, match=fragment):
+                atoms(*laws)
+    atoms(llr, w, llr, w)
+    for case in ("monte_carlo", "oracle"):
+        assert isinstance(_atom_case(case)[0], LikelihoodAtoms)
+
+
 def test_monte_carlo_operator_rows_match_direct_sum_at_grid_1001(grid1001):
     """Production-size dense atom build against a per-row interpolation sum."""
     atoms = monte_carlo_atoms(SensorModel(0.0, 1.0, 1.0, 1.2), 10)
@@ -260,8 +291,9 @@ def test_belief_grid_validation():
         BeliefGrid(np.array([0.1, 0.5, 1.0]))
     with pytest.raises(ValueError, match="increasing"):
         BeliefGrid(np.array([0.0, 0.5, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        BeliefGrid.uniform(1)
+    for size in (1, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="grid size must be >= 2 and an integer"):
+            BeliefGrid.uniform(size)
     grid = BeliefGrid.uniform(11)
     assert grid.size == 11
 
@@ -860,9 +892,10 @@ def test_fixed_all_awake_degenerates_to_stopping(problem, grid1001, operator):
 
 
 def test_strategy_argument_validation(problem, operator201, monkeypatch):
-    """A wrong strategy, a missing, out-of-range or bool q, or a missing,
-    out-of-range or non-integer fixed_m raises before any sweep, fold or
-    coarse level of the operator it is given."""
+    """A wrong strategy, a missing, out-of-range or bool q, a missing,
+    out-of-range or non-integer fixed_m, or a negative, bool or
+    non-integer count of sweeps raises before any sweep, fold or coarse
+    level of the operator it is given."""
     def untouched(*args, **kw):
         raise AssertionError("operator read before the argument checks")
 
@@ -893,6 +926,9 @@ def test_strategy_argument_validation(problem, operator201, monkeypatch):
         for call in calls:
             with pytest.raises(ValueError, match=fragment):
                 call()
+    for sweeps in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="sweeps must be >= 0 and an integer"):
+            solve_finite_horizon(problem, sweeps, "control_m", grid, operator=op)
 
 
 def test_finite_horizon_monotone_in_budget(problem, grid201, operator201):
@@ -997,7 +1033,8 @@ def test_policy_evaluation_matches_dense_reference(problem, grid201, operator201
     holed = interval.copy()
     holed[50:55] = True
     acts = _strategy_action_set(problem, operator201, strategy, kw)
-    before = acts.stack.copy()
+    held = [operator201.stack] + ([acts.fold] if acts.weights is not None else [])
+    before = [a.copy() for a in held]
     for stop in (interval, holed):
         A = np.eye(g) - np.where(stop[:, None], 0.0, P)
         cost = pts + problem.costs.lambda_s * awake
@@ -1006,8 +1043,31 @@ def test_policy_evaluation_matches_dense_reference(problem, grid201, operator201
         ref = np.linalg.solve(A, rhs.T).T
         terms = _evaluate_policy(problem, pts, acts, stop, best)
         np.testing.assert_allclose(terms, ref, rtol=0, atol=1e-12)
-        # A fold is worked in place and must come back unchanged.
-        assert np.array_equal(acts.stack, before)
+        # The stack is read in place and a fold is worked in place: both
+        # must come back unchanged.
+        assert all(np.array_equal(a, b) for a, b in zip(held, before))
+
+
+@pytest.mark.parametrize(
+    "single,kw,control,action", [("open_loop", {"q": 0.03}, "control_q", 0.03),
+                                 ("fixed_m", {"fixed_m": 1}, "control_m", 1.0)],
+)
+def test_policy_evaluation_takes_one_path_for_every_strategy(
+    problem, grid201, operator201, single, kw, control, action
+):
+    """Off a threshold window every strategy's continue rows are one
+    mixture: a single action and the control strategy playing that action
+    at every node give the same terms bit for bit, on a continue set with
+    a hole."""
+    pts = grid201.points
+    stop = pts >= 0.8
+    stop[50:55] = True
+    best = np.full(grid201.size, action)
+    terms = [
+        _evaluate_policy(problem, pts, _strategy_action_set(problem, operator201, s, k), stop, best)
+        for s, k in ((single, kw), (control, {}))
+    ]
+    assert np.array_equal(*terms)
 
 
 @pytest.mark.parametrize("strategy", ["open_loop", "fixed_m"])
@@ -1024,8 +1084,8 @@ def test_single_action_fold_matches_block_mixing(problem, grid201, operator201, 
     ref = sum(w * block for w, block in zip(weights, blocks))
     acts = _strategy_action_set(problem, operator201, strategy, kw)
     assert not acts.binomial and acts.actions.size == 1
-    assert isinstance(acts.stack, np.ndarray)
-    assert np.abs(acts.stack - ref).max() < 1e-14
+    assert isinstance(acts.fold, np.ndarray)
+    assert np.abs(acts.fold - ref).max() < 1e-14
 
 
 @pytest.mark.parametrize("strategy,kw", [("open_loop", {"q": 0.5}), ("fixed_m", {"fixed_m": 3})])

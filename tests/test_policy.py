@@ -223,6 +223,9 @@ def test_policy_validation():
     ones = np.ones(11)
     with pytest.raises(ValueError, match="kind"):
         Policy(kind="bandit", gamma=0.5, grid=grid, n=3, actions=ones)
+    for n in (True, 0, 2.5):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            Policy(kind="control_m", gamma=0.5, grid=grid, n=n, actions=ones)
     for kind in STRATEGIES:
         with pytest.raises(ValueError, match="one entry per grid node"):
             Policy(kind=kind, gamma=0.5, grid=grid, n=3, actions=np.array([1, 1]))

@@ -65,9 +65,14 @@ def test_run_episode_is_deterministic(problem, policy_control_m):
 
 def test_run_episodes_checks_its_arguments_at_the_call(problem, policy_control_m):
     """The run is simulated at the call, so a bad argument raises there,
-    before anything is iterated."""
-    with pytest.raises(ValueError, match="replications must be >= 1"):
-        run_episodes(problem, policy_control_m, 0)
+    before anything is iterated; so does ``estimate_metrics``.  Counts
+    and seeds are integers, not bools or floats."""
+    bad = [((r,), "replications must be >= 1 and an integer") for r in (0, True, 2.5, 3.0)]
+    bad += [((2, s), "base_seed must be >= 0 and an integer") for s in (True, 1.5, -1)]
+    for args, fragment in bad:
+        for call in (run_episodes, estimate_metrics):
+            with pytest.raises(ValueError, match=fragment):
+                call(problem, policy_control_m, *args)
 
 
 def test_run_episode_trace_accounts_costs(problem, policy_control_m):
@@ -331,6 +336,8 @@ def test_calibration_tries_the_float_inside_a_two_ulp_bracket(problem):
         ({"lambda_hi": math.inf}, "lambda_lo < lambda_hi, both finite"),
         ({"target_alpha": 1.0}, "target_alpha must lie in"),
         ({"lambda_lo": 10.0, "lambda_hi": 5.0}, "lambda_lo < lambda_hi"),
+        ({"max_trials": True}, "max_trials must be >= 1 and an integer"),
+        ({"max_trials": 2.5}, "max_trials must be >= 1 and an integer"),
     ],
 )
 def test_calibration_checks_its_settings_before_any_trial(problem, kw, fragment):
